@@ -14,6 +14,8 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from .factoring import factor_element
 from .primes import prime_above
@@ -56,138 +58,124 @@ def _fraction_type(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, separators=(",", ":")))
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-def _print_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit(fmt: str, **render) -> None:
+    """Print one command's output in the requested format, computing only that one.
+
+    render maps each format to a zero-argument callable: "json" returns the
+    documents, printed compactly one per line; "csv" returns (header, rows);
+    "text" returns the lines.
+    """
+    out = render[fmt]()
+    if fmt == "json":
+        sys.stdout.writelines(_JSON.encode(doc) + "\n" for doc in out)
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(out[0])
+        writer.writerows(out[1])
+    else:
+        sys.stdout.writelines(line + "\n" for line in out)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+def _classify_text(p: int, r, pc) -> str:
+    if pc.kind == "inert":
+        return f"{p} is inert in d={r.d}: it stays prime, norm {p ** 2}"
+    if pc.kind == "ramified":
+        return f"{p} ramifies in d={r.d}: {p} ~ ({pretty_element(pc.pi)})^2"
+    return (
+        f"{p} splits in d={r.d}: pi = {pretty_element(pc.pi)}, "
+        f"conjugate ~ {pretty_element(pc.pi_bar)}"
+    )
+
+
 def _cmd_classify(args) -> int:
     r = ring(args.ring)
     pc = prime_above(args.prime, r)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": r.d,
-        "prime": args.prime,
-        "kind": pc.kind,
-        "pi": format_element(pc.pi),
-        "pi_pretty": pretty_element(pc.pi),
-        "pi_bar": None if pc.pi_bar is None else format_element(pc.pi_bar),
-        "pi_bar_pretty": None if pc.pi_bar is None else pretty_element(pc.pi_bar),
-    }
-    if args.format == "json":
-        _print_json(doc)
-    elif args.format == "csv":
-        _print_csv(
+    pi_bar = None if pc.pi_bar is None else format_element(pc.pi_bar)
+    _emit(
+        args.format,
+        json=lambda: [{
+            "schema_version": SCHEMA_VERSION,
+            "ring": r.d,
+            "prime": args.prime,
+            "kind": pc.kind,
+            "pi": format_element(pc.pi),
+            "pi_pretty": pretty_element(pc.pi),
+            "pi_bar": pi_bar,
+            "pi_bar_pretty": None if pc.pi_bar is None else pretty_element(pc.pi_bar),
+        }],
+        csv=lambda: (
             ["prime", "ring", "kind", "pi", "pi_bar"],
-            [[args.prime, r.d, pc.kind, doc["pi"], doc["pi_bar"]]],
-        )
-    else:
-        if pc.kind == "inert":
-            print(f"{args.prime} is inert in d={r.d}: it stays prime, norm {args.prime ** 2}")
-        elif pc.kind == "ramified":
-            print(
-                f"{args.prime} ramifies in d={r.d}: "
-                f"{args.prime} ~ ({pretty_element(pc.pi)})^2"
-            )
-        else:
-            print(
-                f"{args.prime} splits in d={r.d}: pi = {pretty_element(pc.pi)}, "
-                f"conjugate ~ {pretty_element(pc.pi_bar)}"
-            )
+            [[args.prime, r.d, pc.kind, format_element(pc.pi), pi_bar]],
+        ),
+        text=lambda: [_classify_text(args.prime, r, pc)],
+    )
     return 0
+
+
+def _factor_text(z, fac) -> str:
+    parts = []
+    if fac.unit_index != 0:
+        parts.append(format_element(fac.unit))
+    for e in fac.entries:
+        base = format_element(e.prime)
+        if "+" in base or "-" in base[1:]:
+            base = f"({base})"
+        parts.append(base if e.exponent == 1 else f"{base}^{e.exponent}")
+    return f"{format_element(z)} = {' * '.join(parts) if parts else '1'}"
 
 
 def _cmd_factor(args) -> int:
     r = ring(args.ring)
     z = parse_element(r, args.element)
     fac = factor_element(z)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": r.d,
-        "element": format_element(z),
-        "norm": z.norm(),
-        "unit": format_element(fac.unit),
-        "unit_index": fac.unit_index,
-        "factors": [
-            {
-                "prime": format_element(e.prime),
-                "exponent": e.exponent,
-                "p": e.p,
-                "kind": e.kind,
-                "norm": e.prime.norm(),
-            }
-            for e in fac.entries
-        ],
-    }
-    if args.format == "json":
-        _print_json(doc)
-    elif args.format == "csv":
-        _print_csv(
-            ["prime", "exponent", "p", "kind", "norm"],
-            [[f["prime"], f["exponent"], f["p"], f["kind"], f["norm"]] for f in doc["factors"]],
-        )
-    else:
-        parts = []
-        if fac.unit_index != 0:
-            parts.append(format_element(fac.unit))
-        for e in fac.entries:
-            base = format_element(e.prime)
-            if "+" in base or "-" in base[1:]:
-                base = f"({base})"
-            parts.append(base if e.exponent == 1 else f"{base}^{e.exponent}")
-        print(f"{format_element(z)} = {' * '.join(parts) if parts else '1'}")
+    columns = ["prime", "exponent", "p", "kind", "norm"]
+    rows = [[format_element(e.prime), e.exponent, e.p, e.kind, e.prime.norm()] for e in fac.entries]
+    _emit(
+        args.format,
+        json=lambda: [{
+            "schema_version": SCHEMA_VERSION,
+            "ring": r.d,
+            "element": format_element(z),
+            "norm": z.norm(),
+            "unit": format_element(fac.unit),
+            "unit_index": fac.unit_index,
+            "factors": [dict(zip(columns, row)) for row in rows],
+        }],
+        csv=lambda: (columns, rows),
+        text=lambda: [_factor_text(z, fac)],
+    )
     return 0
 
 
-def _value_doc(r, z, n: int, value, label: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "ring": r.d,
-        "element": format_element(z),
-        "power": n,
-        label: value.to_json_terms(),
-        "rational": value.is_rational,
-        "approx": value.approx(),
-    }
-
-
-def _cmd_delta(args) -> int:
+def _cmd_value(fn, name: str, args) -> int:
+    """delta and istar: fn(z, n), keyed by the subcommand in JSON and CSV, by name in text."""
     r = ring(args.ring)
     z = parse_element(r, args.element)
-    value = delta_star(z, args.power)
-    if args.format == "json":
-        _print_json(_value_doc(r, z, args.power, value, "delta"))
-    elif args.format == "csv":
-        _print_csv(
-            ["element", "power", "delta", "approx"],
-            [[format_element(z), args.power, str(value), value.approx()]],
-        )
-    else:
-        print(f"delta_star({format_element(z)}, {args.power}) = {value}")
-    return 0
-
-
-def _cmd_istar(args) -> int:
-    r = ring(args.ring)
-    z = parse_element(r, args.element)
-    value = i_star(z, args.power)
-    if args.format == "json":
-        _print_json(_value_doc(r, z, args.power, value, "istar"))
-    elif args.format == "csv":
-        _print_csv(
-            ["element", "power", "istar", "approx"],
-            [[format_element(z), args.power, str(value), value.approx()]],
-        )
-    else:
-        print(f"i_star({format_element(z)}, {args.power}) = {value}")
+    value = fn(z, args.power)
+    element = format_element(z)
+    _emit(
+        args.format,
+        json=lambda: [{
+            "schema_version": SCHEMA_VERSION,
+            "ring": r.d,
+            "element": element,
+            "power": args.power,
+            args.command: value.to_json_terms(),
+            "rational": value.is_rational,
+            "approx": value.approx(),
+        }],
+        csv=lambda: (
+            ["element", "power", args.command, "approx"],
+            [[element, args.power, str(value), value.approx()]],
+        ),
+        text=lambda: [f"{name}({element}, {args.power}) = {value}"],
+    )
     return 0
 
 
@@ -195,22 +183,21 @@ def _cmd_divisors(args) -> int:
     r = ring(args.ring)
     z = parse_element(r, args.element)
     divisors = unitary_divisors(z).sorted_list()
-    if args.format == "json":
-        _print_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "ring": r.d,
-                "element": format_element(z),
-                "count": len(divisors),
-                "divisors": [{"z": format_element(w), "norm": w.norm()} for w in divisors],
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(["z", "norm"], [[format_element(w), w.norm()] for w in divisors])
-    else:
-        print(f"{len(divisors)} unitary divisors of {format_element(z)}:")
-        for w in divisors:
-            print(f"  {format_element(w)}  (norm {w.norm()})")
+    _emit(
+        args.format,
+        json=lambda: [{
+            "schema_version": SCHEMA_VERSION,
+            "ring": r.d,
+            "element": format_element(z),
+            "count": len(divisors),
+            "divisors": [{"z": format_element(w), "norm": w.norm()} for w in divisors],
+        }],
+        csv=lambda: (["z", "norm"], [[format_element(w), w.norm()] for w in divisors]),
+        text=lambda: [
+            f"{len(divisors)} unitary divisors of {format_element(z)}:",
+            *(f"  {format_element(w)}  (norm {w.norm()})" for w in divisors),
+        ],
+    )
     return 0
 
 
@@ -227,26 +214,28 @@ def _cmd_search(args) -> int:
     )
     records = run_search(cfg)
     hits = sum(1 for rec in records if rec.is_hit)
-    if args.format == "json":
-        header = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "search",
-            "config": _config_echo(cfg),
-            "hits": hits,
-        }
-        print(json.dumps(header, separators=(",", ":")))
-        for rec in records:
-            print(json.dumps(rec.to_json_dict(), separators=(",", ":")))
-    elif args.format == "csv":
-        _print_csv(
+    header = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "search",
+        "config": _config_echo(cfg),
+        "hits": hits,
+    }
+    _emit(
+        args.format,
+        json=lambda: chain([header], (rec.to_json_dict() for rec in records)),
+        csv=lambda: (
             ["z", "norm", "istar", "hit"],
-            [[format_element(rec.z), rec.norm, str(rec.value), rec.is_hit] for rec in records],
-        )
-    else:
-        for rec in records:
-            tag = "hit " if rec.is_hit else "    "
-            print(f"{tag}{format_element(rec.z)}  norm {rec.norm}  i_star = {rec.value}")
-        print(f"{hits} hits")
+            ([format_element(rec.z), rec.norm, str(rec.value), rec.is_hit] for rec in records),
+        ),
+        text=lambda: chain(
+            (
+                f"{'hit ' if rec.is_hit else '    '}{format_element(rec.z)}  "
+                f"norm {rec.norm}  i_star = {rec.value}"
+                for rec in records
+            ),
+            [f"{hits} hits"],
+        ),
+    )
     if not args.quiet and args.format != "text":
         print(
             f"search d={cfg.ring.d} n={cfg.n} t={cfg.t} max_norm={cfg.max_norm} "
@@ -265,16 +254,16 @@ def _cmd_verify(args) -> int:
         target=args.target,
         jobs=args.jobs,
     )
-    if args.format == "json":
-        _print_json(report.to_json_dict())
-    elif args.format == "csv":
-        _print_csv(
+    _emit(
+        args.format,
+        json=lambda: [report.to_json_dict()],
+        csv=lambda: (
             ["check", "ring", "checked", "vacuous", "violations", "passed"],
             [[report.check_id, report.ring_d, report.checked, report.vacuous,
               len(report.violations), report.passed]],
-        )
-    else:
-        print(report.to_text())
+        ),
+        text=lambda: [report.to_text()],
+    )
     return 0 if report.passed else 3
 
 
@@ -282,41 +271,42 @@ def _cmd_gmap(args) -> int:
     r = ring(args.ring)
     image = g_map(args.integer, r)
     value = i_star(image, 1)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": r.d,
-        "n": args.integer,
-        "image": format_element(image),
-        "image_pretty": pretty_element(image),
-        "norm": image.norm(),
-        "istar1": str(value),
-    }
-    if args.format == "json":
-        _print_json(doc)
-    elif args.format == "csv":
-        _print_csv(
+    _emit(
+        args.format,
+        json=lambda: [{
+            "schema_version": SCHEMA_VERSION,
+            "ring": r.d,
+            "n": args.integer,
+            "image": format_element(image),
+            "image_pretty": pretty_element(image),
+            "norm": image.norm(),
+            "istar1": str(value),
+        }],
+        csv=lambda: (
             ["n", "ring", "image", "norm", "istar1"],
-            [[args.integer, r.d, doc["image"], doc["norm"], doc["istar1"]]],
-        )
-    else:
-        print(f"g({args.integer}) = {format_element(image)}  (norm {image.norm()}, i_star_1 = {value})")
+            [[args.integer, r.d, format_element(image), image.norm(), str(value)]],
+        ),
+        text=lambda: [
+            f"g({args.integer}) = {format_element(image)}  "
+            f"(norm {image.norm()}, i_star_1 = {value})"
+        ],
+    )
     return 0
 
 
 def _cmd_sigma_star(args) -> int:
     value = sigma_star_int(args.integer, args.power)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "n": args.integer,
-        "k": args.power,
-        "value": value,
-    }
-    if args.format == "json":
-        _print_json(doc)
-    elif args.format == "csv":
-        _print_csv(["n", "k", "value"], [[args.integer, args.power, value]])
-    else:
-        print(f"sigma_star_{args.power}({args.integer}) = {value}")
+    _emit(
+        args.format,
+        json=lambda: [{
+            "schema_version": SCHEMA_VERSION,
+            "n": args.integer,
+            "k": args.power,
+            "value": value,
+        }],
+        csv=lambda: (["n", "k", "value"], [[args.integer, args.power, value]]),
+        text=lambda: [f"sigma_star_{args.power}({args.integer}) = {value}"],
+    )
     return 0
 
 
@@ -360,13 +350,13 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--element", required=True)
     p.add_argument("--power", type=int, required=True, help="power n (any nonzero integer)")
-    p.set_defaults(func=_cmd_delta)
+    p.set_defaults(func=partial(_cmd_value, delta_star, "delta_star"))
 
     p = subs.add_parser("istar", help="evaluate the normalized index i_star")
     _add_common(p)
     p.add_argument("--element", required=True)
     p.add_argument("--power", type=int, required=True)
-    p.set_defaults(func=_cmd_istar)
+    p.set_defaults(func=partial(_cmd_value, i_star, "i_star"))
 
     p = subs.add_parser("divisors", help="list the unitary divisors of an element")
     _add_common(p)
@@ -390,8 +380,7 @@ def build_parser() -> _Parser:
         "--ring", type=_ring_type, default=None,
         help="ring discriminant d (checks with a fixed or global ring ignore this)",
     )
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p.add_argument("--quiet", action="store_true")
+    _add_common(p, ring_required=False)
     p.add_argument("--max-norm", type=int, default=None, help="population bound (per-check default)")
     p.add_argument("--hits", help="search checkpoint file to verify instead of re-searching")
     p.add_argument("--target", type=_fraction_type, default=None, help="perfectness ratio b for thm2.6")

@@ -31,8 +31,9 @@ def _sieve(limit: int) -> bytearray:
     return sieve
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def small_primes(limit: int = 10_000) -> tuple[int, ...]:
+    """The primes up to limit: the one cached prime table, for factoring and search."""
     return tuple(primes_up_to(limit))
 
 
@@ -128,14 +129,20 @@ class PrimeClass:
     pi_bar: QInt | None = None
 
 
+@lru_cache(maxsize=None)
+def prime_kind(d: int, p: int) -> str:
+    """How the rational prime p behaves in ring d; p must already be known prime."""
+    if p == 2:
+        return ring(d).two_behavior
+    if d % p == 0:
+        return "ramified"
+    return "split" if legendre(d, p) == 1 else "inert"
+
+
 def classify(p: int, r: Ring) -> str:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if p == 2:
-        return r.two_behavior
-    if r.d % p == 0:
-        return "ramified"
-    return "split" if legendre(r.d, p) == 1 else "inert"
+    return prime_kind(r.d, p)
 
 
 def _cornacchia(m: int, p: int) -> tuple[int, int]:

@@ -13,24 +13,27 @@ Two complete strategies over the same hit set:
   rational t, shapes whose value is irrational by the parity criterion are
   skipped.  All pruning is conservative: bounds only ever overestimate.
 
-Both modes stream records in (norm, coordinates) order, support worker pools
-with a deterministic merge (output is byte-identical for any job count), and
-persist completed work units to a JSON-lines checkpoint that can resume into
-an identical run.  Every reported hit is re-verified through the literal
-divisor-sum oracle before it is returned.
+Both modes split the search into work units.  Each unit's results are held
+in memory and the units are merged in their fixed order, so records come out
+in (norm, coordinates) order and are byte-identical for any job count.  Each
+unit is appended to a JSON-lines checkpoint as soon as it finishes, so a run
+that is stopped resumes into an identical run.  Every reported hit is
+re-verified through the literal divisor-sum oracle before it is returned.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 from .factoring import factor_element
-from .primes import legendre, prime_above, primes_up_to
+from .primes import prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, Ring, canonical_associate, format_element, ring
 from .udf import delta_star_oracle, i_star
@@ -91,6 +94,11 @@ class SearchRecord:
             "hit": self.is_hit,
         }
 
+    @classmethod
+    def from_json_dict(cls, r: Ring, data: dict) -> SearchRecord:
+        value = RadicalValue.from_json_terms(data["istar"])
+        return cls(r.parse(data["z"]), data["norm"], value, data["hit"])
+
 
 @dataclass(frozen=True)
 class SigEntry:
@@ -111,6 +119,11 @@ class Signature:
     ring_d: int
     n: int
     entries: tuple[SigEntry, ...]
+
+    @classmethod
+    def from_entries(cls, d: int, n: int, entries) -> Signature:
+        """Build from (p, kind, alphas) triples, as the DFS and the JSON form hold them."""
+        return cls(d, n, tuple(SigEntry(p, kind, tuple(al)) for p, kind, al in entries))
 
     def norm(self) -> int:
         total = 1
@@ -147,7 +160,7 @@ class Signature:
                 if a1 != a2:
                     opts.append(pc.pi**a2 * pc.pi_bar**a1)
                 options.append(opts)
-        outs = {_product(r, combo) for combo in _combinations(options)}
+        outs = {_product(r, combo) for combo in product(*options)}
         return sorted(outs, key=lambda z: (z.norm(), z.a, z.b))
 
     def to_json_dict(self) -> dict:
@@ -156,15 +169,6 @@ class Signature:
             "norm": self.norm(),
             "value": str(self.value()),
         }
-
-
-def _combinations(options: list[list[QInt]]):
-    if not options:
-        yield ()
-        return
-    for head in options[0]:
-        for rest in _combinations(options[1:]):
-            yield (head,) + rest
 
 
 def _product(r: Ring, parts) -> QInt:
@@ -258,28 +262,13 @@ def iter_sector_elements(r: Ring, lo: int, hi: int, chunk: int = 1 << 16):
 # ---------------------------------------------------------------------------
 # shared caches (populated in the parent so forked workers inherit them)
 
-@lru_cache(maxsize=8)
-def _primes_cached(limit: int) -> tuple[int, ...]:
-    return tuple(primes_up_to(limit))
-
-
 @lru_cache(maxsize=32)
 def _envelope_cached(n: int, limit: int) -> tuple[float, ...]:
     # Upper envelope of any single admissible factor at p, across all classes:
     # (1 + p^(-n/2))^2 for even n, (1 + p^(-n))^2 for odd n (parity forces
     # even exponents on primes with irrational absolute value).
     expo = n / 2 if n % 2 == 0 else float(n)
-    return tuple((1.0 + p**-expo) ** 2 for p in _primes_cached(limit))
-
-
-@lru_cache(maxsize=None)
-def _kind_cached(d: int, p: int) -> str:
-    r = ring(d)
-    if p == 2:
-        return r.two_behavior
-    if d % p == 0:
-        return "ramified"
-    return "split" if legendre(d, p) == 1 else "inert"
+    return tuple((1.0 + p**-expo) ** 2 for p in small_primes(limit))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +345,7 @@ def _dfs_signatures(
     j_end: int,
 ) -> list[tuple[tuple, ...]]:
     """Hit signatures whose first prime index lies in [j_start, j_end), DFS order."""
-    primes = _primes_cached(max_norm)
+    primes = small_primes(max_norm)
     env = _envelope_cached(n, max_norm)
     target_set = set(targets)
     max_t = max(targets)
@@ -373,7 +362,7 @@ def _dfs_signatures(
                 break
             if fv * _extension_bound(primes, env, j, budget) < guard:
                 break
-            kind = _kind_cached(d, p)
+            kind = prime_kind(d, p)
             for alphas, cost, factor in _configs(p, kind, n, budget):
                 child = value * factor
                 if child > max_t:
@@ -393,7 +382,7 @@ def _dfs_signatures(
 
 def _root_limit(n: int, targets: tuple[Fraction, ...], max_norm: int) -> int:
     """First prime index whose whole subtree is below every target; DFS stops there."""
-    primes = _primes_cached(max_norm)
+    primes = small_primes(max_norm)
     env = _envelope_cached(n, max_norm)
     guard = float(min(targets)) * (1.0 - 1e-9)
     for j, p in enumerate(primes):
@@ -411,18 +400,10 @@ def _elements_task(payload: tuple) -> list[dict]:
     t = Fraction(t_text)
     out = []
     for norm, z in iter_sector_elements(r, lo, hi):
-        fac = factor_element(z)
-        value = i_star(z, n, fac)
+        value = i_star(z, n, factor_element(z))
         hit = value == t
         if hit or verbose:
-            out.append(
-                {
-                    "z": format_element(z),
-                    "norm": norm,
-                    "istar": value.to_json_terms(),
-                    "hit": hit,
-                }
-            )
+            out.append(SearchRecord(z, norm, value, hit).to_json_dict())
     return out
 
 
@@ -430,11 +411,7 @@ def _signatures_task(payload: tuple) -> list[dict]:
     d, n, target_texts, max_norm, j0, j1 = payload
     targets = tuple(Fraction(s) for s in target_texts)
     hits = _dfs_signatures(d, n, targets, max_norm, j0, j1)
-    dicts = []
-    for ents in hits:
-        sig = Signature(d, n, tuple(SigEntry(p, kind, tuple(al)) for p, kind, al in ents))
-        dicts.append(sig.to_json_dict())
-    return dicts
+    return [Signature.from_entries(d, n, ents).to_json_dict() for ents in hits]
 
 
 def _run_task(args: tuple) -> list[dict]:
@@ -446,7 +423,7 @@ def _run_task(args: tuple) -> list[dict]:
 # checkpointing
 
 def _config_echo(cfg: SearchConfig) -> dict:
-    echo = {
+    return {
         "d": cfg.ring.d,
         "n": cfg.n,
         "t": str(cfg.t),
@@ -455,53 +432,55 @@ def _config_echo(cfg: SearchConfig) -> dict:
         "verbose": cfg.verbose,
         "interval_size": cfg.interval_size,
     }
-    targets = getattr(cfg, "targets", None)
-    if targets is not None:
-        echo["targets"] = [str(t) for t in targets]
-    return echo
 
 
-def _load_checkpoint(path: str, cfg: SearchConfig) -> dict[str, list]:
-    if not os.path.exists(path):
-        return {}
-    done: dict[str, list] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+def read_checkpoint(path: str) -> tuple[dict, list[tuple[list, list]]] | None:
+    """The header and the (task, results) units of a checkpoint file.
+
+    Returns None for a missing or empty file.  Raises CheckpointError unless
+    the header names a search checkpoint of this schema version and every
+    unit line parses; whether the header's config fits is the caller's call.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except FileNotFoundError:
+        return None
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        return {}
+        return None
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}") from exc
-    if header.get("kind") != "quadunitary-checkpoint":
+    if not isinstance(header, dict) or header.get("kind") != "quadunitary-checkpoint":
         raise CheckpointError(f"{path} is not a search checkpoint")
     if header.get("schema_version") != CHECKPOINT_SCHEMA:
         raise CheckpointError(
             f"checkpoint schema {header.get('schema_version')} unsupported "
             f"(expected {CHECKPOINT_SCHEMA})"
         )
-    if header.get("config") != _config_echo(cfg):
-        raise CheckpointError(f"{path} was written by a different search configuration")
+    units = []
     for i, line in enumerate(lines[1:], start=2):
         try:
             entry = json.loads(line)
-            key = json.dumps(entry["task"])
-            done[key] = entry["results"]
+            units.append((entry["task"], entry["results"]))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise CheckpointError(f"corrupt checkpoint entry at {path}:{i}: {exc}") from exc
-    return done
+    return header, units
 
 
 class _CheckpointWriter:
-    def __init__(self, path: str | None, cfg: SearchConfig, fresh: bool):
+    """Appends finished units to a checkpoint, each line fsynced; inert without a path."""
+
+    def __init__(self, path: str | None, cfg: SearchConfig):
         self.fh = None
         if path is None:
             return
-        exists = os.path.exists(path) and not fresh
         self.fh = open(path, "a", encoding="utf-8")
-        if not exists or os.path.getsize(path) == 0:
+        # a file that already holds a header (even with no unit yet) keeps it
+        if os.path.getsize(path) == 0:
             header = {
                 "schema_version": CHECKPOINT_SCHEMA,
                 "kind": "quadunitary-checkpoint",
@@ -528,34 +507,45 @@ class _CheckpointWriter:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[list[dict]]:
-    """Run (task_key, payload) units, honoring checkpoint and jobs; ordered results."""
-    done = _load_checkpoint(cfg.checkpoint_path, cfg) if cfg.checkpoint_path else {}
-    writer = _CheckpointWriter(cfg.checkpoint_path, cfg, fresh=not done)
-    try:
-        pending = [(key, payload) for key, payload in tasks if json.dumps(key) not in done]
-        fresh_results: dict[str, list] = {}
-        if pending:
-            args = [(cfg.mode, payload) for _, payload in pending]
-            if cfg.jobs > 1 and len(pending) > 1:
-                import multiprocessing
+def _fork_pool(jobs: int):
+    # forked workers inherit the caches the parent filled (prime table, envelope);
+    # imported here because multiprocessing is slow to import and rarely used
+    import multiprocessing
 
-                methods = multiprocessing.get_all_start_methods()
-                ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-                with ctx.Pool(cfg.jobs) as pool:
-                    results = pool.map(_run_task, args, chunksize=1)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None).Pool(jobs)
+
+
+def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[list[dict]]:
+    """Run (task_key, payload) units, honoring checkpoint and jobs; ordered results.
+
+    Results arrive in task order (imap keeps it for a pool) and each unit is
+    checkpointed as it arrives, so a stopped run keeps the units it delivered.
+    """
+    done: dict[str, list] = {}
+    loaded = read_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else None
+    if loaded is not None:
+        header, units = loaded
+        if header.get("config") != _config_echo(cfg):
+            raise CheckpointError(
+                f"{cfg.checkpoint_path} was written by a different search configuration"
+            )
+        done = {json.dumps(task): results for task, results in units}
+    pending = [(key, payload) for key, payload in tasks if json.dumps(key) not in done]
+    args = [(cfg.mode, payload) for _, payload in pending]
+    writer = _CheckpointWriter(cfg.checkpoint_path, cfg)
+    try:
+        with _fork_pool(cfg.jobs) if cfg.jobs > 1 and len(args) > 1 else nullcontext() as pool:
+            if pool is None:
+                results = map(_run_task, args)
             else:
-                results = [_run_task(a) for a in args]
+                results = pool.imap(_run_task, args, chunksize=1)
             for (key, _), res in zip(pending, results):
                 writer.record(key, res)
-                fresh_results[json.dumps(key)] = res
-        out = []
-        for key, _ in tasks:
-            k = json.dumps(key)
-            out.append(done.get(k) if k in done else fresh_results[k])
-        return out
+                done[json.dumps(key)] = res
     finally:
         writer.close()
+    return [done[json.dumps(key)] for key, _ in tasks]
 
 
 def _element_tasks(cfg: SearchConfig) -> list[tuple[list, tuple]]:
@@ -569,25 +559,23 @@ def _element_tasks(cfg: SearchConfig) -> list[tuple[list, tuple]]:
     return tasks
 
 
-def _signature_tasks(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[tuple[list, tuple]]:
-    _primes_cached(cfg.max_norm)
+def _signature_search(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[Signature]:
+    """Hit signatures for any of the targets (all > 1), in deterministic DFS order."""
+    # fill the caches before any worker forks
+    small_primes(cfg.max_norm)
     _envelope_cached(cfg.n, cfg.max_norm)
     limit = _root_limit(cfg.n, targets, cfg.max_norm)
     chunk = 256
     target_texts = tuple(str(t) for t in sorted(targets))
     tasks = []
-    j = 0
-    while j < limit:
+    for j in range(0, limit, chunk):
         j1 = min(j + chunk, limit)
-        payload = (cfg.ring.d, cfg.n, target_texts, cfg.max_norm, j, j1)
-        tasks.append(([j, j1], payload))
-        j = j1
-    return tasks
-
-
-def _signature_from_dict(d: int, n: int, data: dict) -> Signature:
-    entries = tuple(SigEntry(p, kind, tuple(al)) for p, kind, al in data["entries"])
-    return Signature(d, n, entries)
+        tasks.append(([j, j1], (cfg.ring.d, cfg.n, target_texts, cfg.max_norm, j, j1)))
+    return [
+        Signature.from_entries(cfg.ring.d, cfg.n, data["entries"])
+        for results in _task_results(cfg, tasks)
+        for data in results
+    ]
 
 
 def signature_hits_multi(
@@ -596,7 +584,6 @@ def signature_hits_multi(
     targets: tuple[Fraction, ...],
     max_norm: int,
     jobs: int = 1,
-    checkpoint_path: str | None = None,
 ) -> list[Signature]:
     """All hit signatures for any target in `targets`, in deterministic DFS order.
 
@@ -606,52 +593,22 @@ def signature_hits_multi(
     targets = tuple(sorted(set(Fraction(t) for t in targets)))
     if not targets or min(targets) <= 1:
         raise DomainError("targets must all exceed 1")
-    cfg = SearchConfig(
-        ring=r,
-        n=n,
-        t=targets[0],
-        max_norm=max_norm,
-        mode="signatures",
-        jobs=jobs,
-        checkpoint_path=checkpoint_path,
-    )
-    # the checkpoint echo must identify the whole target tuple, not min alone
-    cfg.targets = targets
-    tasks = _signature_tasks(cfg, targets)
-    results = _task_results(cfg, tasks)
-    sigs: list[Signature] = []
-    for chunk_results in results:
-        for data in chunk_results:
-            sigs.append(_signature_from_dict(r.d, n, data))
-    return sigs
+    cfg = SearchConfig(r, n, targets[0], max_norm, mode="signatures", jobs=jobs)
+    return _signature_search(cfg, targets)
 
 
 def search_signatures(cfg: SearchConfig) -> list[Signature]:
     """Hit signatures for cfg.t, deterministic DFS order."""
-    tasks = _signature_tasks(cfg, (cfg.t,))
-    results = _task_results(cfg, tasks)
-    return [
-        _signature_from_dict(cfg.ring.d, cfg.n, data)
-        for chunk in results
-        for data in chunk
-    ]
+    return _signature_search(cfg, (cfg.t,))
 
 
 def search_elements(cfg: SearchConfig) -> list[SearchRecord]:
     """Element-by-element search; records in (norm, coordinates) order."""
-    tasks = _element_tasks(cfg)
-    results = _task_results(cfg, tasks)
-    records = []
-    for chunk in results:
-        for data in chunk:
-            records.append(_record_from_dict(cfg.ring, data))
-    return records
-
-
-def _record_from_dict(r: Ring, data: dict) -> SearchRecord:
-    z = r.parse(data["z"])
-    value = RadicalValue.from_json_terms(data["istar"])
-    return SearchRecord(z, data["norm"], value, data["hit"])
+    return [
+        SearchRecord.from_json_dict(cfg.ring, data)
+        for results in _task_results(cfg, _element_tasks(cfg))
+        for data in results
+    ]
 
 
 def _verify_hit(record: SearchRecord, n: int, t: Fraction) -> None:

@@ -26,9 +26,15 @@ from fractions import Fraction
 
 from .factoring import FactorEntry, factor_element, factor_int
 from .primes import prime_above
-from .radicals import RadicalValue
 from .rings import DomainError, K, QInt, Ring, canonical_associate, format_element, ring
-from .search import CheckpointError, SigEntry, Signature, iter_sector_elements, signature_hits_multi
+from .search import (
+    CheckpointError,
+    SearchRecord,
+    Signature,
+    iter_sector_elements,
+    read_checkpoint,
+    signature_hits_multi,
+)
 from .udf import i_star, sigma_star_int, zeta_bound_check
 
 REPORT_SCHEMA = 1
@@ -120,41 +126,32 @@ def discover_hits(
 
 def load_hits(path: str, r: Ring) -> list[Hit]:
     """Read hits back from a search checkpoint file (either mode)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    if not lines:
-        raise CheckpointError(f"{path} is empty")
+    loaded = read_checkpoint(path)
+    if loaded is None:
+        raise CheckpointError(f"{path} is missing or empty")
+    header, units = loaded
     try:
-        header = json.loads(lines[0])
         cfg = header["config"]
         mode = cfg["mode"]
         n = cfg["n"]
         d = cfg["d"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path} lacks a usable checkpoint header: {exc}") from exc
-    if header.get("kind") != "quadunitary-checkpoint":
-        raise CheckpointError(f"{path} is not a search checkpoint")
     if d != r.d:
         raise DomainError(f"checkpoint was searched in d={d}, not d={r.d}")
     hits: list[Hit] = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, (_, results) in enumerate(units, start=2):
         try:
-            entry = json.loads(line)
-            for item in entry["results"]:
+            for item in results:
                 if mode == "elements":
-                    if not item["hit"]:
-                        continue
-                    z = r.parse(item["z"])
-                    t = RadicalValue.from_json_terms(item["istar"]).as_fraction()
-                    hits.append(Hit(n, t, z))
+                    if item["hit"]:
+                        rec = SearchRecord.from_json_dict(r, item)
+                        hits.append(Hit(n, rec.value.as_fraction(), rec.z))
                 else:
-                    sig = Signature(
-                        d, n, tuple(SigEntry(p, kind, tuple(al)) for p, kind, al in item["entries"])
-                    )
                     t = Fraction(item["value"])
-                    for z in sig.witnesses(r):
+                    for z in Signature.from_entries(d, n, item["entries"]).witnesses(r):
                         hits.append(Hit(n, t, z))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint entry at {path}:{i}: {exc}") from exc
     hits.sort(key=lambda h: (h.n, h.z.norm(), h.z.a, h.z.b))
     return hits

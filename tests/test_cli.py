@@ -266,7 +266,7 @@ def test_usage_errors_exit_1(capsys):
         capsys.readouterr()
 
 
-def test_domain_errors_exit_2(capsys):
+def test_domain_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "factor", "--ring", "-1", "--element", "1/3")
     assert code == 2 and "error:" in err
     code, _, err = run_cli(
@@ -277,6 +277,34 @@ def test_domain_errors_exit_2(capsys):
         capsys, "search", "--ring", "-1", "--power", "1", "--target", "1/2"
     )
     assert code == 2 and "error:" in err
+    code, _, err = run_cli(
+        capsys, "verify", "thm2.2", "--hits", str(tmp_path / "missing.jsonl")
+    )
+    assert code == 2 and "error:" in err
+
+
+# One small invocation per subcommand; cli_golden.json holds the exit code,
+# stdout and stderr of each in every output format.
+_PINNED = {
+    "classify": ["--ring", "-1", "--prime", "5"],
+    "factor": ["--ring", "-1", "--element", "30"],
+    "delta": ["--ring", "-1", "--element", "1+1*w", "--power", "1"],
+    "istar": ["--ring", "-1", "--element", "30", "--power", "2"],
+    "divisors": ["--ring", "-1", "--element", "30"],
+    "search": ["--ring", "-1", "--power", "2", "--target", "2", "--max-norm", "1000"],
+    "verify": ["thm2.2", "--ring", "-7", "--max-norm", "1000"],
+    "gmap": ["--ring", "-1", "--integer", "5"],
+    "sigma-star": ["--integer", "6", "--power", "2"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", sorted(_PINNED))
+def test_output_bytes_pinned(capsys, command, fmt):
+    with (Path(__file__).parent / "cli_golden.json").open(encoding="utf-8") as fh:
+        want = json.load(fh)[f"{command}-{fmt}"]
+    code, out, err = run_cli(capsys, command, *_PINNED[command], "--format", fmt)
+    assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
 
 
 def test_help_exits_0():

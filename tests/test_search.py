@@ -6,6 +6,7 @@ from math import isqrt
 
 import pytest
 
+from quadunitary import search
 from quadunitary.rings import K, DomainError, in_sector, ring
 from quadunitary.search import (
     CheckpointError,
@@ -264,6 +265,40 @@ def test_checkpoint_rejects_corruption(tmp_path):
         fh.write('{"kind":"quadunitary-checkpoint","schema_version":99,"config":{}}\n')
     with pytest.raises(CheckpointError):
         run_search(SearchConfig(r, 2, Fraction(2), 2000, checkpoint_path=path))
+
+
+@pytest.mark.parametrize("crash_at", [1, 2])
+def test_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch, crash_at):
+    r = ring(-1)
+    path = str(tmp_path / "run.jsonl")
+
+    def cfg(**kwargs):
+        return SearchConfig(r, 2, Fraction(2), 2000, jobs=1, interval_size=512, **kwargs)
+
+    real_run_task = search._run_task
+    calls = []
+
+    def crashing_run_task(args):
+        calls.append(args)
+        if len(calls) == crash_at:
+            raise RuntimeError("simulated crash")
+        return real_run_task(args)
+
+    monkeypatch.setattr(search, "_run_task", crashing_run_task)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run_search(cfg(checkpoint_path=path))
+    monkeypatch.undo()
+    lines = open(path).read().splitlines()
+    assert len(lines) == crash_at  # the header plus every unit finished before the crash
+    assert json.loads(lines[0])["kind"] == "quadunitary-checkpoint"
+    assert [json.loads(ln)["task"] for ln in lines[1:]] == [[2, 513]][: crash_at - 1]
+
+    resumed = run_search(cfg(checkpoint_path=path))
+    assert records_to_json_lines(resumed) == records_to_json_lines(run_search(cfg()))
+    lines = open(path).read().splitlines()
+    assert len(lines) == 1 + 4  # one header, four units of 512 norms
+    again = run_search(cfg(checkpoint_path=path))
+    assert records_to_json_lines(again) == records_to_json_lines(resumed)
 
 
 def test_checkpoint_resume_with_jobs(tmp_path):

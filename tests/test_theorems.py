@@ -1,5 +1,6 @@
 """Verification suite: honest passes, fabricated failures, hit persistence."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,15 @@ def test_load_hits_rejects_bad_input(tmp_path):
         fh.write('{"kind":"other"}\n')
     with pytest.raises(CheckpointError):
         load_hits(path, r)
+    config = {"d": -1, "n": 2, "t": "2", "max_norm": 2000, "mode": "elements",
+              "verbose": False, "interval_size": 65536}
+    with open(path, "w") as fh:
+        header = {"schema_version": 99, "kind": "quadunitary-checkpoint", "config": config}
+        fh.write(json.dumps(header) + "\n")
+    with pytest.raises(CheckpointError):
+        load_hits(path, r)
+    with pytest.raises(CheckpointError):
+        load_hits(str(tmp_path / "missing.jsonl"), r)
     good = str(tmp_path / "good.jsonl")
     run_search(SearchConfig(r, 2, Fraction(2), 2000, checkpoint_path=good))
     with pytest.raises(DomainError):
