@@ -38,11 +38,16 @@ class RadicalValue:
         if terms:
             for m, c in terms.items():
                 if c:
-                    self._terms[m] = Fraction(c)
+                    self._terms[m] = c if isinstance(c, Fraction) else Fraction(c)
 
     @classmethod
     def from_rational(cls, q) -> "RadicalValue":
         return cls({1: Fraction(q)})
+
+    @classmethod
+    def from_numerators(cls, terms: dict[int, int], den: int) -> "RadicalValue":
+        """sum(terms[m] * sqrt(m)) / den for squarefree m and integers terms[m], den."""
+        return cls({m: Fraction(c, den) for m, c in terms.items()})
 
     @classmethod
     def from_sqrt(cls, m: int, coeff=1) -> "RadicalValue":

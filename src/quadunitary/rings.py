@@ -71,8 +71,9 @@ class Ring:
     def units(self) -> tuple["QInt", ...]:
         return _units(self.d)
 
-    def parse(self, text: str) -> "QInt":
-        return parse_element(self, text)
+    def parse(self, text: str, canonical: bool = False) -> "QInt":
+        """parse_element, or with canonical only format_element's own output."""
+        return parse_formatted(self, text) if canonical else parse_element(self, text)
 
     def from_rational_parts(self, x: Fraction, y: Fraction) -> "QInt":
         """Build the element x + y*sqrt(d) from rational parts, or fail."""
@@ -314,6 +315,30 @@ def format_element(z: QInt) -> str:
     if z.a == 0:
         return f"{z.b}*w"
     return f"{z.a}{'+' if z.b >= 0 else ''}{z.b}*w"
+
+
+def parse_formatted(r: Ring, text: str) -> QInt:
+    """The exact inverse of format_element: "a", "b*w", "a+b*w" or "a-b*w".
+
+    Meant for text this program wrote (search records, checkpoints); anything
+    format_element would not have produced, spacing and signs included, is a
+    DomainError.  User input goes through parse_element.
+    """
+    try:
+        if text.endswith("*w"):
+            body = text[:-2]
+            cut = max(body.rfind("+"), body.rfind("-"))
+            if cut > 0:
+                z = QInt(r, int(body[:cut]), int(body[cut:]))
+            else:
+                z = QInt(r, 0, int(body))
+        else:
+            z = QInt(r, int(text), 0)
+    except (AttributeError, ValueError):
+        z = None
+    if z is None or format_element(z) != text:
+        raise DomainError(f"not an element in canonical coordinate syntax: {text!r}")
+    return z
 
 
 def _frac_text(q: Fraction) -> str:

@@ -36,7 +36,7 @@ from .factoring import factor_element
 from .primes import prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, Ring, canonical_associate, format_element, ring
-from .udf import delta_star_oracle, i_star
+from .udf import _index_numerators, delta_star_oracle, i_star
 
 CHECKPOINT_SCHEMA = 1
 
@@ -97,7 +97,7 @@ class SearchRecord:
     @classmethod
     def from_json_dict(cls, r: Ring, data: dict) -> SearchRecord:
         value = RadicalValue.from_json_terms(data["istar"])
-        return cls(r.parse(data["z"]), data["norm"], value, data["hit"])
+        return cls(r.parse(data["z"], canonical=True), data["norm"], value, data["hit"])
 
 
 @dataclass(frozen=True)
@@ -398,11 +398,15 @@ def _elements_task(payload: tuple) -> list[dict]:
     d, n, t_text, lo, hi, verbose = payload
     r = ring(d)
     t = Fraction(t_text)
+    t_num, t_den = t.numerator, t.denominator
     out = []
     for norm, z in iter_sector_elements(r, lo, hi):
-        value = i_star(z, n, factor_element(z))
-        hit = value == t
+        # i_star = sum(terms[m] * sqrt(m)) / den equals the rational t iff it has
+        # only the m = 1 term (the parity criterion) and terms[1] / den = t
+        terms, den = _index_numerators(factor_element(z), -n)
+        hit = len(terms) == 1 and terms[1] * t_den == t_num * den
         if hit or verbose:
+            value = RadicalValue.from_numerators(terms, den)
             out.append(SearchRecord(z, norm, value, hit).to_json_dict())
     return out
 
@@ -434,21 +438,52 @@ def _config_echo(cfg: SearchConfig) -> dict:
     }
 
 
-def read_checkpoint(path: str) -> tuple[dict, list[tuple[list, list]]] | None:
+# every header the writer emits starts with these bytes
+_HEADER_START = b'{"schema_version":%d,"kind":"quadunitary-checkpoint",' % CHECKPOINT_SCHEMA
+
+
+def _truncate(path: str, size: int) -> None:
+    try:
+        with open(path, "r+b") as fh:
+            fh.truncate(size)
+    except OSError as exc:
+        raise CheckpointError(f"cannot drop the torn last line of {path}: {exc}") from exc
+
+
+def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[dict, list[tuple[list, list]]] | None:
     """The header and the (task, results) units of a checkpoint file.
 
-    Returns None for a missing or empty file.  Raises CheckpointError unless
-    the header names a search checkpoint of this schema version and every
-    unit line parses; whether the header's config fits is the caller's call.
+    Returns None for a missing or empty file.  Raises CheckpointError when
+    the file cannot be read, and unless the header names a search checkpoint
+    of this schema version and every unit line parses; whether the header's
+    config fits is the caller's call.  A last line without its newline is
+    what a crash mid-write leaves: with drop_torn it is not parsed, and once
+    the rest of the file is known to be a checkpoint it is cut from the file,
+    so the next unit appended starts on a line of its own.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         return None
-    if lines and lines[-1] == "":
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    torn = b""
+    if drop_torn:
+        cut = data.rfind(b"\n") + 1
+        data, torn = data[:cut], data[cut:]
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path} is not a UTF-8 checkpoint: {exc}") from exc
+    if lines[-1] == "":
         lines.pop()
     if not lines:
+        # a crash while the header was written; the fragment must be its start
+        if torn:
+            if torn[: len(_HEADER_START)] != _HEADER_START[: len(torn)]:
+                raise CheckpointError(f"{path} is not a search checkpoint")
+            _truncate(path, 0)
         return None
     try:
         header = json.loads(lines[0])
@@ -468,6 +503,8 @@ def read_checkpoint(path: str) -> tuple[dict, list[tuple[list, list]]] | None:
             units.append((entry["task"], entry["results"]))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise CheckpointError(f"corrupt checkpoint entry at {path}:{i}: {exc}") from exc
+    if torn:
+        _truncate(path, len(data))
     return header, units
 
 
@@ -478,7 +515,10 @@ class _CheckpointWriter:
         self.fh = None
         if path is None:
             return
-        self.fh = open(path, "a", encoding="utf-8")
+        try:
+            self.fh = open(path, "a", encoding="utf-8")
+        except OSError as exc:
+            raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
         # a file that already holds a header (even with no unit yet) keeps it
         if os.path.getsize(path) == 0:
             header = {
@@ -523,7 +563,7 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
     checkpointed as it arrives, so a stopped run keeps the units it delivered.
     """
     done: dict[str, list] = {}
-    loaded = read_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else None
+    loaded = read_checkpoint(cfg.checkpoint_path, drop_torn=True) if cfg.checkpoint_path else None
     if loaded is not None:
         header, units = loaded
         if header.get("config") != _config_echo(cfg):

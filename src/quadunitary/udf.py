@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .factoring import FactorEntry, Factorization, factor_element
+from .factoring import Factorization, factor_element
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, canonical_associate
 
@@ -58,18 +58,49 @@ def unitary_divisors(z: QInt, factorization: Factorization | None = None) -> Uni
 # ---------------------------------------------------------------------------
 # product formula
 
-def _entry_abs_power(entry: FactorEntry, k: int) -> RadicalValue:
-    # |pi|**k: inert primes have integral |pi| = p; otherwise |pi| = sqrt(p).
-    if entry.kind == "inert":
-        return RadicalValue.from_rational(Fraction(entry.p) ** k)
-    return RadicalValue.sqrt_power(entry.p, k)
+def _index_numerators(fac: Factorization, k: int) -> tuple[dict[int, int], int]:
+    """product(1 + |pi**alpha|**k) over the prime powers of fac, on integers.
 
-
-def _product_over_primes(fac: Factorization, n: int) -> RadicalValue:
-    value = RadicalValue.from_rational(1)
+    Returns (terms, den) with the product equal to sum(terms[m] * sqrt(m)) / den
+    over squarefree m; every coefficient is positive.  |pi**alpha|**k is
+    sqrt(p)**e with e = alpha * k, doubled for inert primes (|pi| = p), so each
+    factor is (a + b*sqrt(p)) / q: even e has b = 0, odd e > 0 gives
+    1 + p**((e-1)/2) * sqrt(p), and odd e < 0 gives (q + sqrt(p)) / q with
+    q = p**((1-e)/2).  The two primes above a split p share sqrt(p), so their
+    radical terms merge: sqrt(m) * sqrt(p) is p * sqrt(m/p) when p divides m.
+    """
+    terms = {1: 1}
+    den = 1
     for entry in fac.entries:
-        value = value * (_entry_abs_power(entry, entry.exponent * n) + 1)
-    return value
+        p = entry.p
+        e = entry.exponent * k
+        if entry.kind == "inert":
+            e *= 2
+        if e % 2 == 0:
+            if e >= 0:
+                a = 1 + p ** (e // 2)
+            else:
+                q = p ** (-e // 2)
+                a = q + 1
+                den *= q
+            terms = {m: c * a for m, c in terms.items()}
+            continue
+        if e > 0:
+            a, b = 1, p ** ((e - 1) // 2)
+        else:
+            a = p ** ((1 - e) // 2)
+            b = 1
+            den *= a
+        out: dict[int, int] = {}
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + c * a
+            if m % p:
+                key, cb = m * p, c * b
+            else:
+                key, cb = m // p, c * b * p
+            out[key] = out.get(key, 0) + cb
+        terms = out
+    return terms, den
 
 
 def delta_star(z: QInt, n: int, factorization: Factorization | None = None) -> RadicalValue:
@@ -80,7 +111,7 @@ def delta_star(z: QInt, n: int, factorization: Factorization | None = None) -> R
     if z.is_zero:
         raise DomainError("delta_star is undefined at zero")
     fac = factorization or factor_element(z)
-    return _product_over_primes(fac, n)
+    return RadicalValue.from_numerators(*_index_numerators(fac, n))
 
 
 def i_star(z: QInt, n: int, factorization: Factorization | None = None) -> RadicalValue:
@@ -88,7 +119,7 @@ def i_star(z: QInt, n: int, factorization: Factorization | None = None) -> Radic
     if z.is_zero:
         raise DomainError("i_star is undefined at zero")
     fac = factorization or factor_element(z)
-    return _product_over_primes(fac, -n)
+    return RadicalValue.from_numerators(*_index_numerators(fac, -n))
 
 
 def i_star_is_rational(z: QInt, n: int, factorization: Factorization | None = None) -> bool:

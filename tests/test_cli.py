@@ -281,6 +281,13 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         capsys, "verify", "thm2.2", "--hits", str(tmp_path / "missing.jsonl")
     )
     assert code == 2 and "error:" in err
+    code, _, err = run_cli(capsys, "verify", "thm2.2", "--hits", str(tmp_path))
+    assert code == 2 and "error:" in err
+    code, _, err = run_cli(
+        capsys, "search", "--ring", "-1", "--power", "2", "--target", "2",
+        "--max-norm", "100", "--checkpoint", str(tmp_path),
+    )
+    assert code == 2 and "error:" in err
 
 
 # One small invocation per subcommand; cli_golden.json holds the exit code,

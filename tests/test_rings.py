@@ -16,10 +16,12 @@ from quadunitary.rings import (
     index_of_unit,
     is_associate,
     parse_element,
+    parse_formatted,
     pretty_element,
     ring,
     unit_by_index,
 )
+from quadunitary.search import iter_sector_elements
 
 
 def random_nonzero(rng, r, span=20):
@@ -223,6 +225,41 @@ def test_parse_rejects_bad_input():
     with pytest.raises(DomainError):
         # wrong radicand for the ring
         parse_element(ring(-2), "sqrt(-3)")
+
+
+def test_parse_formatted_inverts_format_element():
+    rng = random.Random(108)
+    for d in K:
+        r = ring(d)
+        for _, z in iter_sector_elements(r, 1, 400):
+            text = format_element(z)
+            assert parse_formatted(r, text) == z
+            # every associate's text, so both signs of both coordinates occur
+            for u in r.units():
+                w = z * u
+                assert parse_formatted(r, format_element(w)) == w
+        for _ in range(50):
+            z = random_nonzero(rng, r, span=10**6)
+            assert parse_formatted(r, format_element(z)) == z
+
+
+def test_parse_formatted_rejects_non_canonical_text():
+    r = ring(-1)
+    for text in (
+        "", "w", "1*w+3", "3+1w", "3 + 1*w", " 3", "3 ", "+3", "03", "-0", "0*w",
+        "3+0*w", "0+1*w", "3+-1*w", "3--1*w", "1_0", "1/2", "i", "1+i", "3+4*w*w",
+        "3+4*W", "sqrt(-1)", "3.0", "\u0663",
+    ):
+        with pytest.raises(DomainError):
+            parse_formatted(r, text)
+    with pytest.raises(DomainError):
+        parse_formatted(r, 3)
+    # user syntax stays with parse_element, and Ring.parse reads it by default
+    assert parse_element(r, "3+4w") == r.element(3, 4)
+    assert r.parse("3+4w") == r.element(3, 4)
+    assert r.parse("3+4*w", canonical=True) == r.element(3, 4)
+    with pytest.raises(DomainError):
+        r.parse("3+4w", canonical=True)
 
 
 def test_format_element_shapes():

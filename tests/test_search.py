@@ -144,6 +144,31 @@ def test_verbose_elements_covers_range():
         assert rec.is_hit == (rec.value == 2)
 
 
+@pytest.mark.parametrize(
+    "d, n, t, bound",
+    [
+        (-1, 2, Fraction(2), 2000),
+        (-1, 3, Fraction(2), 1500),
+        (-2, 1, Fraction(2), 600),
+        (-7, 1, Fraction(5, 2), 1500),
+        (-7, 2, Fraction(5, 2), 800),
+        (-11, 2, Fraction(2), 1500),
+        (-3, 1, Fraction(2), 800),
+    ],
+)
+def test_elements_hits_equal_verbose_hits(d, n, t, bound):
+    r = ring(d)
+    plain = run_search(SearchConfig(r, n, t, bound))
+    verbose = run_search(SearchConfig(r, n, t, bound, verbose=True))
+    assert records_to_json_lines(plain) == records_to_json_lines(
+        [rec for rec in verbose if rec.is_hit]
+    )
+    assert len(verbose) == len(_interval_points(r, 2, bound))
+    for rec in verbose[::7]:
+        assert rec.value == i_star(rec.z, n)
+        assert rec.is_hit == (rec.value == t)
+
+
 def test_signature_shape_arithmetic():
     # the shape of 30 in d = -1: ramified 2^2, inert 3, split pair 5
     sig = Signature(
@@ -299,6 +324,45 @@ def test_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch, c
     assert len(lines) == 1 + 4  # one header, four units of 512 norms
     again = run_search(cfg(checkpoint_path=path))
     assert records_to_json_lines(again) == records_to_json_lines(resumed)
+
+
+@pytest.mark.parametrize("cut", ["last-unit", "header"])
+def test_checkpoint_resumes_past_a_torn_last_line(tmp_path, cut):
+    r = ring(-1)
+    path = tmp_path / "run.jsonl"
+
+    def cfg(**kwargs):
+        return SearchConfig(r, 2, Fraction(2), 2000, interval_size=512, verbose=True, **kwargs)
+
+    whole = run_search(cfg(checkpoint_path=str(path)))
+    good = path.read_bytes()
+    lines = good.splitlines(keepends=True)
+    if cut == "last-unit":
+        torn = b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2]
+    else:
+        torn = lines[0][: len(lines[0]) // 2]
+    path.write_bytes(torn)
+    resumed = run_search(cfg(checkpoint_path=str(path)))
+    assert records_to_json_lines(resumed) == records_to_json_lines(whole)
+    assert path.read_bytes() == good
+
+
+def test_torn_line_of_another_file_is_kept(tmp_path):
+    r = ring(-1)
+    path = tmp_path / "notes.txt"
+    for text in (b"some notes", b'{"kind":"other"}\nmore'):
+        path.write_bytes(text)
+        with pytest.raises(CheckpointError):
+            run_search(SearchConfig(r, 2, Fraction(2), 2000, checkpoint_path=str(path)))
+        assert path.read_bytes() == text
+
+
+def test_checkpoint_path_that_cannot_be_used_is_refused(tmp_path):
+    with pytest.raises(CheckpointError):
+        search.read_checkpoint(str(tmp_path))
+    for path in (tmp_path, tmp_path / "missing-dir" / "run.jsonl"):
+        with pytest.raises(CheckpointError):
+            run_search(SearchConfig(ring(-1), 2, Fraction(2), 2000, checkpoint_path=str(path)))
 
 
 def test_checkpoint_resume_with_jobs(tmp_path):

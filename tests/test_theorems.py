@@ -264,6 +264,18 @@ def test_load_hits_rejects_bad_input(tmp_path):
         load_hits(good, ring(-3))
 
 
+def test_load_hits_refuses_a_torn_last_line(tmp_path):
+    r = ring(-1)
+    path = tmp_path / "run.jsonl"
+    run_search(SearchConfig(r, 2, Fraction(2), 2000, verbose=True, checkpoint_path=str(path)))
+    good = path.read_bytes()
+    torn = good[: len(good) - 40]
+    path.write_bytes(torn)
+    with pytest.raises(CheckpointError):
+        load_hits(str(path), r)
+    assert path.read_bytes() == torn
+
+
 def test_run_check_dispatch():
     assert run_check("zeta").passed
     assert run_check("thm2.2", ring_d=-7, max_norm=5000).passed

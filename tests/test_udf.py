@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadunitary.factoring import coprime, factor_element
+from quadunitary.primes import is_prime, prime_above, prime_kind
 from quadunitary.radicals import RadicalValue
 from quadunitary.rings import K, DomainError, exact_div, in_sector, ring
 from quadunitary.udf import (
@@ -130,6 +131,54 @@ def test_conjugation_invariance():
             assert delta_star(z, 2) == delta_star(z.conj(), 2)
             assert i_star(z, 1) == i_star(z.conj(), 1)
             checked += 1
+
+
+def reference_product(fac, k):
+    """product(1 + |pi**alpha|**k) in RadicalValue arithmetic, one factor at a time."""
+    value = RadicalValue.from_rational(1)
+    for e in fac.entries:
+        weight = 2 if e.kind == "inert" else 1
+        value = value * (1 + RadicalValue.sqrt_power(e.p, weight * e.exponent * k))
+    return value
+
+
+def split_pair_elements(r):
+    """pi**a * conj(pi)**b with a, b odd at the least split prime, alone and times
+    pi2 * conj(pi2)**3 at the next one, so two sqrt(p) terms merge per prime."""
+    split = [p for p in range(2, 60) if is_prime(p) and prime_kind(r.d, p) == "split"][:2]
+    pcs = [prime_above(p, r) for p in split]
+    out = []
+    for a, b in ((1, 1), (1, 3), (3, 1), (3, 5)):
+        out.append(pcs[0].pi**a * pcs[0].pi_bar**b)
+        out.append(pcs[0].pi**a * pcs[0].pi_bar**b * pcs[1].pi * pcs[1].pi_bar**3)
+    return out
+
+
+@pytest.mark.parametrize("d", K)
+def test_index_kernel_matches_radical_reference(d):
+    r = ring(d)
+    rng = random.Random(506 + d)
+    zs = split_pair_elements(r)
+    while len(zs) < 40:
+        z = r.element(rng.randint(-40, 40), rng.randint(-40, 40))
+        if not z.is_zero:
+            zs.append(z)
+    for z in zs:
+        fac = factor_element(z, allow_large=True)  # d=-163 splits only from 41 on
+        for n in (-4, -3, -2, -1, 1, 2, 3, 4):
+            assert i_star(z, n, fac) == reference_product(fac, -n), (d, z, n)
+            assert delta_star(z, n, fac) == reference_product(fac, n), (d, z, n)
+
+
+def test_split_radicals_merge():
+    r = ring(-1)
+    pc = prime_above(5, r)
+    # (1 + sqrt5)(1 + 5*sqrt5) = 26 + 6*sqrt5: the two sqrt5 terms meet in one
+    z = pc.pi * pc.pi_bar**3
+    assert delta_star(z, 1) == 26 + RadicalValue.from_sqrt(5, 6)
+    # (1 + 1/sqrt5)(1 + 1/(5*sqrt5)) = 26/25 + (6/25)*sqrt5
+    assert i_star(z, 1) == Fraction(26, 25) + RadicalValue.from_sqrt(5, Fraction(6, 25))
+    assert i_star(z, 1).terms == {1: Fraction(26, 25), 5: Fraction(6, 25)}
 
 
 def test_rationality_predicate():
