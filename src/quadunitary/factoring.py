@@ -108,10 +108,6 @@ class Factorization:
     def unit(self) -> QInt:
         return self.ring.units()[self.unit_index]
 
-    @property
-    def distinct_prime_count(self) -> int:
-        return len(self.entries)
-
     def value(self) -> QInt:
         return reduce(
             lambda acc, e: acc * e.prime**e.exponent, self.entries, self.unit

@@ -1,10 +1,11 @@
 """Rational prime behavior in the nine rings: classification and witnesses.
 
-An odd prime p ramifies exactly when p | d, splits when d is a nonzero square
-mod p and is inert otherwise; p = 2 ramifies for d = -1, -2, splits for
-d = -7 and is inert for the remaining six rings.  Witness primes above split
-and ramified p are produced constructively (Cornacchia descent) and reduced
-to the canonical sector.
+Both are read off the field discriminant D and its norm form (Ring.disc).
+The kind of p is the Kronecker symbol (D/p): 0 ramified, 1 split, -1 inert,
+where p = 2 ramifies for even D and otherwise splits exactly when
+D = 1 (mod 8).  The witness above a split or ramified p comes from one
+Cornacchia solve of u^2 + |D| * b^2 = 4p and is reduced to the canonical
+sector.
 """
 
 from __future__ import annotations
@@ -129,14 +130,21 @@ class PrimeClass:
     pi_bar: QInt | None = None
 
 
+_KINDS = {0: "ramified", 1: "split", -1: "inert"}
+
+
 @lru_cache(maxsize=None)
 def prime_kind(d: int, p: int) -> str:
-    """How the rational prime p behaves in ring d; p must already be known prime."""
+    """How the rational prime p behaves in ring d; p must already be known prime.
+
+    The kind is the Kronecker symbol (D/p) of the discriminant D.
+    """
+    disc = ring(d).disc
     if p == 2:
-        return ring(d).two_behavior
-    if d % p == 0:
-        return "ramified"
-    return "split" if legendre(d, p) == 1 else "inert"
+        symbol = 0 if disc % 2 == 0 else 1 if disc % 8 == 1 else -1
+    else:
+        symbol = legendre(disc, p)
+    return _KINDS[symbol]
 
 
 def classify(p: int, r: Ring) -> str:
@@ -145,43 +153,27 @@ def classify(p: int, r: Ring) -> str:
     return prime_kind(r.d, p)
 
 
-def _cornacchia(m: int, p: int) -> tuple[int, int]:
-    """Solve x^2 + m*y^2 = p for odd prime p with -m a square mod p; m in {1, 2}."""
-    r0 = sqrt_mod(-m, p)
-    assert r0 is not None, (m, p)
-    r = max(r0, p - r0)
-    a, b = p, r
-    limit = isqrt(p)
-    while b > limit:
-        a, b = b, a % b
-    rem = p - b * b
-    assert rem % m == 0, (m, p)
-    y = isqrt(rem // m)
-    assert y * y == rem // m, (m, p)
-    return b, y
+def _norm_form_seed(r: Ring, p: int) -> QInt:
+    """An element of norm p, for p split or ramified in r.
 
-
-def _cornacchia4(d: int, p: int) -> tuple[int, int]:
-    """Solve x^2 + |d|*y^2 = 4p with x = y (mod 2), for d = 1 (mod 4), |d| < 4p."""
+    Cornacchia's algorithm for u^2 + |D| * b^2 = 4p (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.5.3) with u = D (mod 2);
+    the norm form turns (u, b) into the element ((u - s*b)/2, b).
+    """
+    disc = r.disc
     if p == 2:
-        t = isqrt(d + 8)
-        assert t * t == d + 8, (d, p)
-        return t, 1
-    assert -d < 4 * p, (d, p)
-    x0 = sqrt_mod(d, p)
-    assert x0 is not None, (d, p)
-    if (x0 - d) % 2:
-        x0 = p - x0
-    a, b = 2 * p, x0
-    limit = isqrt(4 * p)
-    while b > limit:
-        a, b = b, a % b
-    c = 4 * p - b * b
-    assert c % (-d) == 0, (d, p)
-    y = isqrt(c // -d)
-    assert y * y == c // -d, (d, p)
-    assert (b - y) % 2 == 0, (d, p)
-    return b, y
+        u = isqrt(disc + 8)
+    else:
+        u = sqrt_mod(disc, p)
+        if (u - disc) % 2:
+            u = p - u
+        a, limit = 2 * p, isqrt(4 * p)
+        while u > limit:
+            a, u = u, a % u
+    b = isqrt((4 * p - u * u) // -disc)
+    assert u * u - disc * b * b == 4 * p, (r.d, p)
+    s = int(r.half_integral)
+    return r.element((u - s * b) // 2, b)
 
 
 @lru_cache(maxsize=None)
@@ -190,24 +182,11 @@ def _prime_above(p: int, d: int) -> PrimeClass:
     kind = classify(p, r)
     if kind == "inert":
         return PrimeClass(p, d, kind, r.element(p))
-    if kind == "ramified":
-        if d == -1:
-            seed = r.element(1, 1)  # 1 + i
-        elif d == -2:
-            seed = r.element(0, 1)  # sqrt(-2)
-        else:
-            seed = r.element(-1, 2)  # sqrt(d), ramified p = |d|
-        pi, _ = canonical_associate(seed)
-        assert pi.norm() == p, (p, d)
-        return PrimeClass(p, d, kind, pi)
-    if r.half_integral:
-        x, y = _cornacchia4(d, p)
-        seed = r.element((x - y) // 2, y)
-    else:
-        x, y = _cornacchia(-d, p)
-        seed = r.element(x, y)
+    seed = _norm_form_seed(r, p)
     assert seed.norm() == p, (p, d)
     w1, _ = canonical_associate(seed)
+    if kind == "ramified":
+        return PrimeClass(p, d, kind, w1)
     w2, _ = canonical_associate(seed.conj())
     assert w1 != w2, (p, d)
     if arg_less(w2, w1):

@@ -45,19 +45,14 @@ class Ring:
         return 2
 
     @property
-    def two_behavior(self) -> str:
-        # 2 ramifies for d = -1, -2, splits for d = -7, and is inert otherwise.
-        if self.d in (-1, -2):
-            return "ramified"
-        if self.d == -7:
-            return "split"
-        return "inert"
+    def disc(self) -> int:
+        """The field discriminant D: d when d = 1 (mod 4), else 4d.
 
-    @property
-    def omega_text(self) -> str:
-        if self.half_integral:
-            return f"(1+sqrt({self.d}))/2"
-        return f"sqrt({self.d})"
+        The one norm form of every ring: with s = 1 for half-integral rings
+        and 0 otherwise, 4 * N(a + b*w) = (2a + s*b)^2 + |D| * b^2.  Prime
+        kinds, prime witnesses and the sector walk are all read off it.
+        """
+        return self.d if self.half_integral else 4 * self.d
 
     def element(self, a: int, b: int = 0) -> "QInt":
         return QInt(self, a, b)
@@ -192,9 +187,6 @@ class QInt:
 
     def __repr__(self) -> str:
         return f"QInt({self.ring.d}, {self.a}, {self.b})"
-
-    def pretty(self) -> str:
-        return pretty_element(self)
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,10 @@
 
 Two complete strategies over the same hit set:
 
-* Elements mode walks every sector element with 2 <= norm <= max_norm using
-  an exact coordinate box per norm interval.  Unbiased and simple; the
-  reference strategy.
+* Elements mode walks every sector element with 2 <= norm <= max_norm, one
+  norm interval at a time, along the norm form of the ring's discriminant
+  (Ring.disc): for each b, the a whose norm falls in the interval form at
+  most two integer ranges.  Unbiased and simple; the reference strategy.
 * Signatures mode runs a depth-first search over factorization shapes
   (which rational primes occur, how their exponents sit on the primes above)
   with branch-and-bound pruning.  Partial index values grow strictly, so a
@@ -77,6 +78,8 @@ class SearchConfig:
             raise DomainError("max_norm must be at least 2")
         if self.jobs < 1:
             raise DomainError("jobs must be at least 1")
+        if self.interval_size < 1:
+            raise DomainError("interval_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -182,73 +185,37 @@ def _product(r: Ring, parts) -> QInt:
 # element enumeration
 
 def _interval_points(r: Ring, lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """All sector elements with lo <= norm <= hi as sorted (norm, a, b)."""
-    d = r.d
+    """All sector elements with lo <= norm <= hi as sorted (norm, a, b).
+
+    Walks the norm form of Ring.disc: for each b >= 0, u = 2a + s*b runs
+    over the two ranges on either side of the excluded middle
+    u^2 < 4*lo - |D| * b^2, cut to the sector (a >= 1 and b >= 0 for
+    d = -1, -3; b > 0, or b = 0 and a >= 1, otherwise), and each u range is
+    walked as the a range it holds.
+    """
+    absdisc = -r.disc
+    s = int(r.half_integral)
+    narrow = r.d in (-1, -3)  # sectors narrower than the upper half plane
     out: list[tuple[int, int, int]] = []
-    if d == -1:
-        # sector: a >= 1, b >= 0; norm a^2 + b^2
-        for b in range(isqrt(hi) + 1):
-            rem = hi - b * b
-            if rem < 1:
-                break
-            need = lo - b * b
-            amin = isqrt(need - 1) + 1 if need > 1 else 1
-            for a in range(amin, isqrt(rem) + 1):
-                out.append((a * a + b * b, a, b))
-    elif d == -3:
-        # sector: a >= 1, b >= 0; norm a^2 + ab + b^2 = ((2a+b)^2 + 3b^2)/4
-        b = 0
-        while 3 * b * b <= 4 * hi:
-            u_hi = isqrt(4 * hi - 3 * b * b)
-            a_max = (u_hi - b) // 2
-            s_lo = 4 * lo - 3 * b * b
-            if s_lo <= 0:
-                a_min = 1
-            else:
-                u_min = isqrt(s_lo - 1) + 1
-                a_min = max(1, (u_min - b + 1) // 2)
-            for a in range(a_min, a_max + 1):
-                out.append((a * a + a * b + b * b, a, b))
-            b += 1
-    elif not r.half_integral:
-        # d = -2; sector: b > 0 any a, or b = 0 with a >= 1; norm a^2 + 2b^2
-        a0min = isqrt(lo - 1) + 1 if lo > 1 else 1
-        for a in range(a0min, isqrt(hi) + 1):
-            out.append((a * a, a, 0))
-        b = 1
-        while -d * b * b <= hi:
-            rem_hi = hi + d * b * b
-            big = isqrt(rem_hi)
-            rem_lo = lo + d * b * b
-            excl = isqrt(rem_lo - 1) if rem_lo > 0 else -1
-            for a in range(-big, big + 1):
-                if abs(a) <= excl:
-                    continue
-                out.append((a * a - d * b * b, a, b))
-            b += 1
-    else:
-        # half-integral, sector arg in [0, pi): b > 0 any a, or b = 0 with a >= 1
-        # norm = (u^2 + |d| b^2)/4 with u = 2a + b (u and b share parity)
-        a0min = isqrt(lo - 1) + 1 if lo > 1 else 1
-        for a in range(a0min, isqrt(hi) + 1):
-            out.append((a * a, a, 0))
-        b = 1
-        while -d * b * b <= 4 * hi:
-            u_hi = isqrt(4 * hi + d * b * b)
-            s_lo = 4 * lo + d * b * b
-            excl = isqrt(s_lo - 1) if s_lo > 0 else -1
-            u = -u_hi + ((-u_hi - b) % 2)
-            while u <= u_hi:
-                if abs(u) > excl:
-                    out.append(((u * u - d * b * b) // 4, (u - b) // 2, b))
-                u += 2
-            b += 1
+    b = 0
+    while absdisc * b * b <= 4 * hi:
+        c, sb = absdisc * b * b, s * b
+        k = (c + sb * b) >> 2  # norm = a * (a + s*b) + k
+        u_hi = isqrt(4 * hi - c)
+        excl = isqrt(4 * lo - c - 1) if 4 * lo > c else -1
+        u_min = 2 + sb if narrow or b == 0 else -u_hi
+        for first, last in ((u_min, -max(excl, 0) - 1), (max(u_min, excl + 1), u_hi)):
+            a_range = range((first - sb + 1) >> 1, ((last - sb) >> 1) + 1)
+            out += [(a * (a + sb) + k, a, b) for a in a_range]
+        b += 1
     out.sort()
     return out
 
 
 def iter_sector_elements(r: Ring, lo: int, hi: int, chunk: int = 1 << 16):
     """Yield (norm, z) for every sector element with lo <= norm(z) <= hi, sorted."""
+    if chunk < 1:
+        raise DomainError("chunk must be at least 1")
     if lo < 1:
         lo = 1
     start = lo

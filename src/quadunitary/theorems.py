@@ -186,13 +186,18 @@ def check_thm_2_2(
     if hits is None:
         hits = discover_hits(r, n_values, targets, max_norm, jobs=jobs)
         report.notes.append("population discovered by signature search")
+    skipped = 0
     for h in hits:
-        nz = h.z.norm()
+        if h.n not in (1, 2) or h.t.denominator != 1:
+            skipped += 1
+            continue
         report.checked += 1
-        if nz % 2:
+        if h.z.norm() % 2:
             report.violations.append({**_hit_json(h), "reason": "odd norm"})
         elif len(report.witnesses) < 6:
             report.witnesses.append(_hit_json(h))
+    if skipped:
+        report.notes.append(f"skipped {skipped} hits outside the n in {{1, 2}}, integer-t population")
     if report.vacuous:
         report.notes.append("no hits below the bound; the claim holds vacuously")
     return report

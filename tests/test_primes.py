@@ -143,10 +143,21 @@ def test_classify_rejects_composites():
         classify(1, ring(-3))
 
 
+def _split_primes_above(r, start, count):
+    out = []
+    p = start
+    while len(out) < count:
+        p += 1
+        if is_prime(p) and classify(p, r) == "split":
+            out.append(p)
+    return out
+
+
 def test_prime_above_invariants():
     for d in K:
         r = ring(d)
-        for p in primes_up_to(500):
+        # past 10**6 the Euclid descent in Cornacchia's algorithm runs deep
+        for p in primes_up_to(500) + _split_primes_above(r, 10**6, 4):
             pc = prime_above(p, r)
             assert pc.p == p and pc.d == d
             assert in_sector(pc.pi)

@@ -1,6 +1,10 @@
 """Element enumeration, signature DFS, checkpointing, determinism."""
 
 import json
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -42,7 +46,7 @@ def box_scan(r, lo, hi):
 def test_interval_points_match_box_scan():
     for d in K:
         r = ring(d)
-        for lo, hi in ((1, 120), (50, 120), (2, 2), (97, 97), (119, 121)):
+        for lo, hi in ((1, 120), (50, 120), (2, 2), (97, 97), (119, 121), (1900, 2000)):
             got = _interval_points(r, lo, hi)
             assert set(got) == box_scan(r, lo, hi), (d, lo, hi)
             assert got == sorted(got)
@@ -91,6 +95,8 @@ def test_iter_sector_elements_chunk_invariance():
     big = [(n, z.a, z.b) for n, z in iter_sector_elements(r, 1, 500)]
     small = [(n, z.a, z.b) for n, z in iter_sector_elements(r, 1, 500, chunk=17)]
     assert big == small
+    with pytest.raises(DomainError):
+        next(iter_sector_elements(r, 1, 500, chunk=0))
 
 
 def test_search_config_validation():
@@ -107,6 +113,8 @@ def test_search_config_validation():
         SearchConfig(r, 1, Fraction(2), 100, mode="both")
     with pytest.raises(DomainError):
         SearchConfig(r, 1, Fraction(2), 100, jobs=0)
+    with pytest.raises(DomainError):
+        SearchConfig(r, 1, Fraction(2), 100, interval_size=0)
     cfg = SearchConfig(r, 1, 2, 100)
     assert cfg.t == Fraction(2)
 
@@ -363,6 +371,43 @@ def test_checkpoint_path_that_cannot_be_used_is_refused(tmp_path):
     for path in (tmp_path, tmp_path / "missing-dir" / "run.jsonl"):
         with pytest.raises(CheckpointError):
             run_search(SearchConfig(ring(-1), 2, Fraction(2), 2000, checkpoint_path=str(path)))
+
+
+def test_checkpoint_resumes_after_the_process_is_killed(tmp_path):
+    path = tmp_path / "killed.jsonl"
+    whole_path = tmp_path / "whole.jsonl"
+
+    def cfg(**kwargs):
+        return SearchConfig(ring(-1), 2, Fraction(2), 20_000, jobs=1, interval_size=512, **kwargs)
+
+    child = (
+        "from fractions import Fraction\n"
+        "from quadunitary.rings import ring\n"
+        "from quadunitary.search import SearchConfig, run_search\n"
+        "run_search(SearchConfig(ring(-1), 2, Fraction(2), 20_000, jobs=1,"
+        f" interval_size=512, checkpoint_path={str(path)!r}))\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", child])
+    try:
+        deadline = time.monotonic() + 60
+        # the header plus at least two finished units
+        while not (path.exists() and path.read_bytes().count(b"\n") >= 3):
+            assert proc.poll() is None, "the search finished before it could be killed"
+            assert time.monotonic() < deadline, "no checkpoint units within 60 s"
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    # killed before the last unit was written
+    assert path.read_bytes().count(b"\n") < 1 + len(search._element_tasks(cfg()))
+
+    resumed = run_search(cfg(checkpoint_path=str(path)))
+    whole = run_search(cfg(checkpoint_path=str(whole_path)))
+    assert records_to_json_lines(resumed) == records_to_json_lines(whole)
+    assert path.read_bytes() == whole_path.read_bytes()
 
 
 def test_checkpoint_resume_with_jobs(tmp_path):

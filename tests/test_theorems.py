@@ -97,6 +97,21 @@ def test_thm_2_2_flags_fabricated_odd_hit():
     assert report.checked == 1
 
 
+def test_thm_2_2_skips_hits_outside_its_population(tmp_path):
+    r = ring(-7)
+    path = str(tmp_path / "fractional.jsonl")
+    run_search(SearchConfig(r, 1, Fraction(5, 2), 1500, checkpoint_path=path))
+    hits = load_hits(path, r)
+    assert len(hits) == 3 and all(h.t == Fraction(5, 2) for h in hits)
+    report = check_thm_2_2(r, hits=hits)
+    assert report.checked == 0
+    assert report.witnesses == []
+    assert any("skipped 3" in note for note in report.notes)
+    report = check_thm_2_2(r, hits=[Hit(3, Fraction(2), r.element(2))])
+    assert report.checked == 0
+    assert any("skipped 1" in note for note in report.notes)
+
+
 def test_thm_2_3_honest_pass():
     report = check_thm_2_3(max_norm=10_000)
     assert report.passed
