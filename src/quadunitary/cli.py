@@ -302,7 +302,7 @@ def _cmd_sigma_star(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "n": args.integer,
             "k": args.power,
-            "value": value,
+            "value": value if isinstance(value, int) else str(value),
         }],
         csv=lambda: (["n", "k", "value"], [[args.integer, args.power, value]]),
         text=lambda: [f"sigma_star_{args.power}({args.integer}) = {value}"],

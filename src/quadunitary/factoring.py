@@ -5,6 +5,12 @@ Brent's variant of Pollard rho, sized for desk-scale inputs.  Element
 factorization routes through the integer factorization of the norm: inert
 primes contribute half their norm exponent, ramified primes the full
 exponent, and split exponents are separated by repeated exact division.
+
+The index i_star reads only (p, kind, exponent) per prime power, and those
+rows follow from the norm and the content gcd(a, b) alone (index_rows).
+The search and the d = -3 sweep use index_rows and never build the primes;
+factor_element is for callers that need them, the divisor-sum oracle among
+them.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd, isqrt
 
-from .primes import is_prime, prime_above, small_primes
+from .primes import is_prime, prime_above, prime_kind, small_primes
 from .rings import DomainError, QInt, Ring, canonical_associate, exact_div, index_of_unit
 
 # Norms above this need an explicit opt-in; factoring them may be slow.
@@ -70,15 +76,15 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
     for p in small_primes():
         if p * p > n:
+            # no prime up to sqrt(n) divides what is left, so it is 1 or prime
+            if n > 1:
+                out[n] = 1
             break
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
-    if n > 1:
-        if is_prime(n):
-            out[n] = out.get(n, 0) + 1
-        else:
-            _factor_into(n, out)
+    else:
+        _factor_into(n, out)
     return tuple(sorted(out.items()))
 
 
@@ -103,6 +109,11 @@ class Factorization:
     @property
     def factors(self) -> tuple[tuple[QInt, int], ...]:
         return tuple((e.prime, e.exponent) for e in self.entries)
+
+    @property
+    def rows(self) -> list[tuple[int, str, int]]:
+        """(p, kind, exponent) per entry: all the product formula reads."""
+        return [(e.p, e.kind, e.exponent) for e in self.entries]
 
     @property
     def unit(self) -> QInt:
@@ -176,6 +187,42 @@ def factor_element(z: QInt, allow_large: bool = False) -> Factorization:
     assert rest.is_unit, (z, rest)
     entries.sort(key=lambda fe: (fe.prime.norm(), fe.prime.a, fe.prime.b))
     return Factorization(z.ring, index_of_unit(rest), tuple(entries))
+
+
+def index_rows(d: int, norm: int, content: int) -> list[tuple[int, str, int]]:
+    """The (p, kind, exponent) rows of an element, from its norm and content.
+
+    For z = a + b*w in ring d with N(z) = norm and c = gcd(a, b) = content,
+    this is the multiset of Factorization.rows of factor_element(z), found
+    without factoring z.  Write z = c * z' with z' primitive (its coordinates
+    coprime) and let p**e exactly divide the norm:
+
+    * inert p is itself prime with norm p**2, so its exponent is e / 2;
+    * ramified p = unit * pi**2 with N(pi) = p, so its exponent is e;
+    * split p = pi * pi_bar.  No primitive z' is divisible by both pi and
+      pi_bar, since they are coprime and together they would give p | z'.
+      So z' carries one of them to the power v_p(N(z')) = e - 2g, where
+      g = v_p(c), while c = unit * (pi * pi_bar)**g adds g to both: the
+      exponents are {g, e - g}.  The two primes above p have the same
+      absolute value, so which of them takes which exponent does not
+      matter to the index; rows with exponent 0 are left out.
+    """
+    rows = []
+    for p, e in factor_int(norm):
+        kind = prime_kind(d, p)
+        if kind == "inert":
+            rows.append((p, kind, e // 2))
+        elif kind == "ramified":
+            rows.append((p, kind, e))
+        else:
+            g = 0
+            while content % p == 0:
+                content //= p
+                g += 1
+            if g:
+                rows.append((p, kind, g))
+            rows.append((p, kind, e - g))
+    return rows
 
 
 def rho(pi: QInt, z: QInt) -> int:

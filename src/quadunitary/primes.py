@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 from .rings import DomainError, QInt, Ring, arg_less, canonical_associate, ring
@@ -39,8 +40,7 @@ def small_primes(limit: int = 10_000) -> tuple[int, ...]:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    sieve = _sieve(limit)
-    return [i for i in range(limit + 1) if sieve[i]]
+    return list(compress(range(limit + 1), _sieve(limit)))
 
 
 def is_prime(n: int) -> bool:

@@ -6,6 +6,11 @@ Two complete strategies over the same hit set:
   norm interval at a time, along the norm form of the ring's discriminant
   (Ring.disc): for each b, the a whose norm falls in the interval form at
   most two integer ranges.  Unbiased and simple; the reference strategy.
+  No element is factored: i_star reads only (p, kind, exponent) per prime
+  power, and factoring.index_rows gets those from the norm and the content
+  gcd(a, b).  Points come sorted by norm, so each norm is factored once
+  (factor_int caches it), and an element is built only for a hit or a
+  verbose row.
 * Signatures mode runs a depth-first search over factorization shapes
   (which rational primes occur, how their exponents sit on the primes above)
   with branch-and-bound pruning.  Partial index values grow strictly, so a
@@ -31,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
-from .factoring import factor_element
+from .factoring import index_rows
 from .primes import prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, Ring, canonical_associate, format_element, ring
@@ -212,18 +217,24 @@ def _interval_points(r: Ring, lo: int, hi: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def iter_sector_elements(r: Ring, lo: int, hi: int, chunk: int = 1 << 16):
-    """Yield (norm, z) for every sector element with lo <= norm(z) <= hi, sorted."""
+def _sector_points(r: Ring, lo: int, hi: int, chunk: int = 1 << 16):
+    """Yield (norm, a, b) for every sector element with lo <= norm <= hi, sorted.
+
+    Built one window of chunk norms at a time, so memory stays bounded.
+    """
     if chunk < 1:
         raise DomainError("chunk must be at least 1")
-    if lo < 1:
-        lo = 1
-    start = lo
+    start = max(lo, 1)
     while start <= hi:
         end = min(start + chunk - 1, hi)
-        for norm, a, b in _interval_points(r, start, end):
-            yield norm, QInt(r, a, b)
+        yield from _interval_points(r, start, end)
         start = end + 1
+
+
+def iter_sector_elements(r: Ring, lo: int, hi: int, chunk: int = 1 << 16):
+    """Yield (norm, z) for every sector element with lo <= norm(z) <= hi, sorted."""
+    for norm, a, b in _sector_points(r, lo, hi, chunk):
+        yield norm, QInt(r, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +378,14 @@ def _elements_task(payload: tuple) -> list[dict]:
     t = Fraction(t_text)
     t_num, t_den = t.numerator, t.denominator
     out = []
-    for norm, z in iter_sector_elements(r, lo, hi):
+    for norm, a, b in _interval_points(r, lo, hi):
         # i_star = sum(terms[m] * sqrt(m)) / den equals the rational t iff it has
         # only the m = 1 term (the parity criterion) and terms[1] / den = t
-        terms, den = _index_numerators(factor_element(z), -n)
+        terms, den = _index_numerators(index_rows(d, norm, gcd(a, b)), -n)
         hit = len(terms) == 1 and terms[1] * t_den == t_num * den
         if hit or verbose:
             value = RadicalValue.from_numerators(terms, den)
-            out.append(SearchRecord(z, norm, value, hit).to_json_dict())
+            out.append(SearchRecord(QInt(r, a, b), norm, value, hit).to_json_dict())
     return out
 
 

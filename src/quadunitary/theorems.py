@@ -23,19 +23,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
-from .factoring import FactorEntry, factor_element, factor_int
+from .factoring import FactorEntry, factor_element, factor_int, index_rows
 from .primes import prime_above
 from .rings import DomainError, K, QInt, Ring, canonical_associate, format_element, ring
 from .search import (
     CheckpointError,
     SearchRecord,
     Signature,
-    iter_sector_elements,
+    _sector_points,
     read_checkpoint,
     signature_hits_multi,
 )
-from .udf import i_star, sigma_star_int, zeta_bound_check
+from .udf import _index_numerators, i_star, sigma_star_int, zeta_bound_check
 
 REPORT_SCHEMA = 1
 
@@ -267,23 +268,26 @@ def check_thm_2_4(max_norm: int = 10_000) -> TheoremReport:
         r.d,
         {"max_norm": max_norm},
     )
+    if max_norm < 1:
+        raise DomainError("max_norm must be at least 1")
     sample_every = max(1, max_norm // 4)
-    for norm, z in iter_sector_elements(r, 1, max_norm):
-        fac = factor_element(z)
-        value = i_star(z, 2, fac)
+    for norm, a, b in _sector_points(r, 1, max_norm):
+        # i_star(z, 2) = sum(terms[m] * sqrt(m)) / den, rational iff only m = 1
+        terms, den = _index_numerators(index_rows(r.d, norm, gcd(a, b)), -2)
         report.checked += 1
-        if not value.is_rational:
+        if len(terms) > 1:
             report.violations.append(
-                {"z": format_element(z), "norm": norm, "reason": "value not rational"}
+                {"z": format_element(QInt(r, a, b)), "norm": norm, "reason": "value not rational"}
             )
             continue
-        fr = value.as_fraction()
+        fr = Fraction(terms[1], den)
         if fr.numerator % 3 == 0:
             report.violations.append(
-                {"z": format_element(z), "norm": norm, "value": str(fr), "reason": "numerator divisible by 3"}
+                {"z": format_element(QInt(r, a, b)), "norm": norm, "value": str(fr),
+                 "reason": "numerator divisible by 3"}
             )
         elif norm % sample_every == 0 and len(report.witnesses) < 6:
-            report.witnesses.append({"z": format_element(z), "norm": norm, "value": str(fr)})
+            report.witnesses.append({"z": format_element(QInt(r, a, b)), "norm": norm, "value": str(fr)})
     report.notes.append("every value in the sweep was rational, as the yes/no check above enforces")
     return report
 
@@ -405,6 +409,8 @@ def check_thm_2_6(
     b = Fraction(b)
     if b <= 1:
         raise DomainError("the perfectness ratio b must exceed 1")
+    if bound < 1:
+        raise DomainError("bound must be at least 1")
     report = TheoremReport(
         "thm2.6",
         "each integer n <= bound with sigma_star(n) = b*n maps to a sector element "

@@ -58,23 +58,24 @@ def unitary_divisors(z: QInt, factorization: Factorization | None = None) -> Uni
 # ---------------------------------------------------------------------------
 # product formula
 
-def _index_numerators(fac: Factorization, k: int) -> tuple[dict[int, int], int]:
-    """product(1 + |pi**alpha|**k) over the prime powers of fac, on integers.
+def _index_numerators(rows, k: int) -> tuple[dict[int, int], int]:
+    """product(1 + |pi**alpha|**k) over prime powers given as (p, kind, alpha) rows.
 
-    Returns (terms, den) with the product equal to sum(terms[m] * sqrt(m)) / den
-    over squarefree m; every coefficient is positive.  |pi**alpha|**k is
-    sqrt(p)**e with e = alpha * k, doubled for inert primes (|pi| = p), so each
-    factor is (a + b*sqrt(p)) / q: even e has b = 0, odd e > 0 gives
+    The rows come from Factorization.rows or, without factoring the element,
+    from its norm and content (factoring.index_rows).  Returns (terms, den)
+    with the product equal to sum(terms[m] * sqrt(m)) / den over squarefree
+    m; every coefficient is positive.  |pi**alpha|**k is sqrt(p)**e with
+    e = alpha * k, doubled for inert primes (|pi| = p), so each factor is
+    (a + b*sqrt(p)) / q: even e has b = 0, odd e > 0 gives
     1 + p**((e-1)/2) * sqrt(p), and odd e < 0 gives (q + sqrt(p)) / q with
     q = p**((1-e)/2).  The two primes above a split p share sqrt(p), so their
     radical terms merge: sqrt(m) * sqrt(p) is p * sqrt(m/p) when p divides m.
     """
     terms = {1: 1}
     den = 1
-    for entry in fac.entries:
-        p = entry.p
-        e = entry.exponent * k
-        if entry.kind == "inert":
+    for p, kind, alpha in rows:
+        e = alpha * k
+        if kind == "inert":
             e *= 2
         if e % 2 == 0:
             if e >= 0:
@@ -111,7 +112,7 @@ def delta_star(z: QInt, n: int, factorization: Factorization | None = None) -> R
     if z.is_zero:
         raise DomainError("delta_star is undefined at zero")
     fac = factorization or factor_element(z)
-    return RadicalValue.from_numerators(*_index_numerators(fac, n))
+    return RadicalValue.from_numerators(*_index_numerators(fac.rows, n))
 
 
 def i_star(z: QInt, n: int, factorization: Factorization | None = None) -> RadicalValue:
@@ -119,7 +120,7 @@ def i_star(z: QInt, n: int, factorization: Factorization | None = None) -> Radic
     if z.is_zero:
         raise DomainError("i_star is undefined at zero")
     fac = factorization or factor_element(z)
-    return RadicalValue.from_numerators(*_index_numerators(fac, -n))
+    return RadicalValue.from_numerators(*_index_numerators(fac.rows, -n))
 
 
 def i_star_is_rational(z: QInt, n: int, factorization: Factorization | None = None) -> bool:
@@ -168,16 +169,20 @@ def delta_star_oracle(z: QInt, n: int, factorization: Factorization | None = Non
 # ---------------------------------------------------------------------------
 # rational-integer unitary divisor sums
 
-def sigma_star_int(n: int, k: int = 1) -> int:
-    """Unitary divisor power sum over the positive integers: product(1 + p**(e*k))."""
+def sigma_star_int(n: int, k: int = 1) -> int | Fraction:
+    """Unitary divisor power sum over the positive integers: product(1 + p**(e*k)).
+
+    An int for k >= 0 and an exact Fraction for k < 0, where each factor
+    1 + p**(e*k) is (p**(e*|k|) + 1) / p**(e*|k|): sigma_star_|k|(n) / n**|k|.
+    """
     if n < 1:
         raise DomainError("sigma_star_int needs n >= 1")
     from .factoring import factor_int
 
     result = 1
     for p, e in factor_int(n):
-        result *= 1 + p ** (e * k)
-    return result
+        result *= 1 + p ** (e * abs(k))
+    return result if k >= 0 else Fraction(result, n ** -k)
 
 
 # ---------------------------------------------------------------------------

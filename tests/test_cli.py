@@ -250,6 +250,20 @@ def test_sigma_star(capsys):
     code, out, _ = run_cli(capsys, "sigma-star", "--integer", "6", "--power", "2")
     assert code == 0
     assert out.strip() == "sigma_star_2(6) = 50"
+    # a negative power is an exact fraction in every format
+    code, out, _ = run_cli(capsys, "sigma-star", "--integer", "10", "--power", "-1")
+    assert code == 0
+    assert out.strip() == "sigma_star_-1(10) = 9/5"
+    code, out, _ = run_cli(
+        capsys, "sigma-star", "--integer", "10", "--power", "-1", "--format", "csv"
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "10,-1,9/5"
+    code, out, _ = run_cli(
+        capsys, "sigma-star", "--integer", "10", "--power", "-1", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["value"] == "9/5"
 
 
 def test_usage_errors_exit_1(capsys):
@@ -288,6 +302,9 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         "--max-norm", "100", "--checkpoint", str(tmp_path),
     )
     assert code == 2 and "error:" in err
+    for check in ("thm2.4", "thm2.6"):
+        code, _, err = run_cli(capsys, "verify", check, "--max-norm", "-5")
+        assert code == 2 and "must be at least 1" in err
 
 
 # One small invocation per subcommand; cli_golden.json holds the exit code,

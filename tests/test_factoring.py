@@ -1,6 +1,7 @@
 """Integer and element factorization against brute-force oracles."""
 
 import random
+from math import gcd, isqrt
 
 import pytest
 
@@ -9,11 +10,14 @@ from quadunitary.factoring import (
     coprime,
     factor_element,
     factor_int,
+    index_rows,
     is_ring_prime,
     rho,
 )
-from quadunitary.primes import prime_above
+from quadunitary.primes import prime_above, primes_up_to
 from quadunitary.rings import K, DomainError, in_sector, is_associate, ring
+from quadunitary.search import iter_sector_elements
+from quadunitary.udf import _index_numerators
 
 
 def naive_factor(n):
@@ -182,3 +186,44 @@ def test_coprime_matches_factorizations():
             py = {(e.prime.a, e.prime.b) for e in factor_element(y).entries}
             assert coprime(x, y) == px.isdisjoint(py)
             checked += 1
+
+
+def _rows_from_norm(z):
+    return sorted(index_rows(z.ring.d, z.norm(), gcd(z.a, z.b)))
+
+
+def test_index_rows_match_factor_element_on_every_small_element():
+    for d in K:
+        r = ring(d)
+        assert index_rows(d, 1, 1) == []
+        for _, z in iter_sector_elements(r, 1, 2000):
+            assert _rows_from_norm(z) == sorted(factor_element(z).rows), (d, z)
+
+
+def test_index_rows_match_factor_element_on_random_elements():
+    # random elements of norm up to about 1e12, times content of every kind:
+    # an inert, ramified or split p as a rational integer, and a split p
+    # present on only one of pi, pi_bar, either one
+    rng = random.Random(306)
+    for d in K:
+        r = ring(d)
+        kinds = {"inert": [], "ramified": [], "split": []}
+        for p in primes_up_to(200):  # 163 ramifies in d = -163
+            kinds[prime_above(p, r).kind].append(prime_above(p, r))
+        a_max = 700_000
+        b_max = isqrt(4 * a_max * a_max // -r.disc)
+        for i in range(40):
+            z = r.element(rng.randint(-a_max, a_max), rng.randint(1, b_max))
+            for kind in ("inert", "ramified", "split"):
+                pc = rng.choice(kinds[kind])
+                if i % 2:
+                    z = z * r.element(pc.p) ** rng.randint(1, 2)
+                if kind == "ramified" and i % 3 == 0:
+                    z = z * pc.pi
+            split = rng.choice(kinds["split"])
+            z = z * split.pi ** rng.randint(0, 3) * split.pi_bar ** rng.randint(0, 2)
+            fac = factor_element(z, allow_large=True)
+            rows = _rows_from_norm(z)
+            assert rows == sorted(fac.rows), (d, z)
+            for n in (1, 2, 3, -1, -2, -3):
+                assert _index_numerators(rows, n) == _index_numerators(fac.rows, n), (d, z, n)

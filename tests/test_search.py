@@ -138,6 +138,26 @@ def test_signatures_mode_matches_elements_mode():
         assert records_to_json_lines(el) == records_to_json_lines(sg)
 
 
+def test_elements_mode_factors_only_its_hits(monkeypatch):
+    # the index of a non-hit comes from its norm and content; only the
+    # oracle re-verification of a hit factors the element
+    from quadunitary import factoring, udf
+
+    calls = []
+    real = factoring.factor_element
+
+    def counting(z, *args, **kwargs):
+        calls.append((z.a, z.b))
+        return real(z, *args, **kwargs)
+
+    for module in (factoring, udf, search):
+        if hasattr(module, "factor_element"):
+            monkeypatch.setattr(module, "factor_element", counting)
+    records = run_search(SearchConfig(ring(-1), 2, Fraction(2), 2000))
+    assert sorted(calls) == sorted((rec.z.a, rec.z.b) for rec in records)
+    assert len(calls) == 3
+
+
 def test_null_search_is_empty():
     r = ring(-11)
     assert run_search(SearchConfig(r, 4, Fraction(3), 50_000)) == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadunitary import theorems
 from quadunitary.factoring import factor_element
 from quadunitary.rings import K, DomainError, ring
 from quadunitary.search import (
@@ -151,6 +152,31 @@ def test_thm_2_4_honest_pass():
     assert report.passed
     assert report.checked == sum(1 for _ in iter_sector_elements(ring(-3), 1, 3000))
     assert report.violations == []
+    assert check_thm_2_4(max_norm=1).checked == 1
+    with pytest.raises(DomainError):
+        check_thm_2_4(max_norm=0)
+
+
+def test_thm_2_4_flags_fabricated_values(monkeypatch):
+    # the sweep reports an element by its coordinates only when it fails
+    real = theorems._index_numerators
+
+    def fabricated(rows, k):
+        terms, den = real(rows, k)
+        if rows == [(7, "split", 1)]:
+            return {1: 1, 7: 1}, den  # an irrational value
+        if rows == [(2, "inert", 1)]:
+            return {1: 3}, 4  # numerator 3
+        return terms, den
+
+    monkeypatch.setattr(theorems, "_index_numerators", fabricated)
+    report = check_thm_2_4(max_norm=7)
+    assert not report.passed
+    assert report.violations == [
+        {"z": "2", "norm": 4, "value": "3/4", "reason": "numerator divisible by 3"},
+        {"z": "1+2*w", "norm": 7, "reason": "value not rational"},
+        {"z": "2+1*w", "norm": 7, "reason": "value not rational"},
+    ]
 
 
 def test_thm_2_5_honest_passes():
@@ -194,6 +220,8 @@ def test_thm_2_6_other_ratio():
     assert 2 in report.witnesses[0]["members"]
     with pytest.raises(DomainError):
         check_thm_2_6(Fraction(1), bound=10)
+    with pytest.raises(DomainError):
+        check_thm_2_6(Fraction(2), bound=0)
 
 
 def test_zeta_check():

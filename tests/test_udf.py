@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -222,6 +223,21 @@ def test_sigma_star_int():
         assert sigma_star_int(n, 2) == naive_sigma_star(n, 2)
     with pytest.raises(DomainError):
         sigma_star_int(0)
+
+
+def test_sigma_star_int_negative_power_is_exact():
+    assert sigma_star_int(10, -1) == Fraction(9, 5)
+    for n in range(1, 300):
+        assert isinstance(sigma_star_int(n, 0), int)
+        assert isinstance(sigma_star_int(n), int)
+        for k in (-1, -2, -3):
+            got = sigma_star_int(n, k)
+            assert isinstance(got, Fraction), (n, k)
+            want = sum(
+                Fraction(1, x ** -k) for x in range(1, n + 1)
+                if n % x == 0 and gcd(x, n // x) == 1
+            )
+            assert got == want, (n, k)
 
 
 def test_zeta_bounds():
