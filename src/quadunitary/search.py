@@ -14,10 +14,15 @@ Two complete strategies over the same hit set:
 * Signatures mode runs a depth-first search over factorization shapes
   (which rational primes occur, how their exponents sit on the primes above)
   with branch-and-bound pruning.  Partial index values grow strictly, so a
-  partial product above t is dead; a count-capped envelope bound on the best
-  possible remaining product detects branches that cannot reach t; and for
-  rational t, shapes whose value is irrational by the parity criterion are
-  skipped.  All pruning is conservative: bounds only ever overestimate.
+  partial product above t is dead; an envelope bound on the best possible
+  remaining product detects branches that cannot reach t; and for rational
+  t, shapes whose value is irrational by the parity criterion are skipped.
+  A node with norm budget B walks only the primes with p^2 <= B: a larger
+  prime can only be the last one, with exponent 1, so it is solved for from
+  the value it must add (Subbarao-Warren 1966, Wall 1975).  The prime table
+  and the envelope therefore stop at isqrt(max_norm).  The bound is
+  certified: its float products are rounded up and the target guard down,
+  and exact Fraction values decide every hit.
 
 Both modes split the search into work units.  Each unit's results are held
 in memory and the units are merged in their fixed order, so records come out
@@ -36,10 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, inf, isqrt, nextafter
 
 from .factoring import index_rows
-from .primes import prime_above, prime_kind, small_primes
+from .primes import is_prime, prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, Ring, canonical_associate, format_element, ring
 from .udf import _index_numerators, delta_star_oracle, i_star
@@ -85,6 +90,8 @@ class SearchConfig:
             raise DomainError("jobs must be at least 1")
         if self.interval_size < 1:
             raise DomainError("interval_size must be at least 1")
+        if self.verbose and self.mode == "signatures":
+            raise DomainError("verbose output lists non-hits, which only elements mode visits")
 
 
 @dataclass(frozen=True)
@@ -240,38 +247,76 @@ def iter_sector_elements(r: Ring, lo: int, hi: int, chunk: int = 1 << 16):
 # ---------------------------------------------------------------------------
 # shared caches (populated in the parent so forked workers inherit them)
 
+def _up(x: float) -> float:
+    """The next float above x: an upper bound on a correctly rounded result."""
+    return nextafter(x, inf)
+
+
+def _prune_guard(targets: tuple[Fraction, ...]) -> float:
+    """A float at or below every target: a branch whose bound is below it cannot hit."""
+    return nextafter(float(min(targets)), -inf)
+
+
 @lru_cache(maxsize=32)
-def _envelope_cached(n: int, limit: int) -> tuple[float, ...]:
-    # Upper envelope of any single admissible factor at p, across all classes:
-    # (1 + p^(-n/2))^2 for even n, (1 + p^(-n))^2 for odd n (parity forces
-    # even exponents on primes with irrational absolute value).
-    expo = n / 2 if n % 2 == 0 else float(n)
-    return tuple((1.0 + p**-expo) ** 2 for p in small_primes(limit))
+def _envelope_cached(n: int, limit: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Least cost and largest factor of a shape at each prime up to limit, then above it.
+
+    Slot i of the table primes holds the least norm cost of an admissible
+    shape at p (p for even n; p^2 for odd n, where the parity criterion forces
+    even exponents on split and ramified primes) and an upper envelope of any
+    factor at p, (1 + p^-k)^2 with k = n/2 for even n and k = n for odd n.
+    The envelope is the correctly rounded quotient moved up to the next float.
+    The last slot holds both for limit + 1, which bounds from below every
+    prime above the table; the envelope decreases with p.
+    """
+    k, c = (n // 2, 1) if n % 2 == 0 else (n, 2)
+    costs, env = [], []
+    for p in (*small_primes(limit), limit + 1):
+        q = p**k
+        costs.append(p**c)
+        env.append(_up((q + 1) ** 2 / (q * q)))
+    return tuple(costs), tuple(env)
 
 
 # ---------------------------------------------------------------------------
 # signature DFS
 
-def _extension_bound(primes: tuple[int, ...], env: tuple[float, ...], j: int, budget: int) -> float:
-    """Safe overestimate of the best remaining factor product from prime index j.
+def _extension_bound(costs: tuple[int, ...], env: tuple[float, ...], j: int, budget: int) -> float:
+    """Certified upper bound on the best remaining factor product from slot j.
 
-    Any feasible extension uses distinct primes >= primes[j] whose norm costs
-    multiply into the budget, and every cost is at least the prime itself, so
-    the cheapest m extension primes are the next m in order.  The envelope is
-    decreasing, so the product of envelopes over that maximal cheap prefix
-    dominates every feasible extension.  Nonincreasing in j.
+    A feasible extension uses distinct primes from slot j on whose norm costs
+    multiply into the budget.  At most one of them lies above the table
+    (primes up to limit = isqrt(max_norm)): two would cost more than
+    (limit + 1)^2 > max_norm.  So its i-th smallest prime is at least the
+    prime of slot j + i, an extension of m primes costs at least the next m
+    slot costs, and m is at most the length of the cheap prefix of slots.
+    The envelope is decreasing, so the product of the envelopes over that
+    prefix dominates every feasible extension.  Each float product is moved
+    up to the next float, so the result is never below the exact bound.
+    Nonincreasing in j.
     """
     total = 1.0
     cheap = 1
-    n = len(primes)
+    n = len(costs)
     while j < n:
-        q = primes[j]
-        if cheap * q > budget:
+        cheap *= costs[j]
+        if cheap > budget:
             break
-        cheap *= q
-        total *= env[j]
+        total = _up(total * env[j])
         j += 1
-    return total * 1.000001
+    return total
+
+
+def _exact_root(q: int, k: int) -> int | None:
+    """The integer p with p**k == q, or None; Newton's method on integers."""
+    if k == 1 or q < 2:
+        return q
+    x = 1 << -(-q.bit_length() // k)  # above the root
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == q else None
+        x = y
 
 
 def _configs(p: int, kind: str, n: int, budget: int):
@@ -320,26 +365,55 @@ def _dfs_signatures(
     targets: tuple[Fraction, ...],
     max_norm: int,
     j_start: int,
-    j_end: int,
+    j_end: int | None,
 ) -> list[tuple[tuple, ...]]:
-    """Hit signatures whose first prime index lies in [j_start, j_end), DFS order."""
-    primes = small_primes(max_norm)
-    env = _envelope_cached(n, max_norm)
+    """Hit signatures whose first prime is in table slots [j_start, j_end), DFS order.
+
+    The table holds the primes up to isqrt(max_norm).  At a node with budget
+    B the loop walks the primes with p^2 <= B.  A larger prime costs at least
+    p, so it can only be the node's last prime, with exponent 1: inert
+    primes cost p^2 > B, and for odd n the parity criterion forces even
+    exponents.  For even n, value * (q + 1) / q = t fixes q = p^(n/2), so
+    `solve` computes each such prime, after the loop, in increasing p, which
+    is where the walk over every prime would have found it.  j_end None also
+    takes the first primes above the table, which only the solve at the root
+    reaches.
+    """
+    limit = isqrt(max_norm)
+    primes = small_primes(limit)
+    costs, env = _envelope_cached(n, limit)
     target_set = set(targets)
     max_t = max(targets)
-    # Prune guard errs toward exploring: a branch survives unless its safe
-    # overestimate falls clearly below the smallest target.
-    guard = float(min(targets)) * (1.0 - 1e-9)
+    guard = _prune_guard(targets)
+    half = 0 if n % 2 else n // 2
     out: list[tuple[tuple, ...]] = []
 
-    def walk(j: int, j_cap: int, budget: int, value: Fraction, entries: tuple) -> None:
-        fv = float(value)
+    def solve(value: Fraction, budget: int, last: int, entries: tuple) -> None:
+        # the primes last < p, sqrt(budget) < p <= budget with value * (q + 1) / q = t
+        a, b = value.numerator, value.denominator
+        leaves = []
+        for t in targets:
+            gap = t.numerator * b - a * t.denominator  # (t - value) * b * t.denominator
+            if gap <= 0:
+                continue
+            q, rem = divmod(a * t.denominator, gap)  # q = value / (t - value)
+            p = None if rem else _exact_root(q, half)
+            if p is not None and last < p <= budget < p * p and is_prime(p):
+                kind = prime_kind(d, p)
+                if kind != "inert":
+                    leaves.append((p, kind, (1, 0) if kind == "split" else (1,)))
+        out.extend(entries + (leaf,) for leaf in sorted(leaves))
+
+    def walk(j: int, j_cap: int, budget: int, value: Fraction, entries: tuple, last: int | None) -> None:
+        # the table primes from slot j with p^2 <= budget, then (unless last is
+        # None) the solve for one prime above last and sqrt(budget)
+        fv = _up(float(value))
         while j < j_cap:
             p = primes[j]
-            if p > budget:
+            if p * p > budget:
                 break
-            if fv * _extension_bound(primes, env, j, budget) < guard:
-                break
+            if _up(fv * _extension_bound(costs, env, j, budget)) < guard:
+                return  # the bound covers the primes the solve would find
             kind = prime_kind(d, p)
             for alphas, cost, factor in _configs(p, kind, n, budget):
                 child = value * factor
@@ -349,24 +423,28 @@ def _dfs_signatures(
                 if child in target_set:
                     out.append(ents)
                 child_budget = budget // cost
-                if child_budget >= 2 and j + 1 < len(primes):
-                    if float(child) * _extension_bound(primes, env, j + 1, child_budget) >= guard:
-                        walk(j + 1, len(primes), child_budget, child, ents)
+                if child_budget > p:
+                    bound = _extension_bound(costs, env, j + 1, child_budget)
+                    if _up(_up(float(child)) * bound) >= guard:
+                        walk(j + 1, len(primes), child_budget, child, ents, p)
             j += 1
+        if half and last is not None:
+            solve(value, budget, last, entries)
 
-    walk(j_start, min(j_end, len(primes)), max_norm, Fraction(1), ())
+    j_cap = len(primes) if j_end is None else min(j_end, len(primes))
+    walk(j_start, j_cap, max_norm, Fraction(1), (), 0 if j_end is None else None)
     return out
 
 
 def _root_limit(n: int, targets: tuple[Fraction, ...], max_norm: int) -> int:
-    """First prime index whose whole subtree is below every target; DFS stops there."""
-    primes = small_primes(max_norm)
-    env = _envelope_cached(n, max_norm)
-    guard = float(min(targets)) * (1.0 - 1e-9)
-    for j, p in enumerate(primes):
-        if p > max_norm or _extension_bound(primes, env, j, max_norm) < guard:
+    """First table slot whose whole subtree is below every target; root units stop there."""
+    limit = isqrt(max_norm)
+    costs, env = _envelope_cached(n, limit)
+    guard = _prune_guard(targets)
+    for j in range(len(costs) - 1):
+        if _extension_bound(costs, env, j, max_norm) < guard:
             return j
-    return len(primes)
+    return len(costs) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +656,23 @@ def _element_tasks(cfg: SearchConfig) -> list[tuple[list, tuple]]:
 
 
 def _signature_search(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[Signature]:
-    """Hit signatures for any of the targets (all > 1), in deterministic DFS order."""
+    """Hit signatures for any of the targets (all > 1), in deterministic DFS order.
+
+    One unit per 256 table slots of first primes, then one unit, keyed
+    ["above", isqrt(max_norm)], for the first primes above the table.
+    """
+    limit = isqrt(cfg.max_norm)
     # fill the caches before any worker forks
-    small_primes(cfg.max_norm)
-    _envelope_cached(cfg.n, cfg.max_norm)
-    limit = _root_limit(cfg.n, targets, cfg.max_norm)
+    table_size = len(small_primes(limit))
+    _envelope_cached(cfg.n, limit)
+    j_limit = _root_limit(cfg.n, targets, cfg.max_norm)
     chunk = 256
-    target_texts = tuple(str(t) for t in sorted(targets))
+    head = (cfg.ring.d, cfg.n, tuple(str(t) for t in sorted(targets)), cfg.max_norm)
     tasks = []
-    for j in range(0, limit, chunk):
-        j1 = min(j + chunk, limit)
-        tasks.append(([j, j1], (cfg.ring.d, cfg.n, target_texts, cfg.max_norm, j, j1)))
+    for j in range(0, j_limit, chunk):
+        j1 = min(j + chunk, j_limit)
+        tasks.append(([j, j1], (*head, j, j1)))
+    tasks.append((["above", limit], (*head, table_size, None)))
     return [
         Signature.from_entries(cfg.ring.d, cfg.n, data["entries"])
         for results in _task_results(cfg, tasks)

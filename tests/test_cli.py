@@ -302,6 +302,11 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         "--max-norm", "100", "--checkpoint", str(tmp_path),
     )
     assert code == 2 and "error:" in err
+    code, out, err = run_cli(
+        capsys, "search", "--ring", "-1", "--power", "2", "--target", "2",
+        "--max-norm", "100", "--mode", "signatures", "--verbose",
+    )
+    assert code == 2 and "error:" in err and "elements mode" in err and out == ""
     for check in ("thm2.4", "thm2.6"):
         code, _, err = run_cli(capsys, "verify", check, "--max-norm", "-5")
         assert code == 2 and "must be at least 1" in err

@@ -1,22 +1,28 @@
 """Element enumeration, signature DFS, checkpointing, determinism."""
 
 import json
+import random
 import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import inf, isqrt, nextafter
 
 import pytest
 
-from quadunitary import search
-from quadunitary.rings import K, DomainError, in_sector, ring
+from quadunitary import primes, search
+from quadunitary.primes import prime_kind, primes_up_to, small_primes
+from quadunitary.rings import K, DomainError, format_element, in_sector, ring
 from quadunitary.search import (
     CheckpointError,
     SearchConfig,
     SigEntry,
     Signature,
+    _envelope_cached,
+    _exact_root,
+    _extension_bound,
     _interval_points,
     iter_sector_elements,
     records_to_json_lines,
@@ -115,6 +121,8 @@ def test_search_config_validation():
         SearchConfig(r, 1, Fraction(2), 100, jobs=0)
     with pytest.raises(DomainError):
         SearchConfig(r, 1, Fraction(2), 100, interval_size=0)
+    with pytest.raises(DomainError):
+        SearchConfig(r, 1, Fraction(2), 100, mode="signatures", verbose=True)
     cfg = SearchConfig(r, 1, 2, 100)
     assert cfg.t == Fraction(2)
 
@@ -131,11 +139,16 @@ def test_elements_search_finds_known_hits():
 
 
 def test_signatures_mode_matches_elements_mode():
-    for d, n, t, bound in ((-1, 2, Fraction(2), 2000), (-3, 1, Fraction(2), 4000)):
+    # every ring, power and target: the last-prime solve finds what the full
+    # walk over every element finds
+    cases = [(-1, 2, Fraction(2), 2000), (-3, 1, Fraction(2), 4000)]
+    targets = (Fraction(2), Fraction(3), Fraction(5, 2))
+    cases += [(d, n, t, 3000) for d in K for n in (1, 2, 3, 4) for t in targets]
+    for d, n, t, bound in cases:
         r = ring(d)
         el = run_search(SearchConfig(r, n, t, bound, mode="elements"))
         sg = run_search(SearchConfig(r, n, t, bound, mode="signatures"))
-        assert records_to_json_lines(el) == records_to_json_lines(sg)
+        assert records_to_json_lines(el) == records_to_json_lines(sg), (d, n, t)
 
 
 def test_elements_mode_factors_only_its_hits(monkeypatch):
@@ -454,3 +467,238 @@ def test_signature_search_rejects_bad_targets():
         signature_hits_multi(ring(-1), 1, (Fraction(1),), 1000)
     with pytest.raises(DomainError):
         signature_hits_multi(ring(-1), 1, (), 1000)
+
+
+def _best_extension(d, n, budget_cap):
+    """Exact best factor product over every feasible extension, by brute force.
+
+    best(i, B): the largest product of shape factors over sets of distinct
+    primes from all_primes[i] on whose norm costs multiply to at most B.
+    Shapes come from the definitions: an inert p has exponent a >= 1, norm
+    p^(2a) and factor 1 + p^(-a*n); a ramified p has a >= 1 with a*n even,
+    norm p^a and factor 1 + p^(-a*n/2); a split p has (a1, a2), each 0 or
+    with a*n even, not both 0, norm p^(a1 + a2) and one such factor per
+    nonzero a.
+    """
+    all_primes = primes_up_to(budget_cap)
+
+    @lru_cache(maxsize=None)
+    def shapes(p):
+        # (norm, factor) of every shape at p with norm <= budget_cap
+        kind = prime_kind(d, p)
+        fits = lambda e: p**e <= budget_cap
+        if kind == "inert":
+            inert = [a for a in range(1, 14) if fits(2 * a)]
+            return [(p ** (2 * a), 1 + Fraction(1, p ** (a * n))) for a in inert]
+        ok = [a for a in range(1, 14) if a * n % 2 == 0 and fits(a)]
+        f = {a: 1 + Fraction(1, p ** (a * n // 2)) for a in ok}
+        f[0] = Fraction(1)
+        if kind == "ramified":
+            return [(p**a, f[a]) for a in ok]
+        pairs = [(a1, a2) for a1 in [0] + ok for a2 in [0] + ok if (a1 or a2) and fits(a1 + a2)]
+        return [(p ** (a1 + a2), f[a1] * f[a2]) for a1, a2 in pairs]
+
+    @lru_cache(maxsize=None)
+    def best(i, budget):
+        if i < len(all_primes) and all_primes[i] ** 2 <= budget:
+            top = best(i + 1, budget)
+            for cost, f in shapes(all_primes[i]):
+                if cost <= budget:
+                    top = max(top, f * best(i + 1, budget // cost))
+            return top
+        # no two primes from here fit: try each one alone
+        alone = [f for p in all_primes[i:] if p <= budget for c, f in shapes(p) if c <= budget]
+        return max(alone, default=Fraction(1))
+
+    return best
+
+
+def test_extension_bound_is_certified():
+    # the bound times an upward-rounded value is at or above the exact best
+    # product over every extension that fits the budget, table primes or not
+    rng = random.Random(7)
+    up = lambda x: nextafter(x, inf)
+    cap = 5000
+    all_primes = primes_up_to(cap) + [cap + 1]
+    for d in K:
+        for n in (1, 2, 3, 4):
+            best = _best_extension(d, n, cap)
+            for _ in range(80):
+                budget = rng.randint(2, cap)
+                max_norm = rng.randint(budget, cap)
+                limit = isqrt(max_norm)
+                table = small_primes(limit)
+                costs, env = _envelope_cached(n, limit)
+                j = rng.randrange(len(costs))
+                lowest = table[j] if j < len(table) else limit + 1
+                i = next(k for k, p in enumerate(all_primes) if p >= lowest)
+                bound = _extension_bound(costs, env, j, budget)
+                exact = best(i, budget)
+                assert Fraction(bound) >= exact, (d, n, j, budget, max_norm)
+                v = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) + 1
+                assert Fraction(up(up(float(v)) * bound)) >= v * exact
+
+
+def test_envelope_and_bound_round_up():
+    # each envelope slot and each product in the bound is at or above its exact value
+    rng = random.Random(11)
+    for n in (1, 2, 3, 4):
+        k = n // 2 if n % 2 == 0 else n
+        for limit in (10, 100, 1000):
+            costs, env = _envelope_cached(n, limit)
+            for i, p in enumerate((*small_primes(limit), limit + 1)):
+                assert Fraction(env[i]) >= Fraction((p**k + 1) ** 2, p ** (2 * k)), (n, p)
+            for _ in range(200):
+                j, budget = rng.randrange(len(costs)), rng.randint(2, limit * limit)
+                exact, cheap, i = Fraction(1), costs[j], j
+                while i < len(costs) and cheap <= budget:
+                    exact *= Fraction(env[i])
+                    i += 1
+                    cheap *= costs[i] if i < len(costs) else budget + 1
+                assert Fraction(_extension_bound(costs, env, j, budget)) >= exact
+
+
+def test_extension_bound_counts_one_prime_above_the_table():
+    # with budget 2000 and a table up to 44, one split prime above 44 still fits
+    costs, env = _envelope_cached(2, 44)
+    assert _extension_bound(costs, env, len(costs) - 1, 2000) >= env[-1] > 1
+    assert _extension_bound(costs, env, len(costs) - 1, 44) == 1.0
+    # for odd n no prime above the table fits any budget up to 44^2 + 88
+    costs, env = _envelope_cached(1, 44)
+    assert _extension_bound(costs, env, len(costs) - 1, 45**2 - 1) == 1.0
+
+
+def test_exact_root():
+    p = 1_000_000_007
+    for k in range(1, 7):
+        assert _exact_root(p**k, k) == p
+        if k > 1:
+            assert _exact_root(p**k + 1, k) is None
+            assert _exact_root(p**k - 1, k) is None
+            assert _exact_root((p - 1) ** k, k) == p - 1
+    assert _exact_root(2**106, 2) == 2**53
+    assert _exact_root(2**106 + 2**54 + 1, 2) == 2**53 + 1
+    assert _exact_root(1, 3) == 1
+    assert _exact_root(7, 1) == 7
+
+
+def test_last_prime_solve_at_the_root():
+    # t = 14/13 is (q + 1)/q with q = 13 > isqrt(100): one split prime above the table
+    r = ring(-1)
+    cfg = lambda mode: SearchConfig(r, 2, Fraction(14, 13), 100, mode=mode)
+    sg = run_search(cfg("signatures"))
+    assert sorted((rec.z.a, rec.z.b, rec.norm) for rec in sg) == [(2, 3, 13), (3, 2, 13)]
+    assert records_to_json_lines(sg) == records_to_json_lines(run_search(cfg("elements")))
+    hits = search_signatures(cfg("signatures"))
+    assert [s.to_json_dict()["entries"] for s in hits] == [[[13, "split", [1, 0]]]]
+
+
+def test_last_prime_solve_ramified():
+    # 3 splits and 11 ramifies in d = -11: (4/3) * (12/11) = 16/11, and at the
+    # node after 3 (budget 300 // 3 = 100 < 11^2) the 11 comes from the solve
+    r = ring(-11)
+    cfg = lambda mode: SearchConfig(r, 2, Fraction(16, 11), 300, mode=mode)
+    hits = search_signatures(cfg("signatures"))
+    entries = [s.to_json_dict()["entries"] for s in hits]
+    assert entries == [[[3, "split", [1, 0]], [11, "ramified", [1]]]]
+    sg = run_search(cfg("signatures"))
+    assert len(sg) == 2
+    assert records_to_json_lines(sg) == records_to_json_lines(run_search(cfg("elements")))
+
+
+def test_signatures_mode_sieves_only_to_the_root(monkeypatch):
+    # the DFS table and every sieve it runs stop at isqrt(max_norm)
+    asked, sieved = [], []
+    real_small, real_sieve = search.small_primes, primes.primes_up_to
+
+    def small(limit=10_000):
+        asked.append(limit)
+        return real_small(limit)
+
+    def sieve(limit):
+        sieved.append(limit)
+        return real_sieve(limit)
+
+    monkeypatch.setattr(search, "small_primes", small)
+    monkeypatch.setattr(primes, "primes_up_to", sieve)
+    primes.small_primes.cache_clear()
+    search._envelope_cached.cache_clear()
+    for n in (1, 2):
+        signature_hits_multi(ring(-7), n, (Fraction(2), Fraction(3)), 10**6)
+    assert asked and max(asked) == 1000
+    assert sieved and max(sieved) == 1000
+
+
+def test_signatures_mode_at_ten_to_the_ten():
+    records = run_search(SearchConfig(ring(-1), 2, Fraction(2), 10**10, mode="signatures"))
+    assert [format_element(rec.z) for rec in records] == ["3+9*w", "9+3*w", "30"]
+
+
+def _signature_cfg(**kwargs):
+    return SearchConfig(ring(-1), 2, Fraction(2), 2000, mode="signatures", **kwargs)
+
+
+@pytest.mark.parametrize("crash_at", [1, 2])
+def test_signatures_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch, crash_at):
+    path = str(tmp_path / "run.jsonl")
+    real_run_task = search._run_task
+    calls = []
+
+    def crashing_run_task(args):
+        calls.append(args)
+        if len(calls) == crash_at:
+            raise RuntimeError("simulated crash")
+        return real_run_task(args)
+
+    monkeypatch.setattr(search, "_run_task", crashing_run_task)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run_search(_signature_cfg(checkpoint_path=path))
+    monkeypatch.undo()
+    lines = open(path).read().splitlines()
+    assert len(lines) == crash_at
+    assert [json.loads(ln)["task"] for ln in lines[1:]] == [[0, 3]][: crash_at - 1]
+
+    resumed = run_search(_signature_cfg(checkpoint_path=path))
+    assert records_to_json_lines(resumed) == records_to_json_lines(run_search(_signature_cfg()))
+    lines = open(path).read().splitlines()
+    assert [json.loads(ln)["task"] for ln in lines[1:]] == [[0, 3], ["above", 44]]
+    again = run_search(_signature_cfg(checkpoint_path=path))
+    assert records_to_json_lines(again) == records_to_json_lines(resumed)
+
+
+def test_signatures_checkpoint_resume_with_jobs(tmp_path):
+    path = str(tmp_path / "run.jsonl")
+
+    def cfg(**kwargs):
+        return SearchConfig(ring(-1), 2, Fraction(14, 13), 100, mode="signatures", **kwargs)
+
+    base = run_search(cfg())
+    assert len(base) == 2
+    run_search(cfg(checkpoint_path=path))
+    lines = open(path).read().splitlines()
+    assert len(lines) == 3
+    for keep in (lines[:2], lines[:1] + lines[2:]):
+        with open(path, "w") as fh:
+            fh.write("\n".join(keep) + "\n")
+        resumed = run_search(cfg(checkpoint_path=path, jobs=2))
+        assert records_to_json_lines(resumed) == records_to_json_lines(base)
+        assert sorted(open(path).read().splitlines()) == sorted(lines)
+
+
+def test_signatures_checkpoint_without_the_solve_unit_resumes(tmp_path):
+    # a checkpoint whose only unit is the table unit [0, 3], as written before
+    # the solve had a unit of its own: that unit is reused, the solve unit added
+    path = tmp_path / "run.jsonl"
+    header = (
+        '{"schema_version":1,"kind":"quadunitary-checkpoint","config":{"d":-1,"n":2,"t":"2",'
+        '"max_norm":2000,"mode":"signatures","verbose":false,"interval_size":65536}}\n'
+    )
+    unit = (
+        '{"task":[0,3],"results":[{"entries":[[2,"ramified",[1]],[3,"inert",[1]],'
+        '[5,"split",[1,0]]],"norm":90,"value":"2"},{"entries":[[2,"ramified",[2]],'
+        '[3,"inert",[1]],[5,"split",[1,1]]],"norm":900,"value":"2"}]}\n'
+    )
+    path.write_text(header + unit)
+    resumed = run_search(_signature_cfg(checkpoint_path=str(path)))
+    assert records_to_json_lines(resumed) == records_to_json_lines(run_search(_signature_cfg()))
+    assert path.read_text() == header + unit + '{"task":["above",44],"results":[]}\n'
