@@ -19,12 +19,13 @@ from itertools import chain
 
 from .factoring import factor_element
 from .primes import prime_above
+from .radicals import RadicalValue
 from .rings import DomainError, K, format_element, parse_element, pretty_element, ring
 from .search import (
     CheckpointError,
     SearchConfig,
     _config_echo,
-    run_search,
+    search_rows,
 )
 from .theorems import CHECK_IDS, g_map, run_check
 from .udf import delta_star, i_star, sigma_star_int, unitary_divisors
@@ -201,6 +202,10 @@ def _cmd_divisors(args) -> int:
     return 0
 
 
+def _istar_text(row: dict) -> str:
+    return str(RadicalValue.from_json_terms(row["istar"]))
+
+
 def _cmd_search(args) -> int:
     cfg = SearchConfig(
         ring=ring(args.ring),
@@ -212,8 +217,8 @@ def _cmd_search(args) -> int:
         checkpoint_path=args.checkpoint,
         verbose=args.verbose,
     )
-    records = run_search(cfg)
-    hits = sum(1 for rec in records if rec.is_hit)
+    rows = search_rows(cfg)
+    hits = sum(1 for row in rows if row["hit"])
     header = {
         "schema_version": SCHEMA_VERSION,
         "kind": "search",
@@ -222,16 +227,16 @@ def _cmd_search(args) -> int:
     }
     _emit(
         args.format,
-        json=lambda: chain([header], (rec.to_json_dict() for rec in records)),
+        json=lambda: chain([header], rows),
         csv=lambda: (
             ["z", "norm", "istar", "hit"],
-            ([format_element(rec.z), rec.norm, str(rec.value), rec.is_hit] for rec in records),
+            ([row["z"], row["norm"], _istar_text(row), row["hit"]] for row in rows),
         ),
         text=lambda: chain(
             (
-                f"{'hit ' if rec.is_hit else '    '}{format_element(rec.z)}  "
-                f"norm {rec.norm}  i_star = {rec.value}"
-                for rec in records
+                f"{'hit ' if row['hit'] else '    '}{row['z']}  "
+                f"norm {row['norm']}  i_star = {_istar_text(row)}"
+                for row in rows
             ),
             [f"{hits} hits"],
         ),
@@ -239,7 +244,7 @@ def _cmd_search(args) -> int:
     if not args.quiet and args.format != "text":
         print(
             f"search d={cfg.ring.d} n={cfg.n} t={cfg.t} max_norm={cfg.max_norm} "
-            f"mode={cfg.mode}: {hits} hits, {len(records)} records",
+            f"mode={cfg.mode}: {hits} hits, {len(rows)} records",
             file=sys.stderr,
         )
     return 0

@@ -30,12 +30,18 @@ in (norm, coordinates) order and are byte-identical for any job count.  Each
 unit is appended to a JSON-lines checkpoint as soon as it finishes, so a run
 that is stopped resumes into an identical run.  Every reported hit is
 re-verified through the literal divisor-sum oracle before it is returned.
+
+Elements-mode records stay the JSON dicts the workers made, through the
+checkpoint and search_rows to the command line; a record read back from a
+checkpoint is checked first.  SearchRecords are built only for the library
+functions and to re-verify hits.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -564,6 +570,29 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[dict, list[tupl
     return header, units
 
 
+_ROW_KEYS = {"z", "norm", "istar", "hit"}
+
+
+def _check_rows(r: Ring, rows, where: str) -> None:
+    """Raise CheckpointError unless rows are elements-mode records as _elements_task writes them."""
+    # compiled here, not at import, which every command pays for
+    radicand, coeff = re.compile(r"[1-9][0-9]*"), re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+    try:
+        for row in rows:
+            if row.keys() != _ROW_KEYS:
+                raise ValueError(f"a record must have exactly the keys {sorted(_ROW_KEYS)}")
+            if type(row["hit"]) is not bool:
+                raise ValueError(f"hit {row['hit']!r} is not a boolean")
+            for m, c in row["istar"].items():
+                if not (radicand.fullmatch(m) and coeff.fullmatch(c)):
+                    raise ValueError(f"istar term {m!r}: {c!r} is not a radicand and a fraction")
+            norm = row["norm"]
+            if type(norm) is not int or norm != r.parse(row["z"], canonical=True).norm():
+                raise ValueError(f"norm {norm!r} is not the norm of {row['z']}")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
+
+
 class _CheckpointWriter:
     """Appends finished units to a checkpoint, each line fsynced; inert without a path."""
 
@@ -617,6 +646,8 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
 
     Results arrive in task order (imap keeps it for a pool) and each unit is
     checkpointed as it arrives, so a stopped run keeps the units it delivered.
+    A pool is forked only for two or more pending units other than the
+    ["above", ...] solve, which is too small to run apart.
     """
     done: dict[str, list] = {}
     loaded = read_checkpoint(cfg.checkpoint_path, drop_torn=True) if cfg.checkpoint_path else None
@@ -626,12 +657,16 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
             raise CheckpointError(
                 f"{cfg.checkpoint_path} was written by a different search configuration"
             )
+        if cfg.mode == "elements":
+            for line, (_, results) in enumerate(units, start=2):
+                _check_rows(cfg.ring, results, f"{cfg.checkpoint_path}:{line}")
         done = {json.dumps(task): results for task, results in units}
     pending = [(key, payload) for key, payload in tasks if json.dumps(key) not in done]
     args = [(cfg.mode, payload) for _, payload in pending]
+    splittable = sum(1 for key, _ in pending if key[0] != "above")
     writer = _CheckpointWriter(cfg.checkpoint_path, cfg)
     try:
-        with _fork_pool(cfg.jobs) if cfg.jobs > 1 and len(args) > 1 else nullcontext() as pool:
+        with _fork_pool(cfg.jobs) if cfg.jobs > 1 and splittable > 1 else nullcontext() as pool:
             if pool is None:
                 results = map(_run_task, args)
             else:
@@ -704,15 +739,6 @@ def search_signatures(cfg: SearchConfig) -> list[Signature]:
     return _signature_search(cfg, (cfg.t,))
 
 
-def search_elements(cfg: SearchConfig) -> list[SearchRecord]:
-    """Element-by-element search; records in (norm, coordinates) order."""
-    return [
-        SearchRecord.from_json_dict(cfg.ring, data)
-        for results in _task_results(cfg, _element_tasks(cfg))
-        for data in results
-    ]
-
-
 def _verify_hit(record: SearchRecord, n: int, t: Fraction) -> None:
     # every reported hit goes back through the literal divisor-sum oracle
     z = record.z
@@ -732,23 +758,41 @@ def run_search(cfg: SearchConfig) -> list[SearchRecord]:
     through the factor-based index and the divisor-sum oracle.
     """
     if cfg.mode == "elements":
-        records = search_elements(cfg)
-    else:
-        records = []
-        for sig in search_signatures(cfg):
-            value = sig.value()
-            for z in sig.witnesses(cfg.ring):
-                rv = i_star(z, cfg.n)
-                if rv != value:
-                    raise AssertionError(
-                        f"witness {format_element(z)} disagrees with signature value"
-                    )
-                records.append(SearchRecord(z, z.norm(), rv, True))
-        records.sort(key=lambda rec: (rec.norm, rec.z.a, rec.z.b))
+        return search_elements(cfg)
+    records = []
+    for sig in search_signatures(cfg):
+        value = sig.value()
+        for z in sig.witnesses(cfg.ring):
+            rv = i_star(z, cfg.n)
+            if rv != value:
+                raise AssertionError(
+                    f"witness {format_element(z)} disagrees with signature value"
+                )
+            records.append(SearchRecord(z, z.norm(), rv, True))
+    records.sort(key=lambda rec: (rec.norm, rec.z.a, rec.z.b))
     for rec in records:
-        if rec.is_hit:
-            _verify_hit(rec, cfg.n, cfg.t)
+        _verify_hit(rec, cfg.n, cfg.t)
     return records
+
+
+def search_rows(cfg: SearchConfig) -> list[dict]:
+    """run_search's records as their JSON dicts, in the same order.
+
+    Elements-mode rows are the dicts the workers made or the checkpoint
+    held; only a hit becomes a SearchRecord, for its oracle re-verification.
+    """
+    if cfg.mode != "elements":
+        return [rec.to_json_dict() for rec in run_search(cfg)]
+    rows = [row for results in _task_results(cfg, _element_tasks(cfg)) for row in results]
+    for row in rows:
+        if row["hit"]:
+            _verify_hit(SearchRecord.from_json_dict(cfg.ring, row), cfg.n, cfg.t)
+    return rows
+
+
+def search_elements(cfg: SearchConfig) -> list[SearchRecord]:
+    """Element-by-element search; records in (norm, coordinates) order, hits re-verified."""
+    return [SearchRecord.from_json_dict(cfg.ring, row) for row in search_rows(cfg)]
 
 
 def records_to_json_lines(records: list[SearchRecord]) -> list[str]:

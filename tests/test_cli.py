@@ -167,6 +167,57 @@ def test_search_checkpoint_flow(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_search_corrupt_checkpoint_record_exits_2(tmp_path, capsys):
+    path = tmp_path / "cp.jsonl"
+    args = (
+        "search", "--ring", "-1", "--power", "2", "--target", "2",
+        "--max-norm", "500", "--verbose", "--checkpoint", str(path),
+    )
+    assert run_cli(capsys, *args)[0] == 0
+    header, unit = path.read_text().splitlines()
+    assert json.loads(unit)["results"][0] == {
+        "z": "1+1*w", "norm": 2, "istar": {"1": "3/2"}, "hit": False,
+    }
+    cases = {
+        "missing key": lambda rec: rec.pop("norm"),
+        "extra key": lambda rec: rec.update(extra=1),
+        "bad coefficient": lambda rec: rec.update(istar={"1": "x"}),
+        "non-integer radicand": lambda rec: rec.update(istar={"2.5": "3/2"}),
+        "non-boolean hit": lambda rec: rec.update(hit=0),
+        "non-canonical z": lambda rec: rec.update(z="1 + 1*w"),
+        "norm that disagrees with z": lambda rec: rec.update(norm=3),
+    }
+    for name, corrupt in cases.items():
+        entry = json.loads(unit)
+        corrupt(entry["results"][0])
+        path.write_text(header + "\n" + json.dumps(entry) + "\n")
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, ""), name
+        assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), name
+
+
+def test_search_stdout_identical_fresh_and_resumed(tmp_path, capsys):
+    # max-norm just above 65,536 gives two units, the second a short one
+    base = (
+        "search", "--ring", "-163", "--power", "2", "--target", "2",
+        "--max-norm", "65600", "--verbose", "--quiet",
+    )
+    for fmt in ("json", "csv", "text"):
+        args = (*base, "--format", fmt)
+        code, want, _ = run_cli(capsys, *args)
+        assert code == 0 and want.count("\n") > 8000
+        path = tmp_path / f"{fmt}.jsonl"
+        resume = (*args, "--checkpoint", str(path))
+        assert run_cli(capsys, *resume, "--jobs", "2") == (0, want, ""), (fmt, "fresh")
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        assert run_cli(capsys, *resume) == (0, want, ""), (fmt, "complete")
+        for jobs in ("1", "2"):
+            path.write_text("".join(lines[:2]))
+            assert run_cli(capsys, *resume, "--jobs", jobs) == (0, want, ""), (fmt, jobs)
+            assert path.read_text() == "".join(lines)
+
+
 def test_verify_zeta(capsys):
     code, out, _ = run_cli(capsys, "verify", "zeta", "--format", "json")
     assert code == 0

@@ -685,6 +685,24 @@ def test_signatures_checkpoint_resume_with_jobs(tmp_path):
         assert sorted(open(path).read().splitlines()) == sorted(lines)
 
 
+def test_no_pool_for_work_that_cannot_be_split(monkeypatch):
+    # at 1e6 signatures mode has one [j, j1] unit and the ["above", 1000] solve
+    def cfg(**kwargs):
+        return SearchConfig(ring(-1), 2, Fraction(2), 10**6, mode="signatures", **kwargs)
+
+    base = run_search(cfg())
+    assert len(base) > 2
+
+    def no_fork(jobs):
+        raise AssertionError("forked a pool")
+
+    monkeypatch.setattr(search, "_fork_pool", no_fork)
+    assert records_to_json_lines(run_search(cfg(jobs=2))) == records_to_json_lines(base)
+    # two element units still go to a pool
+    with pytest.raises(AssertionError, match="forked a pool"):
+        run_search(SearchConfig(ring(-1), 2, Fraction(2), 1000, interval_size=500, jobs=2))
+
+
 def test_signatures_checkpoint_without_the_solve_unit_resumes(tmp_path):
     # a checkpoint whose only unit is the table unit [0, 3], as written before
     # the solve had a unit of its own: that unit is reused, the solve unit added
