@@ -1,8 +1,8 @@
 """Command-line interface: one binary, one subcommand per operation.
 
-Exit codes: 0 success, 1 usage error, 2 domain error (bad ring, bad element,
-corrupt checkpoint), 3 verification failure (a check ran and found
-violations).  JSON output is schema-stable and versioned; identical
+Exit codes: 0 success, 1 usage error or stdout closed early, 2 domain error
+(bad ring, bad element, corrupt checkpoint), 3 verification failure (a check
+ran and found violations).  JSON output is schema-stable and versioned; identical
 invocations produce byte-identical JSON.  Text output is for humans and is
 not parsed by the test suite.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -410,10 +411,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (DomainError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); point it at devnull so the
+        # interpreter's final flush cannot fail again (Python docs, SIGPIPE note)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

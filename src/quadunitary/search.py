@@ -571,14 +571,35 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[dict, list[tupl
 
 
 _ROW_KEYS = {"z", "norm", "istar", "hit"}
+_SIGNATURE_KEYS = {"entries", "norm", "value"}
 
 
-def _check_rows(r: Ring, rows, where: str) -> None:
-    """Raise CheckpointError unless rows are elements-mode records as _elements_task writes them."""
+def _check_signature(d: int, n: int, row: dict) -> None:
+    """Raise ValueError unless row is a signature record as _signatures_task writes it."""
+    if row.keys() != _SIGNATURE_KEYS:
+        raise ValueError(f"a record must have exactly the keys {sorted(_SIGNATURE_KEYS)}")
+    for p, kind, alphas in row["entries"]:
+        if not (type(p) is int and is_prime(p) and kind == prime_kind(d, p)):
+            raise ValueError(f"entry {[p, kind, alphas]!r} is not a prime of d={d} with its kind")
+        if len(alphas) != 1 + (kind == "split"):
+            raise ValueError(f"entry {[p, kind, alphas]!r} has the wrong number of exponents")
+    # a negative or non-integer exponent makes the norm or the value fail below
+    sig = Signature.from_entries(d, n, row["entries"])
+    if type(row["norm"]) is not int or row["norm"] != sig.norm():
+        raise ValueError(f"norm {row['norm']!r} is not the norm of the entries")
+    if row["value"] != str(sig.value()):
+        raise ValueError(f"value {row['value']!r} is not the index of the entries")
+
+
+def _check_rows(r: Ring, mode: str, n: int, rows, where: str) -> None:
+    """Raise CheckpointError unless rows are records as the mode's task writes them."""
     # compiled here, not at import, which every command pays for
     radicand, coeff = re.compile(r"[1-9][0-9]*"), re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
     try:
         for row in rows:
+            if mode == "signatures":
+                _check_signature(r.d, n, row)
+                continue
             if row.keys() != _ROW_KEYS:
                 raise ValueError(f"a record must have exactly the keys {sorted(_ROW_KEYS)}")
             if type(row["hit"]) is not bool:
@@ -657,9 +678,8 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
             raise CheckpointError(
                 f"{cfg.checkpoint_path} was written by a different search configuration"
             )
-        if cfg.mode == "elements":
-            for line, (_, results) in enumerate(units, start=2):
-                _check_rows(cfg.ring, results, f"{cfg.checkpoint_path}:{line}")
+        for line, (_, results) in enumerate(units, start=2):
+            _check_rows(cfg.ring, cfg.mode, cfg.n, results, f"{cfg.checkpoint_path}:{line}")
         done = {json.dumps(task): results for task, results in units}
     pending = [(key, payload) for key, payload in tasks if json.dumps(key) not in done]
     args = [(cfg.mode, payload) for _, payload in pending]

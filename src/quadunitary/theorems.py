@@ -16,6 +16,11 @@ Check ids (CLI surface):
 * thm2.5  mod-6 structure of 2-powerfully unitarily 2-perfect hits
 * thm2.6  injection of integer unitary-t-perfect numbers into every ring
 * zeta    the four zeta-ratio constants certified strictly below 2
+
+thm2.6 reads its members from udf.sigma_star_range, one multiplicative sieve
+of sigma_star over [1, bound] walked in windows of 2**16 integers: no integer
+is factored on its own, and memory stays bounded whatever the bound.  g_map
+and i_star still run for every member.
 """
 
 from __future__ import annotations
@@ -32,11 +37,12 @@ from .search import (
     CheckpointError,
     SearchRecord,
     Signature,
+    _check_rows,
     _sector_points,
     read_checkpoint,
     signature_hits_multi,
 )
-from .udf import _index_numerators, i_star, sigma_star_int, zeta_bound_check
+from .udf import _index_numerators, i_star, sigma_star_range, zeta_bound_check
 
 REPORT_SCHEMA = 1
 
@@ -142,18 +148,15 @@ def load_hits(path: str, r: Ring) -> list[Hit]:
         raise DomainError(f"checkpoint was searched in d={d}, not d={r.d}")
     hits: list[Hit] = []
     for i, (_, results) in enumerate(units, start=2):
-        try:
-            for item in results:
-                if mode == "elements":
-                    if item["hit"]:
-                        rec = SearchRecord.from_json_dict(r, item)
-                        hits.append(Hit(n, rec.value.as_fraction(), rec.z))
-                else:
-                    t = Fraction(item["value"])
-                    for z in Signature.from_entries(d, n, item["entries"]).witnesses(r):
-                        hits.append(Hit(n, t, z))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"corrupt checkpoint entry at {path}:{i}: {exc}") from exc
+        _check_rows(r, mode, n, results, f"{path}:{i}")
+        for item in results:
+            if mode == "signatures":
+                t = Fraction(item["value"])
+                for z in Signature.from_entries(d, n, item["entries"]).witnesses(r):
+                    hits.append(Hit(n, t, z))
+            elif item["hit"]:
+                rec = SearchRecord.from_json_dict(r, item)
+                hits.append(Hit(n, rec.value.as_fraction(), rec.z))
     hits.sort(key=lambda h: (h.n, h.z.norm(), h.z.a, h.z.b))
     return hits
 
@@ -419,8 +422,8 @@ def check_thm_2_6(
         {"b": str(b), "bound": bound, "rings": sorted(ring_ds)},
     )
     members = [
-        n for n in range(1, bound + 1)
-        if sigma_star_int(n) * b.denominator == b.numerator * n
+        n for n, sigma in sigma_star_range(bound)
+        if sigma * b.denominator == b.numerator * n
     ]
     report.witnesses.append({"members": members})
     for d in sorted(ring_ds):

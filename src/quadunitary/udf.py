@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .factoring import Factorization, factor_element
+from .primes import small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, canonical_associate
 
@@ -183,6 +184,37 @@ def sigma_star_int(n: int, k: int = 1) -> int | Fraction:
     for p, e in factor_int(n):
         result *= 1 + p ** (e * abs(k))
     return result if k >= 0 else Fraction(result, n ** -k)
+
+
+def sigma_star_range(bound: int, window: int = 1 << 16):
+    """Yield (n, sigma_star_int(n)) for n = 1 .. bound in increasing n, by sieving.
+
+    The range is walked in windows of `window` integers, so memory stays
+    bounded whatever the bound.  In each window every prime p <= isqrt(hi)
+    strips the exact power p**e from its multiples, whose sums gain the factor
+    1 + p**e; a cofactor left above 1 is then a single prime q, giving 1 + q.
+    """
+    if window < 1:
+        raise DomainError("window must be at least 1")
+    primes = small_primes(isqrt(bound)) if bound > 0 else ()
+    for lo in range(1, bound + 1, window):
+        hi = min(lo + window - 1, bound)
+        rem = list(range(lo, hi + 1))
+        sig = [1] * len(rem)
+        for p in primes:
+            if p * p > hi:
+                break
+            for i in range(-lo % p, len(rem), p):
+                m, q = rem[i] // p, p
+                while m % p == 0:
+                    m //= p
+                    q *= p
+                rem[i] = m
+                sig[i] *= 1 + q
+        for i, m in enumerate(rem):
+            if m > 1:
+                sig[i] *= 1 + m
+        yield from zip(range(lo, hi + 1), sig)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line contract: output schemas, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from quadunitary.cli import main
+from quadunitary.search import Signature
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +196,85 @@ def test_search_corrupt_checkpoint_record_exits_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, ""), name
         assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), name
+
+
+def test_corrupt_signature_record_exits_2(tmp_path, capsys):
+    path = tmp_path / "cp.jsonl"
+    args = (
+        "search", "--ring", "-1", "--power", "2", "--target", "2",
+        "--max-norm", "2000", "--mode", "signatures", "--quiet", "--checkpoint", str(path),
+    )
+    assert run_cli(capsys, *args)[0] == 0
+    lines = path.read_text().splitlines()
+    # the one unit with records; the first is the shape of 3+9i = (1+i) * 3 * (2+i)
+    (line,) = [i for i, text in enumerate(lines) if json.loads(text).get("results")]
+    assert json.loads(lines[line])["results"][0] == {
+        "entries": [[2, "ramified", [1]], [3, "inert", [1]], [5, "split", [1, 0]]],
+        "norm": 90, "value": "2",
+    }
+
+    def recomputed(rec):
+        # a record whose norm and value agree with its entries, as a writer would make
+        sig = Signature.from_entries(-1, 2, rec["entries"])
+        rec.update(norm=sig.norm(), value=str(sig.value()))
+
+    def entry(i, new):
+        return lambda rec: (rec["entries"].__setitem__(i, new), recomputed(rec))
+
+    cases = {
+        "missing entries": lambda rec: rec.pop("entries"),
+        "extra key": lambda rec: rec.update(extra=1),
+        "entry not a triple": lambda rec: rec["entries"].append([7, "inert"]),
+        "kind that disagrees": entry(2, [5, "ramified", [1]]),
+        "composite p": entry(1, [9, "inert", [1]]),
+        "split with one exponent": entry(2, [5, "split", [1]]),
+        "negative exponent": lambda rec: rec["entries"][1].__setitem__(2, [-1]),
+        "norm that disagrees": lambda rec: rec.update(norm=91),
+        "value that disagrees": lambda rec: rec.update(value="5/2"),
+        "value not canonical": lambda rec: rec.update(value="4/2"),
+    }
+    verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
+    for name, corrupt in cases.items():
+        unit = json.loads(lines[line])
+        corrupt(unit["results"][0])
+        path.write_text("\n".join(lines[:line] + [json.dumps(unit)] + lines[line + 1:]) + "\n")
+        for argv in (args, verify):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (name, argv[0])
+            assert err.startswith(f"error: corrupt checkpoint record at {path}:{line + 1}: "), (name, argv[0])
+
+
+def test_closed_stdout_exits_without_traceback():
+    # stdout block-buffered, as in a shell without PYTHONUNBUFFERED
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    # a reader that leaves after one line while the search still writes: its
+    # output (about 460 KB) is far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadunitary", "search", "--ring", "-1", "--power", "2",
+         "--target", "2", "--max-norm", "20000", "--verbose", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"z,norm,istar,hit\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    # a reader gone before the command starts: one short line, which fails
+    # only when stdout is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadunitary", "sigma-star", "--integer", "6"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_search_stdout_identical_fresh_and_resumed(tmp_path, capsys):

@@ -224,6 +224,19 @@ def test_thm_2_6_other_ratio():
         check_thm_2_6(Fraction(2), bound=0)
 
 
+@pytest.mark.parametrize("b", [Fraction(2), Fraction(3, 2), Fraction(3)])
+def test_thm_2_6_sieve_report_matches_per_n_report(b, monkeypatch):
+    sieved = check_thm_2_6(b, bound=5_000).to_json_dict()
+    # the same check with its members taken from sigma_star_int, one n at a time
+    monkeypatch.setattr(
+        theorems, "sigma_star_range",
+        lambda bound: ((n, sigma_star_int(n)) for n in range(1, bound + 1)),
+    )
+    assert sieved == check_thm_2_6(b, bound=5_000).to_json_dict()
+    if b == 2:
+        assert sieved["witnesses"][0]["members"] == [6, 60, 90]
+
+
 def test_zeta_check():
     report = check_zeta()
     assert report.passed
