@@ -56,7 +56,6 @@ from .udf import (
     i_star,
     i_star_is_rational,
     sigma_star_int,
-    sigma_star_range,
     unitary_divisors,
     zeta_bound_check,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "search_elements",
     "search_signatures",
     "sigma_star_int",
-    "sigma_star_range",
     "signature_hits_multi",
     "unitary_divisors",
     "xi",

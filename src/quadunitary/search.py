@@ -578,12 +578,22 @@ def _check_signature(d: int, n: int, row: dict) -> None:
     """Raise ValueError unless row is a signature record as _signatures_task writes it."""
     if row.keys() != _SIGNATURE_KEYS:
         raise ValueError(f"a record must have exactly the keys {sorted(_SIGNATURE_KEYS)}")
+    last = 1
     for p, kind, alphas in row["entries"]:
-        if not (type(p) is int and is_prime(p) and kind == prime_kind(d, p)):
-            raise ValueError(f"entry {[p, kind, alphas]!r} is not a prime of d={d} with its kind")
-        if len(alphas) != 1 + (kind == "split"):
-            raise ValueError(f"entry {[p, kind, alphas]!r} has the wrong number of exponents")
-    # a negative or non-integer exponent makes the norm or the value fail below
+        if not (type(p) is int and p > last and is_prime(p) and kind == prime_kind(d, p)):
+            raise ValueError(
+                f"entry {[p, kind, alphas]!r} is not a prime of d={d} with its kind, "
+                f"above the one before"
+            )
+        last = p
+        if not (
+            len(alphas) == 1 + (kind == "split")
+            and all(type(a) is int for a in alphas)
+            and alphas[0] >= 1
+            and alphas[-1] >= 0
+            and alphas[0] >= alphas[-1]
+        ):
+            raise ValueError(f"entry {[p, kind, alphas]!r} does not have its kind's exponents")
     sig = Signature.from_entries(d, n, row["entries"])
     if type(row["norm"]) is not int or row["norm"] != sig.norm():
         raise ValueError(f"norm {row['norm']!r} is not the norm of the entries")
@@ -607,6 +617,8 @@ def _check_rows(r: Ring, mode: str, n: int, rows, where: str) -> None:
             for m, c in row["istar"].items():
                 if not (radicand.fullmatch(m) and coeff.fullmatch(c)):
                     raise ValueError(f"istar term {m!r}: {c!r} is not a radicand and a fraction")
+                if row["hit"] and m != "1":
+                    raise ValueError(f"a hit's istar has the irrational term {m!r}: {c!r}")
             norm = row["norm"]
             if type(norm) is not int or norm != r.parse(row["z"], canonical=True).norm():
                 raise ValueError(f"norm {norm!r} is not the norm of {row['z']}")

@@ -186,19 +186,20 @@ def sigma_star_int(n: int, k: int = 1) -> int | Fraction:
     return result if k >= 0 else Fraction(result, n ** -k)
 
 
-def sigma_star_range(bound: int, window: int = 1 << 16):
+_WINDOW = 1 << 16
+
+
+def sigma_star_range(bound: int):
     """Yield (n, sigma_star_int(n)) for n = 1 .. bound in increasing n, by sieving.
 
-    The range is walked in windows of `window` integers, so memory stays
+    The range is walked in windows of _WINDOW integers, so memory stays
     bounded whatever the bound.  In each window every prime p <= isqrt(hi)
     strips the exact power p**e from its multiples, whose sums gain the factor
     1 + p**e; a cofactor left above 1 is then a single prime q, giving 1 + q.
     """
-    if window < 1:
-        raise DomainError("window must be at least 1")
     primes = small_primes(isqrt(bound)) if bound > 0 else ()
-    for lo in range(1, bound + 1, window):
-        hi = min(lo + window - 1, bound)
+    for lo in range(1, bound + 1, _WINDOW):
+        hi = min(lo + _WINDOW - 1, bound)
         rem = list(range(lo, hi + 1))
         sig = [1] * len(rem)
         for p in primes:

@@ -188,14 +188,17 @@ def test_search_corrupt_checkpoint_record_exits_2(tmp_path, capsys):
         "non-boolean hit": lambda rec: rec.update(hit=0),
         "non-canonical z": lambda rec: rec.update(z="1 + 1*w"),
         "norm that disagrees with z": lambda rec: rec.update(norm=3),
+        "hit with an irrational istar": lambda rec: rec.update(hit=True, istar={"2": "1"}),
     }
+    verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
     for name, corrupt in cases.items():
         entry = json.loads(unit)
         corrupt(entry["results"][0])
         path.write_text(header + "\n" + json.dumps(entry) + "\n")
-        code, out, err = run_cli(capsys, *args)
-        assert (code, out) == (2, ""), name
-        assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), name
+        for argv in (args, verify):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (name, argv[0])
+            assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), (name, argv[0])
 
 
 def test_corrupt_signature_record_exits_2(tmp_path, capsys):
@@ -229,6 +232,12 @@ def test_corrupt_signature_record_exits_2(tmp_path, capsys):
         "composite p": entry(1, [9, "inert", [1]]),
         "split with one exponent": entry(2, [5, "split", [1]]),
         "negative exponent": lambda rec: rec["entries"][1].__setitem__(2, [-1]),
+        "zero exponent": entry(1, [3, "inert", [0]]),
+        "float exponent": lambda rec: rec["entries"][2].__setitem__(2, [1, 0.0]),
+        "boolean exponent": lambda rec: rec["entries"][1].__setitem__(2, [True]),
+        "split pair in ascending order": entry(2, [5, "split", [0, 1]]),
+        "repeated prime": lambda rec: (rec["entries"].insert(1, [3, "inert", [1]]), recomputed(rec)),
+        "primes out of order": lambda rec: (rec["entries"].reverse(), recomputed(rec)),
         "norm that disagrees": lambda rec: rec.update(norm=91),
         "value that disagrees": lambda rec: rec.update(value="5/2"),
         "value not canonical": lambda rec: rec.update(value="4/2"),
