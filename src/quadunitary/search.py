@@ -28,13 +28,15 @@ Both modes split the search into work units.  Each unit's results are held
 in memory and the units are merged in their fixed order, so records come out
 in (norm, coordinates) order and are byte-identical for any job count.  Each
 unit is appended to a JSON-lines checkpoint as soon as it finishes, so a run
-that is stopped resumes into an identical run.  Every reported hit is
-re-verified through the literal divisor-sum oracle before it is returned.
+that is stopped resumes into an identical run; a record read back from a
+checkpoint is checked first.  Elements-mode records stay the JSON dicts the
+workers made, through the checkpoint and search_rows to the command line.
 
-Elements-mode records stay the JSON dicts the workers made, through the
-checkpoint and search_rows to the command line; a record read back from a
-checkpoint is checked first.  SearchRecords are built only for the library
-functions and to re-verify hits.
+A signature's value comes from udf._index_numerators, the kernel elements
+mode uses, and an irrational shape is refused.  Every hit is verified once
+through the literal divisor-sum oracle, where it enters the program: an
+elements-mode hit in the worker that finds it or as its record is read back,
+a signature's witnesses in witness_records, which the theorem checks share.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, inf, isqrt, nextafter
+from math import gcd, inf, isqrt, nextafter, prod
 
 from .factoring import index_rows
 from .primes import is_prime, prime_above, prime_kind, small_primes
@@ -146,34 +148,27 @@ class Signature:
         """Build from (p, kind, alphas) triples, as the DFS and the JSON form hold them."""
         return cls(d, n, tuple(SigEntry(p, kind, tuple(al)) for p, kind, al in entries))
 
+    def rows(self) -> list[tuple[int, str, int]]:
+        """(p, kind, exponent) per prime power, as index_rows and Factorization.rows give them."""
+        return [(e.p, e.kind, alpha) for e in self.entries for alpha in e.alphas if alpha]
+
     def norm(self) -> int:
-        total = 1
-        for e in self.entries:
-            weight = 2 if e.kind == "inert" else 1
-            total *= e.p ** (weight * sum(e.alphas))
-        return total
+        return prod(p ** (2 * alpha if kind == "inert" else alpha) for p, kind, alpha in self.rows())
 
     def value(self) -> Fraction:
-        out = Fraction(1)
-        for e in self.entries:
-            for alpha in e.alphas:
-                if alpha:
-                    if e.kind == "inert":
-                        q = e.p ** (alpha * self.n)
-                    else:
-                        q = e.p ** (alpha * self.n // 2)
-                    out *= Fraction(q + 1, q)
-        return out
+        """The index i_star of every witness, from the kernel that elements mode uses."""
+        terms, den = _index_numerators(self.rows(), -self.n)
+        if len(terms) > 1:
+            raise DomainError(f"the shape {self.rows()} has an irrational index at n = {self.n}")
+        return Fraction(terms[1], den)
 
     def witnesses(self, r: Ring) -> list[QInt]:
         """All canonical elements with this shape, sorted by coordinates."""
         options: list[list[QInt]] = []
         for e in self.entries:
             pc = prime_above(e.p, r)
-            if e.kind == "inert":
-                options.append([r.element(e.p) ** e.alphas[0]])
-            elif e.kind == "ramified":
-                options.append([pc.pi ** e.alphas[0]])
+            if e.kind != "split":
+                options.append([pc.pi ** e.alphas[0]])  # an inert pi is p itself
             else:
                 a1, a2 = e.alphas
                 assert pc.pi_bar is not None
@@ -328,41 +323,26 @@ def _exact_root(q: int, k: int) -> int | None:
 def _configs(p: int, kind: str, n: int, budget: int):
     """Admissible exponent shapes for prime p within the norm budget.
 
-    Yields (alphas, norm_cost, factor).  For rational targets, exponents on
-    primes with irrational absolute value must keep alpha * n even, so odd n
-    restricts those alphas to even values (the parity criterion).
+    Yields (alphas, norm_cost, factor) in (a1, a2) order: (a1,) for inert and
+    ramified p, (a1, a2) with a1 >= a2 >= 0 for split p.  A prime power
+    pi**alpha has norm p**(w * alpha), w = 2 for inert p and 1 otherwise, and
+    adds the factor (q + 1) / q with q = |pi**alpha|**n = p**(w * alpha * n / 2).
+    For rational targets that q must be an integer (the parity criterion), so
+    odd n restricts the alphas on non-inert primes to even values.
     """
-    if kind == "inert":
-        unit_cost = p * p
-        alpha, cost = 1, unit_cost
-        while cost <= budget:
-            q = p ** (alpha * n)
-            yield (alpha,), cost, Fraction(q + 1, q)
-            alpha += 1
-            cost *= unit_cost
-    elif kind == "ramified":
-        step = 2 if n % 2 else 1
-        alpha = step
-        cost = p**alpha
-        while cost <= budget:
-            q = p ** (alpha * n // 2)
-            yield (alpha,), cost, Fraction(q + 1, q)
-            alpha += step
-            cost = p**alpha
-    else:
-        step = 2 if n % 2 else 1
-        a1 = step
-        while p**a1 <= budget:
-            a2 = 0
-            while a2 <= a1 and p ** (a1 + a2) <= budget:
-                q1 = p ** (a1 * n // 2)
-                f = Fraction(q1 + 1, q1)
-                if a2:
-                    q2 = p ** (a2 * n // 2)
-                    f *= Fraction(q2 + 1, q2)
-                yield (a1, a2), p ** (a1 + a2), f
-                a2 += step
-            a1 += step
+    w = 2 if kind == "inert" else 1
+    step = 2 if n % 2 and w == 1 else 1
+    a1 = step
+    while p ** (w * a1) <= budget:
+        q1 = p ** (w * a1 * n // 2)
+        for a2 in range(0, a1 + 1, step) if kind == "split" else (0,):
+            cost = p ** (w * (a1 + a2))
+            if cost > budget:
+                break
+            q2 = p ** (w * a2 * n // 2)  # 1 for a2 = 0, which adds no factor
+            num = (q1 + 1) * (q2 + 1 if a2 else 1)
+            yield ((a1, a2) if kind == "split" else (a1,)), cost, Fraction(num, q1 * q2)
+        a1 += step
 
 
 def _dfs_signatures(
@@ -456,6 +436,14 @@ def _root_limit(n: int, targets: tuple[Fraction, ...], max_norm: int) -> int:
 # ---------------------------------------------------------------------------
 # task plumbing (top level so worker processes can import them)
 
+def _verify_hit(z: QInt, n: int, value: Fraction) -> None:
+    # every reported hit goes back through the literal divisor-sum oracle
+    oracle = delta_star_oracle(z, n)
+    expected = RadicalValue.from_rational(value) * RadicalValue.sqrt_power(z.norm(), n)
+    if oracle != expected:
+        raise AssertionError(f"hit {format_element(z)} failed oracle re-verification: {oracle} != {expected}")
+
+
 def _elements_task(payload: tuple) -> list[dict]:
     d, n, t_text, lo, hi, verbose = payload
     r = ring(d)
@@ -468,8 +456,11 @@ def _elements_task(payload: tuple) -> list[dict]:
         terms, den = _index_numerators(index_rows(d, norm, gcd(a, b)), -n)
         hit = len(terms) == 1 and terms[1] * t_den == t_num * den
         if hit or verbose:
+            z = QInt(r, a, b)
+            if hit:
+                _verify_hit(z, n, t)
             value = RadicalValue.from_numerators(terms, den)
-            out.append(SearchRecord(QInt(r, a, b), norm, value, hit).to_json_dict())
+            out.append(SearchRecord(z, norm, value, hit).to_json_dict())
     return out
 
 
@@ -626,6 +617,26 @@ def _check_rows(r: Ring, mode: str, n: int, rows, where: str) -> None:
         raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
 
 
+def _check_resumed_hits(cfg: SearchConfig, rows, where: str) -> None:
+    """Raise CheckpointError unless checked rows agree with cfg.t, a checkpoint's one target.
+
+    A signature's value must be t; an elements-mode row is a hit exactly when
+    its istar is t, and a hit also passes the oracle here.
+    """
+    t = str(cfg.t)
+    try:
+        for row in rows:
+            if cfg.mode == "signatures":
+                if row["value"] != t:
+                    raise ValueError(f"value {row['value']!r} is not the target {t}")
+            elif row["hit"] != (row["istar"] == {"1": t}):
+                raise ValueError(f"hit {row['hit']} disagrees with istar {row['istar']!r} at target {t}")
+            elif row["hit"]:
+                _verify_hit(cfg.ring.parse(row["z"], canonical=True), cfg.n, cfg.t)
+    except (AssertionError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
+
+
 class _CheckpointWriter:
     """Appends finished units to a checkpoint, each line fsynced; inert without a path."""
 
@@ -691,7 +702,9 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
                 f"{cfg.checkpoint_path} was written by a different search configuration"
             )
         for line, (_, results) in enumerate(units, start=2):
-            _check_rows(cfg.ring, cfg.mode, cfg.n, results, f"{cfg.checkpoint_path}:{line}")
+            where = f"{cfg.checkpoint_path}:{line}"
+            _check_rows(cfg.ring, cfg.mode, cfg.n, results, where)
+            _check_resumed_hits(cfg, results, where)
         done = {json.dumps(task): results for task, results in units}
     pending = [(key, payload) for key, payload in tasks if json.dumps(key) not in done]
     args = [(cfg.mode, payload) for _, payload in pending]
@@ -771,55 +784,44 @@ def search_signatures(cfg: SearchConfig) -> list[Signature]:
     return _signature_search(cfg, (cfg.t,))
 
 
-def _verify_hit(record: SearchRecord, n: int, t: Fraction) -> None:
-    # every reported hit goes back through the literal divisor-sum oracle
-    z = record.z
-    oracle = delta_star_oracle(z, n)
-    expected = RadicalValue.from_rational(t) * RadicalValue.sqrt_power(z.norm(), n)
-    if oracle != expected:
-        raise AssertionError(
-            f"hit {format_element(z)} failed oracle re-verification: "
-            f"{oracle} != {expected}"
-        )
+def witness_records(r: Ring, n: int, sigs) -> list[SearchRecord]:
+    """Every witness element of the signatures as a hit record, sorted by (norm, a, b).
+
+    Each witness is checked twice: its factor-based index i_star must be its
+    signature's value, and so must the literal divisor-sum oracle's.
+    """
+    records = []
+    for sig in sigs:
+        value = sig.value()
+        for z in sig.witnesses(r):
+            rv = i_star(z, n)
+            if rv != value:
+                raise AssertionError(f"witness {format_element(z)} disagrees with signature value")
+            _verify_hit(z, n, value)
+            records.append(SearchRecord(z, z.norm(), rv, True))
+    records.sort(key=lambda rec: (rec.norm, rec.z.a, rec.z.b))
+    return records
 
 
 def run_search(cfg: SearchConfig) -> list[SearchRecord]:
     """Dispatch on mode; always returns records ordered by (norm, a, b).
 
-    Signature hits are materialized to every witness element and re-verified
-    through the factor-based index and the divisor-sum oracle.
+    Signature hits are materialized to every witness element by witness_records.
     """
     if cfg.mode == "elements":
         return search_elements(cfg)
-    records = []
-    for sig in search_signatures(cfg):
-        value = sig.value()
-        for z in sig.witnesses(cfg.ring):
-            rv = i_star(z, cfg.n)
-            if rv != value:
-                raise AssertionError(
-                    f"witness {format_element(z)} disagrees with signature value"
-                )
-            records.append(SearchRecord(z, z.norm(), rv, True))
-    records.sort(key=lambda rec: (rec.norm, rec.z.a, rec.z.b))
-    for rec in records:
-        _verify_hit(rec, cfg.n, cfg.t)
-    return records
+    return witness_records(cfg.ring, cfg.n, search_signatures(cfg))
 
 
 def search_rows(cfg: SearchConfig) -> list[dict]:
     """run_search's records as their JSON dicts, in the same order.
 
     Elements-mode rows are the dicts the workers made or the checkpoint
-    held; only a hit becomes a SearchRecord, for its oracle re-verification.
+    held; each hit among them was verified where it entered the program.
     """
     if cfg.mode != "elements":
         return [rec.to_json_dict() for rec in run_search(cfg)]
-    rows = [row for results in _task_results(cfg, _element_tasks(cfg)) for row in results]
-    for row in rows:
-        if row["hit"]:
-            _verify_hit(SearchRecord.from_json_dict(cfg.ring, row), cfg.n, cfg.t)
-    return rows
+    return [row for results in _task_results(cfg, _element_tasks(cfg)) for row in results]
 
 
 def search_elements(cfg: SearchConfig) -> list[SearchRecord]:

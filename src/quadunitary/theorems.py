@@ -6,7 +6,8 @@ violation found.  An honest run has zero violations; the checkers themselves
 are exercised against fabricated bad inputs in the test suite.  Checks can
 consume persisted search checkpoints so that expensive discovery and cheap
 verification stay separate, or discover their own hit population through the
-signature search.
+signature search.  Signatures become hits through search.witness_records, which
+checks each witness with the oracle; elements-mode hits read back are trusted.
 
 Check ids (CLI surface):
 
@@ -41,6 +42,7 @@ from .search import (
     _sector_points,
     read_checkpoint,
     signature_hits_multi,
+    witness_records,
 )
 from .udf import _index_numerators, i_star, sigma_star_range, zeta_bound_check
 
@@ -120,13 +122,11 @@ def discover_hits(
     max_norm: int,
     jobs: int = 1,
 ) -> list[Hit]:
-    """Find all hits via the signature search; deterministic order."""
+    """Find all hits via the signature search, each re-verified; deterministic order."""
     hits: list[Hit] = []
     for n in sorted(n_values):
-        for sig in signature_hits_multi(r, n, tuple(Fraction(t) for t in targets), max_norm, jobs=jobs):
-            t = sig.value()
-            for z in sig.witnesses(r):
-                hits.append(Hit(n, t, z))
+        sigs = signature_hits_multi(r, n, tuple(Fraction(t) for t in targets), max_norm, jobs=jobs)
+        hits += [Hit(n, rec.value.as_fraction(), rec.z) for rec in witness_records(r, n, sigs)]
     hits.sort(key=lambda h: (h.n, h.z.norm(), h.z.a, h.z.b))
     return hits
 
@@ -146,19 +146,16 @@ def load_hits(path: str, r: Ring) -> list[Hit]:
         raise CheckpointError(f"{path} lacks a usable checkpoint header: {exc}") from exc
     if d != r.d:
         raise DomainError(f"checkpoint was searched in d={d}, not d={r.d}")
-    hits: list[Hit] = []
+    sigs, records = [], []
     for i, (_, results) in enumerate(units, start=2):
         _check_rows(r, mode, n, results, f"{path}:{i}")
-        for item in results:
-            if mode == "signatures":
-                t = Fraction(item["value"])
-                for z in Signature.from_entries(d, n, item["entries"]).witnesses(r):
-                    hits.append(Hit(n, t, z))
-            elif item["hit"]:
-                rec = SearchRecord.from_json_dict(r, item)
-                hits.append(Hit(n, rec.value.as_fraction(), rec.z))
-    hits.sort(key=lambda h: (h.n, h.z.norm(), h.z.a, h.z.b))
-    return hits
+        if mode == "signatures":
+            sigs += [Signature.from_entries(d, n, item["entries"]) for item in results]
+        else:
+            records += [SearchRecord.from_json_dict(r, item) for item in results if item["hit"]]
+    records += witness_records(r, n, sigs)
+    records.sort(key=lambda rec: (rec.norm, rec.z.a, rec.z.b))
+    return [Hit(n, rec.value.as_fraction(), rec.z) for rec in records]
 
 
 def _entry_norm(e: FactorEntry) -> int:

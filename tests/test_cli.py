@@ -253,6 +253,72 @@ def test_corrupt_signature_record_exits_2(tmp_path, capsys):
             assert err.startswith(f"error: corrupt checkpoint record at {path}:{line + 1}: "), (name, argv[0])
 
 
+def test_irrational_signature_record_exits_2(tmp_path, capsys):
+    # [2, "ramified", [1]] at n = 1 has the index 1 + sqrt(2)/2, not 2
+    path = tmp_path / "cp.jsonl"
+    args = (
+        "search", "--ring", "-1", "--power", "1", "--target", "2",
+        "--max-norm", "2000", "--mode", "signatures", "--quiet", "--checkpoint", str(path),
+    )
+    assert run_cli(capsys, *args)[0] == 0
+    header, first = path.read_text().splitlines()[:2]
+    unit = json.loads(first)
+    unit["results"] = [{"entries": [[2, "ramified", [1]]], "norm": 2, "value": "2"}]
+    path.write_text(header + "\n" + json.dumps(unit) + "\n")
+    verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
+    for argv in (args, verify):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), argv[0]
+
+
+def test_resumed_hit_that_fails_the_oracle_exits_2(tmp_path, capsys):
+    # resumed hits are verified; verify --hits trusts them and finds the odd norm
+    path = tmp_path / "cp.jsonl"
+    args = (
+        "search", "--ring", "-1", "--power", "2", "--target", "2",
+        "--max-norm", "1000", "--checkpoint", str(path),
+    )
+    assert run_cli(capsys, *args)[0] == 0
+    header, first = path.read_text().splitlines()
+    unit = json.loads(first)
+    unit["results"][0] = {"z": "3+4*w", "norm": 25, "istar": {"1": "2"}, "hit": True}
+    path.write_text(header + "\n" + json.dumps(unit) + "\n")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: corrupt checkpoint record at {path}:2: ")
+    code, out, _ = run_cli(capsys, "verify", "thm2.2", "--ring", "-1", "--hits", str(path))
+    assert code == 3
+    assert out.startswith("check thm2.2: FAIL")
+
+
+def test_resumed_records_must_agree_with_the_target(tmp_path, capsys):
+    # a checkpointed search has one target: a hit with another value, or a
+    # row whose hit flag disagrees with its istar, is corrupt
+    cases = {
+        "hit off target": ("elements", {"z": "3+9*w", "norm": 90, "istar": {"1": "3"}, "hit": True}),
+        "unflagged hit": ("elements", {"z": "3+9*w", "norm": 90, "istar": {"1": "2"}, "hit": False}),
+        "signature off target": (
+            "signatures", {"entries": [[2, "ramified", [1]]], "norm": 2, "value": "3/2"}
+        ),
+    }
+    for name, (mode, record) in cases.items():
+        path = tmp_path / f"{mode}.jsonl"
+        path.unlink(missing_ok=True)
+        args = (
+            "search", "--ring", "-1", "--power", "2", "--target", "2", "--max-norm", "1000",
+            "--mode", mode, "--verbose" if mode == "elements" else "--quiet", "--checkpoint", str(path),
+        )
+        assert run_cli(capsys, *args)[0] == 0
+        header, first = path.read_text().splitlines()[:2]
+        unit = json.loads(first)
+        unit["results"] = [record]
+        path.write_text(header + "\n" + json.dumps(unit) + "\n")
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, ""), name
+        assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), name
+
+
 def test_closed_stdout_exits_without_traceback():
     # stdout block-buffered, as in a shell without PYTHONUNBUFFERED
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -31,7 +31,7 @@ from quadunitary.search import (
     search_signatures,
     signature_hits_multi,
 )
-from quadunitary.udf import i_star
+from quadunitary.udf import _index_numerators, i_star
 
 
 def box_scan(r, lo, hi):
@@ -225,6 +225,37 @@ def test_signature_shape_arithmetic():
     assert sig.value() == 2
     wit = sig.witnesses(ring(-1))
     assert wit == [ring(-1).element(30)]
+
+
+def test_irrational_signature_value_is_refused():
+    # |1+i| = sqrt(2) at n = 1: the index 1 + sqrt(2)/2 is not a Fraction
+    with pytest.raises(DomainError):
+        Signature(-1, 1, (SigEntry(2, "ramified", (1,)),)).value()
+
+
+@pytest.mark.parametrize("d", [-1, -7, -163])
+def test_configs_are_the_parity_admissible_shapes(d):
+    # every shape whose index is rational, in (a1, a2) order, each factor
+    # from the index kernel; budgets reach 10^4
+    for p in small_primes(59):
+        kind = prime_kind(d, p)
+        w = 2 if kind == "inert" else 1
+        for n in range(1, 5):
+            ok = [a for a in range(1, 15) if kind == "inert" or a * n % 2 == 0]
+            if kind == "split":
+                shapes = [(a1, a2) for a1 in ok for a2 in [0] + ok if a2 <= a1]
+            else:
+                shapes = [(a,) for a in ok]
+            for budget in (1, 2, 3, 30, 127, 1000, 2401, 10_000):
+                expected = []
+                for alphas in shapes:
+                    cost = p ** (w * sum(alphas))
+                    if cost <= budget:
+                        rows = [(p, kind, a) for a in alphas if a]
+                        terms, den = _index_numerators(rows, -n)
+                        assert list(terms) == [1]
+                        expected.append((alphas, cost, Fraction(terms[1], den)))
+                assert list(search._configs(p, kind, n, budget)) == expected, (p, n, budget)
 
 
 def test_signature_witnesses_split_asymmetry():

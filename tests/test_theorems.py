@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from quadunitary import theorems
+from quadunitary import search, theorems
 from quadunitary.factoring import factor_element
+from quadunitary.radicals import RadicalValue
 from quadunitary.rings import K, DomainError, ring
 from quadunitary.search import (
     CheckpointError,
@@ -78,6 +79,13 @@ def test_discover_hits_contains_known_hits():
     assert keyed[(2, 30, 0)] == 2
     order = [(h.n, h.z.norm(), h.z.a, h.z.b) for h in hits]
     assert order == sorted(order)
+
+
+def test_discover_hits_verifies_every_witness(monkeypatch):
+    # an oracle that disagrees with the signature value stops the discovery
+    monkeypatch.setattr(search, "delta_star_oracle", lambda z, n: RadicalValue.from_rational(1))
+    with pytest.raises(AssertionError):
+        discover_hits(ring(-1), (2,), (2,), 1000)
 
 
 def test_thm_2_2_honest_pass_all_rings():
