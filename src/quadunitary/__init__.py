@@ -34,7 +34,6 @@ from .search import (
     Signature,
     iter_sector_elements,
     run_search,
-    search_elements,
     search_signatures,
     signature_hits_multi,
 )
@@ -54,7 +53,6 @@ from .udf import (
     delta_star,
     delta_star_oracle,
     i_star,
-    i_star_is_rational,
     sigma_star_int,
     unitary_divisors,
     zeta_bound_check,
@@ -96,7 +94,6 @@ __all__ = [
     "format_element",
     "g_map",
     "i_star",
-    "i_star_is_rational",
     "in_sector",
     "is_associate",
     "iter_sector_elements",
@@ -107,7 +104,6 @@ __all__ = [
     "ring",
     "run_check",
     "run_search",
-    "search_elements",
     "search_signatures",
     "sigma_star_int",
     "signature_hits_multi",

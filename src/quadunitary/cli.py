@@ -388,7 +388,7 @@ def build_parser() -> _Parser:
     )
     _add_common(p, ring_required=False)
     p.add_argument("--max-norm", type=int, default=None, help="population bound (per-check default)")
-    p.add_argument("--hits", help="search checkpoint file to verify instead of re-searching")
+    p.add_argument("--hits", help="search checkpoint whose hits thm2.2, thm2.3 or thm2.5 check instead of searching")
     p.add_argument("--target", type=_fraction_type, default=None, help="perfectness ratio b for thm2.6")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)

@@ -221,13 +221,6 @@ def _unit_inverse_indices(d: int) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def unit_by_index(r: Ring, index: int) -> QInt:
-    units = r.units()
-    if not 0 <= index < len(units):
-        raise DomainError(f"unit index {index} out of range for d={r.d}")
-    return units[index]
-
-
 def index_of_unit(u: QInt) -> int:
     idx = _unit_index_map(u.ring.d).get((u.a, u.b))
     if idx is None:

@@ -28,15 +28,18 @@ Both modes split the search into work units.  Each unit's results are held
 in memory and the units are merged in their fixed order, so records come out
 in (norm, coordinates) order and are byte-identical for any job count.  Each
 unit is appended to a JSON-lines checkpoint as soon as it finishes, so a run
-that is stopped resumes into an identical run; a record read back from a
-checkpoint is checked first.  Elements-mode records stay the JSON dicts the
+that is stopped resumes into an identical run.  read_checkpoint is the one
+reader: it decodes the header into the SearchConfig that wrote the file and
+holds every record to that search's format and target, for a resume and for
+theorems.load_hits alike.  Elements-mode records stay the JSON dicts the
 workers made, through the checkpoint and search_rows to the command line.
 
 A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
 through the literal divisor-sum oracle, where it enters the program: an
-elements-mode hit in the worker that finds it or as its record is read back,
-a signature's witnesses in witness_records, which the theorem checks share.
+elements-mode hit in the worker that finds it or as a resumed search reads
+its record back, a signature's witnesses in witness_records, which the
+theorem checks share.
 """
 
 from __future__ import annotations
@@ -503,16 +506,18 @@ def _truncate(path: str, size: int) -> None:
         raise CheckpointError(f"cannot drop the torn last line of {path}: {exc}") from exc
 
 
-def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[dict, list[tuple[list, list]]] | None:
-    """The header and the (task, results) units of a checkpoint file.
+def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, list[tuple[list, list]]] | None:
+    """The search config and the checked (task, results) units of a checkpoint file.
 
     Returns None for a missing or empty file.  Raises CheckpointError when
-    the file cannot be read, and unless the header names a search checkpoint
-    of this schema version and every unit line parses; whether the header's
-    config fits is the caller's call.  A last line without its newline is
-    what a crash mid-write leaves: with drop_torn it is not parsed, and once
-    the rest of the file is known to be a checkpoint it is cut from the file,
-    so the next unit appended starts on a line of its own.
+    the file cannot be read, when the header does not name a search
+    checkpoint of this schema version whose config encodes back to itself,
+    or when a unit line does not parse into records as that search writes
+    them (_check_rows).  Whether that search is the caller's is the caller's
+    call.  A last line without its newline is what a crash mid-write leaves:
+    with drop_torn it is not parsed, and once the rest of the file is known
+    to be a checkpoint it is cut from the file, so the next unit appended
+    starts on a line of its own.
     """
     try:
         with open(path, "rb") as fh:
@@ -549,6 +554,17 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[dict, list[tupl
             f"checkpoint schema {header.get('schema_version')} unsupported "
             f"(expected {CHECKPOINT_SCHEMA})"
         )
+    try:
+        c = header["config"]
+        cfg = SearchConfig(
+            ring(int(c["d"])), int(c["n"]), c["t"], int(c["max_norm"]), mode=c["mode"],
+            verbose=bool(c["verbose"]), interval_size=int(c["interval_size"]),
+        )
+        # compared as JSON text, so that 2.0 or true does not pass for 2 or 1
+        if json.dumps(_config_echo(cfg), sort_keys=True) != json.dumps(c, sort_keys=True):
+            raise ValueError(f"config {json.dumps(c)} is not a search's")
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path} lacks a usable checkpoint header: {exc}") from exc
     units = []
     for i, line in enumerate(lines[1:], start=2):
         try:
@@ -558,15 +574,18 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[dict, list[tupl
             raise CheckpointError(f"corrupt checkpoint entry at {path}:{i}: {exc}") from exc
     if torn:
         _truncate(path, len(data))
-    return header, units
+    for i, (_, results) in enumerate(units, start=2):
+        _check_rows(cfg, results, f"{path}:{i}")
+    return cfg, units
 
 
 _ROW_KEYS = {"z", "norm", "istar", "hit"}
 _SIGNATURE_KEYS = {"entries", "norm", "value"}
 
 
-def _check_signature(d: int, n: int, row: dict) -> None:
-    """Raise ValueError unless row is a signature record as _signatures_task writes it."""
+def _check_signature(cfg: SearchConfig, row: dict) -> None:
+    """Raise ValueError unless row is a signature record as _signatures_task writes it for cfg.t."""
+    d = cfg.ring.d
     if row.keys() != _SIGNATURE_KEYS:
         raise ValueError(f"a record must have exactly the keys {sorted(_SIGNATURE_KEYS)}")
     last = 1
@@ -585,21 +604,28 @@ def _check_signature(d: int, n: int, row: dict) -> None:
             and alphas[0] >= alphas[-1]
         ):
             raise ValueError(f"entry {[p, kind, alphas]!r} does not have its kind's exponents")
-    sig = Signature.from_entries(d, n, row["entries"])
+    sig = Signature.from_entries(d, cfg.n, row["entries"])
     if type(row["norm"]) is not int or row["norm"] != sig.norm():
         raise ValueError(f"norm {row['norm']!r} is not the norm of the entries")
     if row["value"] != str(sig.value()):
         raise ValueError(f"value {row['value']!r} is not the index of the entries")
+    if row["value"] != str(cfg.t):
+        raise ValueError(f"value {row['value']!r} is not the target {cfg.t}")
 
 
-def _check_rows(r: Ring, mode: str, n: int, rows, where: str) -> None:
-    """Raise CheckpointError unless rows are records as the mode's task writes them."""
+def _check_rows(cfg: SearchConfig, rows, where: str) -> None:
+    """Raise CheckpointError unless rows are records as cfg's search writes them.
+
+    The records of a checkpoint answer its one target: a signature's value
+    is cfg.t, and an elements-mode row is a hit exactly when its istar is.
+    """
     # compiled here, not at import, which every command pays for
     radicand, coeff = re.compile(r"[1-9][0-9]*"), re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+    target = {"1": str(cfg.t)}
     try:
         for row in rows:
-            if mode == "signatures":
-                _check_signature(r.d, n, row)
+            if cfg.mode == "signatures":
+                _check_signature(cfg, row)
                 continue
             if row.keys() != _ROW_KEYS:
                 raise ValueError(f"a record must have exactly the keys {sorted(_ROW_KEYS)}")
@@ -608,32 +634,12 @@ def _check_rows(r: Ring, mode: str, n: int, rows, where: str) -> None:
             for m, c in row["istar"].items():
                 if not (radicand.fullmatch(m) and coeff.fullmatch(c)):
                     raise ValueError(f"istar term {m!r}: {c!r} is not a radicand and a fraction")
-                if row["hit"] and m != "1":
-                    raise ValueError(f"a hit's istar has the irrational term {m!r}: {c!r}")
+            if row["hit"] != (row["istar"] == target):
+                raise ValueError(f"hit {row['hit']} disagrees with istar {row['istar']!r} at target {cfg.t}")
             norm = row["norm"]
-            if type(norm) is not int or norm != r.parse(row["z"], canonical=True).norm():
+            if type(norm) is not int or norm != cfg.ring.parse(row["z"], canonical=True).norm():
                 raise ValueError(f"norm {norm!r} is not the norm of {row['z']}")
     except (AttributeError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
-
-
-def _check_resumed_hits(cfg: SearchConfig, rows, where: str) -> None:
-    """Raise CheckpointError unless checked rows agree with cfg.t, a checkpoint's one target.
-
-    A signature's value must be t; an elements-mode row is a hit exactly when
-    its istar is t, and a hit also passes the oracle here.
-    """
-    t = str(cfg.t)
-    try:
-        for row in rows:
-            if cfg.mode == "signatures":
-                if row["value"] != t:
-                    raise ValueError(f"value {row['value']!r} is not the target {t}")
-            elif row["hit"] != (row["istar"] == {"1": t}):
-                raise ValueError(f"hit {row['hit']} disagrees with istar {row['istar']!r} at target {t}")
-            elif row["hit"]:
-                _verify_hit(cfg.ring.parse(row["z"], canonical=True), cfg.n, cfg.t)
-    except (AssertionError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
 
 
@@ -696,15 +702,22 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
     done: dict[str, list] = {}
     loaded = read_checkpoint(cfg.checkpoint_path, drop_torn=True) if cfg.checkpoint_path else None
     if loaded is not None:
-        header, units = loaded
-        if header.get("config") != _config_echo(cfg):
+        saved, units = loaded
+        if _config_echo(saved) != _config_echo(cfg):
             raise CheckpointError(
                 f"{cfg.checkpoint_path} was written by a different search configuration"
             )
+        # a resumed elements-mode hit enters the program here; signatures are
+        # verified as witness_records materializes them
         for line, (_, results) in enumerate(units, start=2):
-            where = f"{cfg.checkpoint_path}:{line}"
-            _check_rows(cfg.ring, cfg.mode, cfg.n, results, where)
-            _check_resumed_hits(cfg, results, where)
+            for row in results:
+                if cfg.mode == "elements" and row["hit"]:
+                    try:
+                        _verify_hit(cfg.ring.parse(row["z"], canonical=True), cfg.n, cfg.t)
+                    except AssertionError as exc:
+                        raise CheckpointError(
+                            f"corrupt checkpoint record at {cfg.checkpoint_path}:{line}: {exc}"
+                        ) from exc
         done = {json.dumps(task): results for task, results in units}
     pending = [(key, payload) for key, payload in tasks if json.dumps(key) not in done]
     args = [(cfg.mode, payload) for _, payload in pending]
@@ -809,7 +822,7 @@ def run_search(cfg: SearchConfig) -> list[SearchRecord]:
     Signature hits are materialized to every witness element by witness_records.
     """
     if cfg.mode == "elements":
-        return search_elements(cfg)
+        return [SearchRecord.from_json_dict(cfg.ring, row) for row in search_rows(cfg)]
     return witness_records(cfg.ring, cfg.n, search_signatures(cfg))
 
 
@@ -822,11 +835,6 @@ def search_rows(cfg: SearchConfig) -> list[dict]:
     if cfg.mode != "elements":
         return [rec.to_json_dict() for rec in run_search(cfg)]
     return [row for results in _task_results(cfg, _element_tasks(cfg)) for row in results]
-
-
-def search_elements(cfg: SearchConfig) -> list[SearchRecord]:
-    """Element-by-element search; records in (norm, coordinates) order, hits re-verified."""
-    return [SearchRecord.from_json_dict(cfg.ring, row) for row in search_rows(cfg)]
 
 
 def records_to_json_lines(records: list[SearchRecord]) -> list[str]:

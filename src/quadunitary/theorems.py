@@ -6,8 +6,11 @@ violation found.  An honest run has zero violations; the checkers themselves
 are exercised against fabricated bad inputs in the test suite.  Checks can
 consume persisted search checkpoints so that expensive discovery and cheap
 verification stay separate, or discover their own hit population through the
-signature search.  Signatures become hits through search.witness_records, which
-checks each witness with the oracle; elements-mode hits read back are trusted.
+signature search.  A checkpoint's records are held to the search that wrote
+it, target included, by search.read_checkpoint.  Signatures become hits
+through search.witness_records, which checks each witness with the oracle;
+elements-mode hits read back are trusted: they are not run through the oracle
+again.
 
 Check ids (CLI surface):
 
@@ -36,9 +39,7 @@ from .primes import prime_above
 from .rings import DomainError, K, QInt, Ring, canonical_associate, format_element, ring
 from .search import (
     CheckpointError,
-    SearchRecord,
     Signature,
-    _check_rows,
     _sector_points,
     read_checkpoint,
     signature_hits_multi,
@@ -132,30 +133,26 @@ def discover_hits(
 
 
 def load_hits(path: str, r: Ring) -> list[Hit]:
-    """Read hits back from a search checkpoint file (either mode)."""
+    """The hits of a search checkpoint (either mode), sorted by (norm, a, b).
+
+    search.read_checkpoint holds every record to the search that wrote the
+    file, its target included.  Signatures become hits through
+    witness_records; elements-mode hits are taken as read.
+    """
     loaded = read_checkpoint(path)
     if loaded is None:
         raise CheckpointError(f"{path} is missing or empty")
-    header, units = loaded
-    try:
-        cfg = header["config"]
-        mode = cfg["mode"]
-        n = cfg["n"]
-        d = cfg["d"]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path} lacks a usable checkpoint header: {exc}") from exc
-    if d != r.d:
-        raise DomainError(f"checkpoint was searched in d={d}, not d={r.d}")
-    sigs, records = [], []
-    for i, (_, results) in enumerate(units, start=2):
-        _check_rows(r, mode, n, results, f"{path}:{i}")
-        if mode == "signatures":
-            sigs += [Signature.from_entries(d, n, item["entries"]) for item in results]
-        else:
-            records += [SearchRecord.from_json_dict(r, item) for item in results if item["hit"]]
-    records += witness_records(r, n, sigs)
-    records.sort(key=lambda rec: (rec.norm, rec.z.a, rec.z.b))
-    return [Hit(n, rec.value.as_fraction(), rec.z) for rec in records]
+    cfg, units = loaded
+    if cfg.ring != r:
+        raise DomainError(f"checkpoint was searched in d={cfg.ring.d}, not d={r.d}")
+    rows = [row for _, results in units for row in results]
+    if cfg.mode == "signatures":
+        sigs = [Signature.from_entries(r.d, cfg.n, row["entries"]) for row in rows]
+        zs = [rec.z for rec in witness_records(r, cfg.n, sigs)]
+    else:
+        zs = sorted((r.parse(row["z"], canonical=True) for row in rows if row["hit"]),
+                    key=lambda z: (z.norm(), z.a, z.b))
+    return [Hit(cfg.n, cfg.t, z) for z in zs]
 
 
 def _entry_norm(e: FactorEntry) -> int:
@@ -497,6 +494,10 @@ def run_check(
     """Dispatch one named check with per-check defaults filled in."""
     if check_id not in CHECK_IDS:
         raise DomainError(f"unknown check {check_id!r}; choose from {', '.join(CHECK_IDS)}")
+    if hits_path is not None and check_id not in ("thm2.2", "thm2.3", "thm2.5"):
+        raise DomainError(f"{check_id} does not read hits; only thm2.2, thm2.3 and thm2.5 do")
+    if target is not None and check_id != "thm2.6":
+        raise DomainError(f"{check_id} takes no target; only thm2.6 does")
     bound = max_norm if max_norm is not None else _DEFAULT_BOUNDS.get(check_id, 10_000)
     if check_id == "zeta":
         return check_zeta()

@@ -124,14 +124,6 @@ def i_star(z: QInt, n: int, factorization: Factorization | None = None) -> Radic
     return RadicalValue.from_numerators(*_index_numerators(fac.rows, -n))
 
 
-def i_star_is_rational(z: QInt, n: int, factorization: Factorization | None = None) -> bool:
-    """True iff every prime of z with irrational |pi| has alpha * n even."""
-    fac = factorization or factor_element(z)
-    return all(
-        e.kind == "inert" or (e.exponent * n) % 2 == 0 for e in fac.entries
-    )
-
-
 # ---------------------------------------------------------------------------
 # sum-over-divisors oracle
 

@@ -294,7 +294,8 @@ def test_resumed_hit_that_fails_the_oracle_exits_2(tmp_path, capsys):
 
 def test_resumed_records_must_agree_with_the_target(tmp_path, capsys):
     # a checkpointed search has one target: a hit with another value, or a
-    # row whose hit flag disagrees with its istar, is corrupt
+    # row whose hit flag disagrees with its istar, is corrupt, to a resumed
+    # search and to verify --hits alike
     cases = {
         "hit off target": ("elements", {"z": "3+9*w", "norm": 90, "istar": {"1": "3"}, "hit": True}),
         "unflagged hit": ("elements", {"z": "3+9*w", "norm": 90, "istar": {"1": "2"}, "hit": False}),
@@ -314,9 +315,36 @@ def test_resumed_records_must_agree_with_the_target(tmp_path, capsys):
         unit = json.loads(first)
         unit["results"] = [record]
         path.write_text(header + "\n" + json.dumps(unit) + "\n")
-        code, out, err = run_cli(capsys, *args)
-        assert (code, out) == (2, ""), name
-        assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), name
+        verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
+        for argv in (args, verify):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (name, argv[0])
+            assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), (name, argv[0])
+
+
+def test_checkpoint_header_must_be_a_search_config(tmp_path, capsys):
+    # the header's config must re-encode to itself: "4/2" is not how a search
+    # writes its target, and every search writes its interval size
+    path = tmp_path / "cp.jsonl"
+    args = (
+        "search", "--ring", "-1", "--power", "2", "--target", "2",
+        "--max-norm", "1000", "--quiet", "--checkpoint", str(path),
+    )
+    assert run_cli(capsys, *args)[0] == 0
+    header, *units = path.read_text().splitlines()
+    cases = {
+        "non-canonical target": lambda config: config.update(t="4/2"),
+        "missing interval size": lambda config: config.pop("interval_size"),
+    }
+    verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
+    for name, corrupt in cases.items():
+        doc = json.loads(header)
+        corrupt(doc["config"])
+        path.write_text("\n".join([json.dumps(doc), *units]) + "\n")
+        for argv in (args, verify):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (name, argv[0])
+            assert err.startswith("error: "), (name, argv[0])
 
 
 def test_closed_stdout_exits_without_traceback():
@@ -517,6 +545,13 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     for check in ("thm2.4", "thm2.6"):
         code, _, err = run_cli(capsys, "verify", check, "--max-norm", "-5")
         assert code == 2 and "must be at least 1" in err
+    # an option the check does not read is refused, not ignored
+    for check in ("thm2.4", "thm2.6", "zeta"):
+        code, out, err = run_cli(capsys, "verify", check, "--hits", str(tmp_path / "missing.jsonl"))
+        assert (code, out) == (2, "") and "does not read hits" in err, check
+    for check in ("thm2.2", "thm2.3", "thm2.4", "thm2.5", "zeta"):
+        code, out, err = run_cli(capsys, "verify", check, "--target", "3")
+        assert (code, out) == (2, "") and "takes no target" in err, check
 
 
 # One small invocation per subcommand; cli_golden.json holds the exit code,

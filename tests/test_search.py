@@ -27,7 +27,6 @@ from quadunitary.search import (
     iter_sector_elements,
     records_to_json_lines,
     run_search,
-    search_elements,
     search_signatures,
     signature_hits_multi,
 )
@@ -179,7 +178,7 @@ def test_null_search_is_empty():
 def test_verbose_elements_covers_range():
     r = ring(-2)
     cfg = SearchConfig(r, 1, Fraction(2), 60, verbose=True)
-    records = search_elements(cfg)
+    records = run_search(cfg)
     assert len(records) == len(_interval_points(r, 2, 60))
     for rec in records:
         assert rec.is_hit == (rec.value == 2)

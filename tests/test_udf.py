@@ -15,7 +15,6 @@ from quadunitary.udf import (
     delta_star,
     delta_star_oracle,
     i_star,
-    i_star_is_rational,
     sigma_star_int,
     sigma_star_range,
     unitary_divisors,
@@ -192,14 +191,15 @@ def test_rationality_predicate():
         z = r.element(rng.randint(-25, 25), rng.randint(-25, 25))
         if z.is_zero:
             continue
-        assert i_star_is_rational(z, 2)
         assert i_star(z, 2).is_rational
         fac = factor_element(z)
         for n in (1, 3):
-            assert i_star_is_rational(z, n, fac) == i_star(z, n, fac).is_rational
-    assert not i_star_is_rational(r.element(1, 1), 1)
-    assert i_star_is_rational(r.element(2), 1)  # (1+i)**2: exponent 2 even
-    assert i_star_is_rational(r.element(3), 1)
+            # the parity criterion: every prime with irrational |pi| has alpha * n even
+            parity = all(e.kind == "inert" or (e.exponent * n) % 2 == 0 for e in fac.entries)
+            assert i_star(z, n, fac).is_rational == parity
+    assert not i_star(r.element(1, 1), 1).is_rational
+    assert i_star(r.element(2), 1).is_rational  # (1+i)**2: exponent 2 even
+    assert i_star(r.element(3), 1).is_rational
 
 
 def naive_sigma_star(n, k=1):
