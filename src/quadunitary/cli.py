@@ -184,7 +184,7 @@ def _cmd_value(fn, name: str, args) -> int:
 def _cmd_divisors(args) -> int:
     r = ring(args.ring)
     z = parse_element(r, args.element)
-    divisors = unitary_divisors(z).sorted_list()
+    divisors = unitary_divisors(z)
     _emit(
         args.format,
         json=lambda: [{
@@ -329,7 +329,6 @@ def _add_common(sub, ring_required: bool = True) -> None:
         "--format", choices=("json", "csv", "text"), default="text",
         help="output format (default: text)",
     )
-    sub.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
 
 
 def build_parser() -> _Parser:
@@ -355,13 +354,13 @@ def build_parser() -> _Parser:
     p = subs.add_parser("delta", help="evaluate the unitary divisor power sum delta_star")
     _add_common(p)
     p.add_argument("--element", required=True)
-    p.add_argument("--power", type=int, required=True, help="power n (any nonzero integer)")
+    p.add_argument("--power", type=int, required=True, help="power n (any integer)")
     p.set_defaults(func=partial(_cmd_value, delta_star, "delta_star"))
 
     p = subs.add_parser("istar", help="evaluate the normalized index i_star")
     _add_common(p)
     p.add_argument("--element", required=True)
-    p.add_argument("--power", type=int, required=True)
+    p.add_argument("--power", type=int, required=True, help="power n (any integer)")
     p.set_defaults(func=partial(_cmd_value, i_star, "i_star"))
 
     p = subs.add_parser("divisors", help="list the unitary divisors of an element")
@@ -378,19 +377,20 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--checkpoint", help="JSON-lines checkpoint path for resumable runs")
     p.add_argument("--verbose", action="store_true", help="emit non-hits too (elements mode)")
+    p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
     p.set_defaults(func=_cmd_search)
 
     p = subs.add_parser("verify", help="run one theorem check and report violations")
     p.add_argument("check", choices=CHECK_IDS, help="which check to run")
     p.add_argument(
         "--ring", type=_ring_type, default=None,
-        help="ring discriminant d (checks with a fixed or global ring ignore this)",
+        help="ring discriminant d for thm2.2 and thm2.5 (default -1); thm2.3 takes only -1, thm2.4 only -3",
     )
     _add_common(p, ring_required=False)
-    p.add_argument("--max-norm", type=int, default=None, help="population bound (per-check default)")
+    p.add_argument("--max-norm", type=int, default=None, help="population bound (per-check default; not with --hits)")
     p.add_argument("--hits", help="search checkpoint whose hits thm2.2, thm2.3 or thm2.5 check instead of searching")
     p.add_argument("--target", type=_fraction_type, default=None, help="perfectness ratio b for thm2.6")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=None, help="worker processes for thm2.2, thm2.3 and thm2.5")
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("gmap", help="lift a positive integer into the sector, preserving absolute value")

@@ -147,10 +147,10 @@ class RadicalValue:
         """Float approximation, for display only."""
         return float(sum(float(c) * isqrt(m * 10**24) / 10**12 for m, c in self._terms.items()))
 
-    def bounds(self, scale_bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Certified rational bounds lo <= value <= hi via integer square roots."""
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """Certified rational bounds lo <= value <= hi via integer square roots, to 2**-64."""
         lo = hi = Fraction(0)
-        unit = 1 << scale_bits
+        unit = 1 << 64
         for m, c in self._terms.items():
             r = isqrt(m * unit * unit)
             root_lo = Fraction(r, unit)

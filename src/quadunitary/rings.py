@@ -66,9 +66,9 @@ class Ring:
     def units(self) -> tuple["QInt", ...]:
         return _units(self.d)
 
-    def parse(self, text: str, canonical: bool = False) -> "QInt":
-        """parse_element, or with canonical only format_element's own output."""
-        return parse_formatted(self, text) if canonical else parse_element(self, text)
+    def parse(self, text: str) -> "QInt":
+        """format_element's own output, read back; user syntax goes through parse_element."""
+        return parse_formatted(self, text)
 
     def from_rational_parts(self, x: Fraction, y: Fraction) -> "QInt":
         """Build the element x + y*sqrt(d) from rational parts, or fail."""

@@ -58,7 +58,7 @@ from .factoring import index_rows
 from .primes import is_prime, prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, Ring, canonical_associate, format_element, ring
-from .udf import _index_numerators, delta_star_oracle, i_star
+from .udf import _WINDOW, _index_numerators, delta_star_oracle, i_star
 
 CHECKPOINT_SCHEMA = 1
 
@@ -85,7 +85,6 @@ class SearchConfig:
     jobs: int = 1
     checkpoint_path: str | None = None
     verbose: bool = False
-    interval_size: int = 1 << 16
 
     def __post_init__(self) -> None:
         self.t = Fraction(self.t)
@@ -99,8 +98,6 @@ class SearchConfig:
             raise DomainError("max_norm must be at least 2")
         if self.jobs < 1:
             raise DomainError("jobs must be at least 1")
-        if self.interval_size < 1:
-            raise DomainError("interval_size must be at least 1")
         if self.verbose and self.mode == "signatures":
             raise DomainError("verbose output lists non-hits, which only elements mode visits")
 
@@ -123,7 +120,7 @@ class SearchRecord:
     @classmethod
     def from_json_dict(cls, r: Ring, data: dict) -> SearchRecord:
         value = RadicalValue.from_json_terms(data["istar"])
-        return cls(r.parse(data["z"], canonical=True), data["norm"], value, data["hit"])
+        return cls(r.parse(data["z"]), data["norm"], value, data["hit"])
 
 
 @dataclass(frozen=True)
@@ -228,23 +225,21 @@ def _interval_points(r: Ring, lo: int, hi: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _sector_points(r: Ring, lo: int, hi: int, chunk: int = 1 << 16):
+def _sector_points(r: Ring, lo: int, hi: int):
     """Yield (norm, a, b) for every sector element with lo <= norm <= hi, sorted.
 
-    Built one window of chunk norms at a time, so memory stays bounded.
+    Built one window of _WINDOW norms at a time, so memory stays bounded.
     """
-    if chunk < 1:
-        raise DomainError("chunk must be at least 1")
     start = max(lo, 1)
     while start <= hi:
-        end = min(start + chunk - 1, hi)
+        end = min(start + _WINDOW - 1, hi)
         yield from _interval_points(r, start, end)
         start = end + 1
 
 
-def iter_sector_elements(r: Ring, lo: int, hi: int, chunk: int = 1 << 16):
+def iter_sector_elements(r: Ring, lo: int, hi: int):
     """Yield (norm, z) for every sector element with lo <= norm(z) <= hi, sorted."""
-    for norm, a, b in _sector_points(r, lo, hi, chunk):
+    for norm, a, b in _sector_points(r, lo, hi):
         yield norm, QInt(r, a, b)
 
 
@@ -490,7 +485,7 @@ def _config_echo(cfg: SearchConfig) -> dict:
         "max_norm": cfg.max_norm,
         "mode": cfg.mode,
         "verbose": cfg.verbose,
-        "interval_size": cfg.interval_size,
+        "interval_size": _WINDOW,  # the norms per elements-mode unit
     }
 
 
@@ -558,7 +553,7 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, l
         c = header["config"]
         cfg = SearchConfig(
             ring(int(c["d"])), int(c["n"]), c["t"], int(c["max_norm"]), mode=c["mode"],
-            verbose=bool(c["verbose"]), interval_size=int(c["interval_size"]),
+            verbose=bool(c["verbose"]),
         )
         # compared as JSON text, so that 2.0 or true does not pass for 2 or 1
         if json.dumps(_config_echo(cfg), sort_keys=True) != json.dumps(c, sort_keys=True):
@@ -637,7 +632,7 @@ def _check_rows(cfg: SearchConfig, rows, where: str) -> None:
             if row["hit"] != (row["istar"] == target):
                 raise ValueError(f"hit {row['hit']} disagrees with istar {row['istar']!r} at target {cfg.t}")
             norm = row["norm"]
-            if type(norm) is not int or norm != cfg.ring.parse(row["z"], canonical=True).norm():
+            if type(norm) is not int or norm != cfg.ring.parse(row["z"]).norm():
                 raise ValueError(f"norm {norm!r} is not the norm of {row['z']}")
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
@@ -713,7 +708,7 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
             for row in results:
                 if cfg.mode == "elements" and row["hit"]:
                     try:
-                        _verify_hit(cfg.ring.parse(row["z"], canonical=True), cfg.n, cfg.t)
+                        _verify_hit(cfg.ring.parse(row["z"]), cfg.n, cfg.t)
                     except AssertionError as exc:
                         raise CheckpointError(
                             f"corrupt checkpoint record at {cfg.checkpoint_path}:{line}: {exc}"
@@ -741,7 +736,7 @@ def _element_tasks(cfg: SearchConfig) -> list[tuple[list, tuple]]:
     tasks = []
     lo = 2
     while lo <= cfg.max_norm:
-        hi = min(lo + cfg.interval_size - 1, cfg.max_norm)
+        hi = min(lo + _WINDOW - 1, cfg.max_norm)
         payload = (cfg.ring.d, cfg.n, str(cfg.t), lo, hi, cfg.verbose)
         tasks.append(([lo, hi], payload))
         lo = hi + 1

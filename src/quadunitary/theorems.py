@@ -39,17 +39,18 @@ from .primes import prime_above
 from .rings import DomainError, K, QInt, Ring, canonical_associate, format_element, ring
 from .search import (
     CheckpointError,
+    SearchConfig,
     Signature,
     _sector_points,
     read_checkpoint,
     signature_hits_multi,
     witness_records,
 )
-from .udf import _index_numerators, i_star, sigma_star_range, zeta_bound_check
+from .udf import _ZETA_TERMS, _index_numerators, i_star, sigma_star_range, zeta_bound_check
 
 REPORT_SCHEMA = 1
 
-_DEFAULT_TARGETS = (2, 3, 4, 5, 6)
+_TARGETS = (2, 3, 4, 5, 6)  # the integer t of the discovered thm2.2 and thm2.3 populations
 
 
 @dataclass
@@ -132,12 +133,12 @@ def discover_hits(
     return hits
 
 
-def load_hits(path: str, r: Ring) -> list[Hit]:
-    """The hits of a search checkpoint (either mode), sorted by (norm, a, b).
+def load_hits(path: str, r: Ring) -> tuple[SearchConfig, list[Hit]]:
+    """The search that wrote a checkpoint (either mode), and its hits sorted by (norm, a, b).
 
-    search.read_checkpoint holds every record to the search that wrote the
-    file, its target included.  Signatures become hits through
-    witness_records; elements-mode hits are taken as read.
+    search.read_checkpoint holds every record to that search, its target
+    included.  Signatures become hits through witness_records; elements-mode
+    hits are taken as read.
     """
     loaded = read_checkpoint(path)
     if loaded is None:
@@ -150,9 +151,9 @@ def load_hits(path: str, r: Ring) -> list[Hit]:
         sigs = [Signature.from_entries(r.d, cfg.n, row["entries"]) for row in rows]
         zs = [rec.z for rec in witness_records(r, cfg.n, sigs)]
     else:
-        zs = sorted((r.parse(row["z"], canonical=True) for row in rows if row["hit"]),
+        zs = sorted((r.parse(row["z"]) for row in rows if row["hit"]),
                     key=lambda z: (z.norm(), z.a, z.b))
-    return [Hit(cfg.n, cfg.t, z) for z in zs]
+    return cfg, [Hit(cfg.n, cfg.t, z) for z in zs]
 
 
 def _entry_norm(e: FactorEntry) -> int:
@@ -169,8 +170,6 @@ def _hit_json(h: Hit) -> dict:
 def check_thm_2_2(
     r: Ring,
     max_norm: int = 10_000,
-    n_values=(1, 2),
-    targets=_DEFAULT_TARGETS,
     hits: list[Hit] | None = None,
     jobs: int = 1,
 ) -> TheoremReport:
@@ -179,10 +178,10 @@ def check_thm_2_2(
         "thm2.2",
         "every element with i_star(z, n) = t for n in {1, 2} and integer t >= 2 has even norm",
         r.d,
-        {"max_norm": max_norm, "n": sorted(n_values), "t": sorted(targets)},
+        {"max_norm": max_norm, "n": [1, 2], "t": list(_TARGETS)},
     )
     if hits is None:
-        hits = discover_hits(r, n_values, targets, max_norm, jobs=jobs)
+        hits = discover_hits(r, (1, 2), _TARGETS, max_norm, jobs=jobs)
         report.notes.append("population discovered by signature search")
     skipped = 0
     for h in hits:
@@ -203,7 +202,6 @@ def check_thm_2_2(
 
 def check_thm_2_3(
     max_norm: int = 10_000,
-    targets=_DEFAULT_TARGETS,
     hits: list[Hit] | None = None,
     jobs: int = 1,
 ) -> TheoremReport:
@@ -218,14 +216,14 @@ def check_thm_2_3(
         "for i_star(z, 2) = t in d=-1, z = (1+i)^gamma * x with odd-norm x, "
         "and x has exactly gamma + v2(t) nonassociated prime divisors",
         r.d,
-        {"max_norm": max_norm, "n": [2], "t": sorted(targets)},
+        {"max_norm": max_norm, "n": [2], "t": list(_TARGETS)},
     )
     report.notes.append(
         "gamma counts powers of 1+i; the power-of-two exponent of z is gamma/2 "
         "when gamma is even, and both normalizations appear in each witness"
     )
     if hits is None:
-        hits = discover_hits(r, (2,), targets, max_norm, jobs=jobs)
+        hits = discover_hits(r, (2,), _TARGETS, max_norm, jobs=jobs)
         report.notes.append("population discovered by signature search")
     skipped = 0
     for h in hits:
@@ -397,11 +395,7 @@ def g_map(n: int, r: Ring) -> QInt:
     return canonical_associate(z)[0]
 
 
-def check_thm_2_6(
-    b: Fraction = Fraction(2),
-    bound: int = 100_000,
-    ring_ds=K,
-) -> TheoremReport:
+def check_thm_2_6(b: Fraction = Fraction(2), bound: int = 100_000) -> TheoremReport:
     """Integer unitary-b-perfect numbers inject into every ring with i_star 1 = b."""
     b = Fraction(b)
     if b <= 1:
@@ -413,14 +407,14 @@ def check_thm_2_6(
         "each integer n <= bound with sigma_star(n) = b*n maps to a sector element "
         "g(n) with |g(n)| = n and i_star(g(n), 1) = b, injectively, in every ring",
         None,
-        {"b": str(b), "bound": bound, "rings": sorted(ring_ds)},
+        {"b": str(b), "bound": bound, "rings": sorted(K)},
     )
     members = [
         n for n, sigma in sigma_star_range(bound)
         if sigma * b.denominator == b.numerator * n
     ]
     report.witnesses.append({"members": members})
-    for d in sorted(ring_ds):
+    for d in sorted(K):
         r = ring(d)
         images: list[QInt] = []
         for n in members:
@@ -448,16 +442,16 @@ def check_thm_2_6(
     return report
 
 
-def check_zeta(terms: int = 4000) -> TheoremReport:
+def check_zeta() -> TheoremReport:
     """Certify the four zeta-ratio constants strictly below 2 by interval arithmetic."""
     report = TheoremReport(
         "zeta",
         "the four zeta-ratio constants that cap i_star for powers n >= 3 are "
         "strictly below 2, with certified interval width under 1e-3",
         None,
-        {"terms": terms, "width_limit": "1/1000"},
+        {"terms": _ZETA_TERMS, "width_limit": "1/1000"},
     )
-    for check in zeta_bound_check(terms):
+    for check in zeta_bound_check():
         report.checked += 1
         data = check.to_json_dict()
         if not check.passed:
@@ -472,15 +466,18 @@ def check_zeta(terms: int = 4000) -> TheoremReport:
 # ---------------------------------------------------------------------------
 # CLI dispatch
 
-CHECK_IDS = ("thm2.2", "thm2.3", "thm2.4", "thm2.5", "thm2.6", "zeta")
-
-_DEFAULT_BOUNDS = {
-    "thm2.2": 10_000,
-    "thm2.3": 10_000,
-    "thm2.4": 10_000,
-    "thm2.5": 10_000,
-    "thm2.6": 100_000,
+# the options each check reads; run_check refuses any other that is given
+_READS = {
+    "thm2.2": ("ring", "max-norm", "hits", "jobs"),
+    "thm2.3": ("ring", "max-norm", "hits", "jobs"),
+    "thm2.4": ("ring", "max-norm"),
+    "thm2.5": ("ring", "max-norm", "hits", "jobs"),
+    "thm2.6": ("max-norm", "target"),
+    "zeta": (),
 }
+CHECK_IDS = tuple(_READS)
+
+_FIXED_RING = {"thm2.3": -1, "thm2.4": -3}
 
 
 def run_check(
@@ -489,31 +486,45 @@ def run_check(
     max_norm: int | None = None,
     hits_path: str | None = None,
     target: Fraction | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> TheoremReport:
-    """Dispatch one named check with per-check defaults filled in."""
-    if check_id not in CHECK_IDS:
+    """Dispatch one named check with per-check defaults filled in.
+
+    An option given to a check that does not read it (_READS) is a
+    DomainError.  With hits_path nothing is discovered, so max_norm and jobs
+    are not read, and the report's population is the checkpoint's search.
+    """
+    if check_id not in _READS:
         raise DomainError(f"unknown check {check_id!r}; choose from {', '.join(CHECK_IDS)}")
-    if hits_path is not None and check_id not in ("thm2.2", "thm2.3", "thm2.5"):
-        raise DomainError(f"{check_id} does not read hits; only thm2.2, thm2.3 and thm2.5 do")
-    if target is not None and check_id != "thm2.6":
-        raise DomainError(f"{check_id} takes no target; only thm2.6 does")
-    bound = max_norm if max_norm is not None else _DEFAULT_BOUNDS.get(check_id, 10_000)
+    reads = _READS[check_id]
+    context = check_id
+    if hits_path is not None and "hits" in reads:
+        reads, context = ("ring", "hits"), f"{check_id} with --hits"
+    given = {"ring": ring_d, "max-norm": max_norm, "hits": hits_path, "target": target, "jobs": jobs}
+    for option, value in given.items():
+        if value is not None and option not in reads:
+            raise DomainError(f"{context} does not read --{option}")
+    fixed = _FIXED_RING.get(check_id)
+    if fixed is not None and ring_d not in (None, fixed):
+        raise DomainError(f"this check is specific to d={fixed}")
     if check_id == "zeta":
         return check_zeta()
     if check_id == "thm2.6":
-        return check_thm_2_6(target if target is not None else Fraction(2), bound)
-    if check_id == "thm2.3":
-        if ring_d is not None and ring_d != -1:
-            raise DomainError("this check is specific to d=-1")
-        hits = load_hits(hits_path, ring(-1)) if hits_path else None
-        return check_thm_2_3(bound, hits=hits, jobs=jobs)
+        bound = 100_000 if max_norm is None else max_norm
+        return check_thm_2_6(Fraction(2) if target is None else target, bound)
+    bound = 10_000 if max_norm is None else max_norm
     if check_id == "thm2.4":
-        if ring_d is not None and ring_d != -3:
-            raise DomainError("this check is specific to d=-3")
         return check_thm_2_4(bound)
-    r = ring(ring_d if ring_d is not None else -1)
-    hits = load_hits(hits_path, r) if hits_path else None
+    r = ring(fixed or ring_d or -1)
+    cfg, hits = load_hits(hits_path, r) if hits_path is not None else (None, None)
+    jobs = 1 if jobs is None else jobs
     if check_id == "thm2.2":
-        return check_thm_2_2(r, bound, hits=hits, jobs=jobs)
-    return check_thm_2_5(r, bound, hits=hits, jobs=jobs)
+        report = check_thm_2_2(r, bound, hits=hits, jobs=jobs)
+    elif check_id == "thm2.3":
+        report = check_thm_2_3(bound, hits=hits, jobs=jobs)
+    else:
+        report = check_thm_2_5(r, bound, hits=hits, jobs=jobs)
+    if cfg is not None:
+        t = cfg.t.numerator if cfg.t.denominator == 1 else str(cfg.t)
+        report.population = {"max_norm": cfg.max_norm, "n": [cfg.n], "t": [t]}
+    return report

@@ -25,35 +25,19 @@ from .rings import DomainError, QInt, canonical_associate
 # unitary divisors
 
 
-class UnitaryDivisorSet:
-    """The 2**r unitary divisors of z, enumerable lazily in subset order."""
-
-    def __init__(self, z: QInt, factorization: Factorization | None = None):
-        if z.is_zero:
-            raise DomainError("zero has no unitary divisors")
-        self.z = z
-        self.factorization = factorization or factor_element(z)
-
-    def __len__(self) -> int:
-        return 1 << len(self.factorization.entries)
-
-    def __iter__(self):
-        entries = self.factorization.entries
-        ring = self.z.ring
-        powers = [e.prime**e.exponent for e in entries]
-        for mask in range(1 << len(entries)):
-            x = ring.one()
-            for j, pw in enumerate(powers):
-                if mask >> j & 1:
-                    x = x * pw
-            yield canonical_associate(x)[0]
-
-    def sorted_list(self) -> list[QInt]:
-        return sorted(self, key=lambda x: (x.norm(), x.a, x.b))
-
-
-def unitary_divisors(z: QInt, factorization: Factorization | None = None) -> UnitaryDivisorSet:
-    return UnitaryDivisorSet(z, factorization)
+def unitary_divisors(z: QInt) -> list[QInt]:
+    """The 2**r unitary divisors of z, one per subset of its prime powers, sorted by (norm, a, b)."""
+    if z.is_zero:
+        raise DomainError("zero has no unitary divisors")
+    powers = [e.prime**e.exponent for e in factor_element(z).entries]
+    out = []
+    for mask in range(1 << len(powers)):
+        x = z.ring.one()
+        for j, pw in enumerate(powers):
+            if mask >> j & 1:
+                x = x * pw
+        out.append(canonical_associate(x)[0])
+    return sorted(out, key=lambda x: (x.norm(), x.a, x.b))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +162,7 @@ def sigma_star_int(n: int, k: int = 1) -> int | Fraction:
     return result if k >= 0 else Fraction(result, n ** -k)
 
 
-_WINDOW = 1 << 16
+_WINDOW = 1 << 16  # integers per sieve window here, norms per unit in search
 
 
 def sigma_star_range(bound: int):
@@ -214,32 +198,33 @@ def sigma_star_range(bound: int):
 # certified zeta-ratio bounds
 
 _SCALE = 10**18
+_ZETA_TERMS = 4000  # terms in each partial sum
 
 
-def _zeta_scaled(s2: int, terms: int) -> tuple[int, int]:
+def _zeta_scaled(s2: int) -> tuple[int, int]:
     """Scaled-integer bracket for zeta(s2/2): returns (lo, hi) at _SCALE.
 
-    Partial sum with per-term integer-sqrt brackets plus integral tail bounds
-    M**(1-s)/(s-1) on both sides.  Requires s2 > 2.
+    Partial sum of _ZETA_TERMS terms with per-term integer-sqrt brackets plus
+    integral tail bounds M**(1-s)/(s-1) on both sides.  Requires s2 > 2.
     """
     lo = hi = 0
     scale_sq = _SCALE * _SCALE
-    for k in range(1, terms + 1):
+    for k in range(1, _ZETA_TERMS + 1):
         # k**(-s2/2) = _SCALE**2 / sqrt(k**s2 * _SCALE**2), root at full scale
         r = isqrt(k**s2 * scale_sq)
         lo += scale_sq // (r + 1)
         hi += scale_sq // r + 1
-    # tail between integral bounds from terms+1 and terms
+    # tail between integral bounds from _ZETA_TERMS + 1 and _ZETA_TERMS
     s2m2 = s2 - 2
-    r_hi = isqrt(terms**s2m2 * scale_sq)
-    r_lo = isqrt((terms + 1) ** s2m2 * scale_sq)
+    r_hi = isqrt(_ZETA_TERMS**s2m2 * scale_sq)
+    r_lo = isqrt((_ZETA_TERMS + 1) ** s2m2 * scale_sq)
     hi += 2 * scale_sq // (s2m2 * r_hi) + 1
     lo += 2 * scale_sq // (s2m2 * (r_lo + 1))
     return lo, hi
 
 
-def _interval(s2: int, terms: int = 4000) -> tuple[Fraction, Fraction]:
-    lo, hi = _zeta_scaled(s2, terms)
+def _interval(s2: int) -> tuple[Fraction, Fraction]:
+    lo, hi = _zeta_scaled(s2)
     return Fraction(lo, _SCALE), Fraction(hi, _SCALE)
 
 
@@ -270,7 +255,7 @@ class ZetaCheck:
         }
 
 
-def zeta_bound_check(terms: int = 4000) -> list[ZetaCheck]:
+def zeta_bound_check() -> list[ZetaCheck]:
     """Certify the four zeta-ratio constants below 2 with rigorous intervals.
 
     The constants bound i_star indices: (zeta(5/2)/zeta(5))**2 covers n >= 5,
@@ -278,12 +263,12 @@ def zeta_bound_check(terms: int = 4000) -> list[ZetaCheck]:
     (41/50)(zeta(2)/zeta(4))**2 covers n = 4 at d = -7, and
     (zeta(3)/zeta(6))**2 covers rational values at odd n >= 3.
     """
-    z52 = _interval(5, terms)
-    z5 = _interval(10, terms)
-    z2 = _interval(4, terms)
-    z4 = _interval(8, terms)
-    z3 = _interval(6, terms)
-    z6 = _interval(12, terms)
+    z52 = _interval(5)
+    z5 = _interval(10)
+    z2 = _interval(4)
+    z4 = _interval(8)
+    z3 = _interval(6)
+    z6 = _interval(12)
 
     def ratio_sq(num, den, scale: Fraction) -> tuple[Fraction, Fraction]:
         lo = scale * (num[0] / den[1]) ** 2

@@ -13,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
+from quadunitary import search
 from quadunitary.factoring import coprime, factor_element
 from quadunitary.radicals import RadicalValue
 from quadunitary.rings import K, ring
@@ -168,12 +169,11 @@ def test_criterion_09_cross_mode_consistency():
     print("criterion 9: PASS (hit sets agree exactly for d=-1 n=2 and d=-3 n=1)")
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_WINDOW", 1024)
+
     def lines_for(jobs, checkpoint=None):
-        cfg = SearchConfig(
-            ring(-1), 2, Fraction(2), 10**4,
-            interval_size=1024, jobs=jobs, checkpoint_path=checkpoint,
-        )
+        cfg = SearchConfig(ring(-1), 2, Fraction(2), 10**4, jobs=jobs, checkpoint_path=checkpoint)
         return records_to_json_lines(run_search(cfg))
 
     base = lines_for(1)

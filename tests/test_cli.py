@@ -548,10 +548,95 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     # an option the check does not read is refused, not ignored
     for check in ("thm2.4", "thm2.6", "zeta"):
         code, out, err = run_cli(capsys, "verify", check, "--hits", str(tmp_path / "missing.jsonl"))
-        assert (code, out) == (2, "") and "does not read hits" in err, check
+        assert (code, out) == (2, "") and f"{check} does not read --hits" in err, check
     for check in ("thm2.2", "thm2.3", "thm2.4", "thm2.5", "zeta"):
         code, out, err = run_cli(capsys, "verify", check, "--target", "3")
-        assert (code, out) == (2, "") and "takes no target" in err, check
+        assert (code, out) == (2, "") and f"{check} does not read --target" in err, check
+
+
+@pytest.fixture(scope="module")
+def hits_checkpoint(tmp_path_factory):
+    # a signatures search at d = -1, n = 2, t = 2 whose population is not the default one
+    path = tmp_path_factory.mktemp("hits") / "cp.jsonl"
+    code = main([
+        "search", "--ring", "-1", "--power", "2", "--target", "2", "--max-norm", "200000",
+        "--mode", "signatures", "--quiet", "--checkpoint", str(path),
+    ])
+    assert code == 0
+    return str(path)
+
+
+# the options verify reads per check; every other pair must be refused
+_VERIFY_READS = {
+    "thm2.2": {"--ring", "--max-norm", "--hits", "--jobs"},
+    "thm2.3": {"--ring", "--max-norm", "--hits", "--jobs"},
+    "thm2.4": {"--ring", "--max-norm"},
+    "thm2.5": {"--ring", "--max-norm", "--hits", "--jobs"},
+    "thm2.6": {"--max-norm", "--target"},
+    "zeta": set(),
+}
+
+
+@pytest.mark.parametrize("option", ["--ring", "--max-norm", "--hits", "--target", "--jobs"])
+@pytest.mark.parametrize("check", sorted(_VERIFY_READS))
+def test_verify_refuses_the_options_a_check_does_not_read(capsys, hits_checkpoint, check, option):
+    value = {
+        "--ring": "-3" if check == "thm2.4" else "-1",
+        "--max-norm": "500",
+        "--hits": hits_checkpoint,
+        "--target": "3",
+        "--jobs": "1",
+    }[option]
+    code, out, err = run_cli(capsys, "verify", check, option, value, "--format", "json")
+    if option in _VERIFY_READS[check]:
+        assert (code, err) == (0, ""), err
+        assert json.loads(out)["check"] == check
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: {check} does not read {option}\n"
+
+
+@pytest.mark.parametrize("check", ["thm2.2", "thm2.3", "thm2.5"])
+def test_verify_hits_reports_the_checkpoint_population(capsys, hits_checkpoint, check):
+    want = {"max_norm": 200000, "n": [2], "t": [2]}
+    code, out, err = run_cli(capsys, "verify", check, "--ring", "-1", "--hits", hits_checkpoint, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["population"] == want
+    assert "population discovered by signature search" not in doc["notes"]
+    # with --hits nothing is discovered, so a bound or a job count is refused
+    for option, value in (("--max-norm", "5"), ("--jobs", "7")):
+        code, out, err = run_cli(capsys, "verify", check, "--ring", "-1", "--hits", hits_checkpoint, option, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {check} with --hits does not read {option}\n"
+
+
+def test_verify_hits_population_with_a_fractional_target(tmp_path, capsys):
+    path = tmp_path / "cp.jsonl"
+    assert run_cli(
+        capsys, "search", "--ring", "-7", "--power", "1", "--target", "5/2", "--max-norm", "1500",
+        "--checkpoint", str(path),
+    )[0] == 0
+    code, out, _ = run_cli(capsys, "verify", "thm2.2", "--ring", "-7", "--hits", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["population"] == {"max_norm": 1500, "n": [1], "t": ["5/2"]}
+
+
+def test_quiet_is_a_search_option(capsys):
+    for argv in (
+        ["classify", "--ring", "-1", "--prime", "5"],
+        ["factor", "--ring", "-1", "--element", "30"],
+        ["delta", "--ring", "-1", "--element", "30", "--power", "1"],
+        ["istar", "--ring", "-1", "--element", "30", "--power", "1"],
+        ["divisors", "--ring", "-1", "--element", "30"],
+        ["verify", "zeta"],
+        ["gmap", "--ring", "-1", "--integer", "5"],
+        ["sigma-star", "--integer", "6"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--quiet"])
+        assert exc.value.code == 1, argv
+        assert capsys.readouterr().out == ""
 
 
 # One small invocation per subcommand; cli_golden.json holds the exit code,

@@ -253,12 +253,11 @@ def test_parse_formatted_rejects_non_canonical_text():
             parse_formatted(r, text)
     with pytest.raises(DomainError):
         parse_formatted(r, 3)
-    # user syntax stays with parse_element, and Ring.parse reads it by default
+    # user syntax stays with parse_element; Ring.parse reads only the canonical text
     assert parse_element(r, "3+4w") == r.element(3, 4)
-    assert r.parse("3+4w") == r.element(3, 4)
-    assert r.parse("3+4*w", canonical=True) == r.element(3, 4)
+    assert r.parse("3+4*w") == r.element(3, 4)
     with pytest.raises(DomainError):
-        r.parse("3+4w", canonical=True)
+        r.parse("3+4w")
 
 
 def test_format_element_shapes():

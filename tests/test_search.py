@@ -95,13 +95,12 @@ def test_iter_sector_elements_frozen_prefix():
     assert coords == [(3, 4), (4, 3), (5, 0)]
 
 
-def test_iter_sector_elements_chunk_invariance():
+def test_iter_sector_elements_chunk_invariance(monkeypatch):
     r = ring(-7)
     big = [(n, z.a, z.b) for n, z in iter_sector_elements(r, 1, 500)]
-    small = [(n, z.a, z.b) for n, z in iter_sector_elements(r, 1, 500, chunk=17)]
+    monkeypatch.setattr(search, "_WINDOW", 17)
+    small = [(n, z.a, z.b) for n, z in iter_sector_elements(r, 1, 500)]
     assert big == small
-    with pytest.raises(DomainError):
-        next(iter_sector_elements(r, 1, 500, chunk=0))
 
 
 def test_search_config_validation():
@@ -118,8 +117,6 @@ def test_search_config_validation():
         SearchConfig(r, 1, Fraction(2), 100, mode="both")
     with pytest.raises(DomainError):
         SearchConfig(r, 1, Fraction(2), 100, jobs=0)
-    with pytest.raises(DomainError):
-        SearchConfig(r, 1, Fraction(2), 100, interval_size=0)
     with pytest.raises(DomainError):
         SearchConfig(r, 1, Fraction(2), 100, mode="signatures", verbose=True)
     cfg = SearchConfig(r, 1, 2, 100)
@@ -294,19 +291,21 @@ def test_multi_target_equals_single_target_union():
     assert values <= set(targets)
 
 
-def test_jobs_do_not_change_output():
+def test_jobs_do_not_change_output(monkeypatch):
     r = ring(-1)
-    base = run_search(SearchConfig(r, 2, Fraction(2), 4000, interval_size=512))
-    multi = run_search(SearchConfig(r, 2, Fraction(2), 4000, interval_size=512, jobs=3))
+    monkeypatch.setattr(search, "_WINDOW", 512)
+    base = run_search(SearchConfig(r, 2, Fraction(2), 4000))
+    multi = run_search(SearchConfig(r, 2, Fraction(2), 4000, jobs=3))
     assert records_to_json_lines(base) == records_to_json_lines(multi)
 
 
-def test_checkpoint_written_and_resumed(tmp_path):
+def test_checkpoint_written_and_resumed(tmp_path, monkeypatch):
     r = ring(-1)
     path = str(tmp_path / "run.jsonl")
+    monkeypatch.setattr(search, "_WINDOW", 1024)
 
     def cfg():
-        return SearchConfig(r, 2, Fraction(2), 4000, interval_size=1024, checkpoint_path=path)
+        return SearchConfig(r, 2, Fraction(2), 4000, checkpoint_path=path)
 
     first = run_search(cfg())
     lines = open(path).read().splitlines()
@@ -329,7 +328,7 @@ def test_checkpoint_written_and_resumed(tmp_path):
     assert records_to_json_lines(third) == records_to_json_lines(first)
 
 
-def test_checkpoint_rejects_other_config(tmp_path):
+def test_checkpoint_rejects_other_config(tmp_path, monkeypatch):
     r = ring(-1)
     path = str(tmp_path / "run.jsonl")
     run_search(SearchConfig(r, 2, Fraction(2), 2000, checkpoint_path=path))
@@ -339,6 +338,10 @@ def test_checkpoint_rejects_other_config(tmp_path):
         run_search(SearchConfig(r, 1, Fraction(2), 2000, checkpoint_path=path))
     with pytest.raises(CheckpointError):
         run_search(SearchConfig(ring(-2), 2, Fraction(2), 2000, checkpoint_path=path))
+    # units cut with another window
+    monkeypatch.setattr(search, "_WINDOW", 512)
+    with pytest.raises(CheckpointError):
+        run_search(SearchConfig(r, 2, Fraction(2), 2000, checkpoint_path=path))
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -368,8 +371,10 @@ def test_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch, c
     r = ring(-1)
     path = str(tmp_path / "run.jsonl")
 
+    monkeypatch.setattr(search, "_WINDOW", 512)
+
     def cfg(**kwargs):
-        return SearchConfig(r, 2, Fraction(2), 2000, jobs=1, interval_size=512, **kwargs)
+        return SearchConfig(r, 2, Fraction(2), 2000, jobs=1, **kwargs)
 
     real_run_task = search._run_task
     calls = []
@@ -383,7 +388,7 @@ def test_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch, c
     monkeypatch.setattr(search, "_run_task", crashing_run_task)
     with pytest.raises(RuntimeError, match="simulated crash"):
         run_search(cfg(checkpoint_path=path))
-    monkeypatch.undo()
+    monkeypatch.setattr(search, "_run_task", real_run_task)
     lines = open(path).read().splitlines()
     assert len(lines) == crash_at  # the header plus every unit finished before the crash
     assert json.loads(lines[0])["kind"] == "quadunitary-checkpoint"
@@ -398,12 +403,13 @@ def test_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("cut", ["last-unit", "header"])
-def test_checkpoint_resumes_past_a_torn_last_line(tmp_path, cut):
+def test_checkpoint_resumes_past_a_torn_last_line(tmp_path, monkeypatch, cut):
     r = ring(-1)
     path = tmp_path / "run.jsonl"
+    monkeypatch.setattr(search, "_WINDOW", 512)
 
     def cfg(**kwargs):
-        return SearchConfig(r, 2, Fraction(2), 2000, interval_size=512, verbose=True, **kwargs)
+        return SearchConfig(r, 2, Fraction(2), 2000, verbose=True, **kwargs)
 
     whole = run_search(cfg(checkpoint_path=str(path)))
     good = path.read_bytes()
@@ -436,19 +442,22 @@ def test_checkpoint_path_that_cannot_be_used_is_refused(tmp_path):
             run_search(SearchConfig(ring(-1), 2, Fraction(2), 2000, checkpoint_path=str(path)))
 
 
-def test_checkpoint_resumes_after_the_process_is_killed(tmp_path):
+def test_checkpoint_resumes_after_the_process_is_killed(tmp_path, monkeypatch):
     path = tmp_path / "killed.jsonl"
     whole_path = tmp_path / "whole.jsonl"
+    monkeypatch.setattr(search, "_WINDOW", 512)
 
     def cfg(**kwargs):
-        return SearchConfig(ring(-1), 2, Fraction(2), 20_000, jobs=1, interval_size=512, **kwargs)
+        return SearchConfig(ring(-1), 2, Fraction(2), 20_000, jobs=1, **kwargs)
 
     child = (
         "from fractions import Fraction\n"
+        "from quadunitary import search\n"
         "from quadunitary.rings import ring\n"
         "from quadunitary.search import SearchConfig, run_search\n"
+        "search._WINDOW = 512\n"
         "run_search(SearchConfig(ring(-1), 2, Fraction(2), 20_000, jobs=1,"
-        f" interval_size=512, checkpoint_path={str(path)!r}))\n"
+        f" checkpoint_path={str(path)!r}))\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", child])
     try:
@@ -473,21 +482,18 @@ def test_checkpoint_resumes_after_the_process_is_killed(tmp_path):
     assert path.read_bytes() == whole_path.read_bytes()
 
 
-def test_checkpoint_resume_with_jobs(tmp_path):
+def test_checkpoint_resume_with_jobs(tmp_path, monkeypatch):
     r = ring(-3)
     path = str(tmp_path / "run.jsonl")
-    base = run_search(SearchConfig(r, 1, Fraction(2), 9000, interval_size=1024))
-    partial = SearchConfig(
-        r, 1, Fraction(2), 9000, interval_size=1024, checkpoint_path=path
-    )
+    monkeypatch.setattr(search, "_WINDOW", 1024)
+    base = run_search(SearchConfig(r, 1, Fraction(2), 9000))
+    partial = SearchConfig(r, 1, Fraction(2), 9000, checkpoint_path=path)
     run_search(partial)
     lines = open(path).read().splitlines()
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:4]) + "\n")
     resumed = run_search(
-        SearchConfig(
-            r, 1, Fraction(2), 9000, interval_size=1024, checkpoint_path=path, jobs=2
-        )
+        SearchConfig(r, 1, Fraction(2), 9000, checkpoint_path=path, jobs=2)
     )
     assert records_to_json_lines(resumed) == records_to_json_lines(base)
 
@@ -729,8 +735,9 @@ def test_no_pool_for_work_that_cannot_be_split(monkeypatch):
     monkeypatch.setattr(search, "_fork_pool", no_fork)
     assert records_to_json_lines(run_search(cfg(jobs=2))) == records_to_json_lines(base)
     # two element units still go to a pool
+    monkeypatch.setattr(search, "_WINDOW", 500)
     with pytest.raises(AssertionError, match="forked a pool"):
-        run_search(SearchConfig(ring(-1), 2, Fraction(2), 1000, interval_size=500, jobs=2))
+        run_search(SearchConfig(ring(-1), 2, Fraction(2), 1000, jobs=2))
 
 
 def test_signatures_checkpoint_without_the_solve_unit_resumes(tmp_path):

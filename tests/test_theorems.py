@@ -110,7 +110,7 @@ def test_thm_2_2_skips_hits_outside_its_population(tmp_path):
     r = ring(-7)
     path = str(tmp_path / "fractional.jsonl")
     run_search(SearchConfig(r, 1, Fraction(5, 2), 1500, checkpoint_path=path))
-    hits = load_hits(path, r)
+    _, hits = load_hits(path, r)
     assert len(hits) == 3 and all(h.t == Fraction(5, 2) for h in hits)
     report = check_thm_2_2(r, hits=hits)
     assert report.checked == 0
@@ -281,7 +281,8 @@ def test_load_hits_round_trip_elements(tmp_path):
     r = ring(-1)
     path = str(tmp_path / "elements.jsonl")
     run_search(SearchConfig(r, 2, Fraction(2), 2000, checkpoint_path=path))
-    hits = load_hits(path, r)
+    cfg, hits = load_hits(path, r)
+    assert (cfg.n, cfg.t, cfg.max_norm, cfg.mode) == (2, 2, 2000, "elements")
     assert [(h.z.a, h.z.b) for h in hits] == [(3, 9), (9, 3), (30, 0)]
     assert all(h.n == 2 and h.t == 2 for h in hits)
 
@@ -290,7 +291,7 @@ def test_load_hits_round_trip_signatures(tmp_path):
     r = ring(-1)
     path = str(tmp_path / "sigs.jsonl")
     run_search(SearchConfig(r, 2, Fraction(2), 2000, mode="signatures", checkpoint_path=path))
-    hits = load_hits(path, r)
+    _, hits = load_hits(path, r)
     assert [(h.z.a, h.z.b) for h in hits] == [(3, 9), (9, 3), (30, 0)]
 
 
@@ -298,7 +299,7 @@ def test_load_hits_feeds_checks(tmp_path):
     r = ring(-1)
     path = str(tmp_path / "sigs.jsonl")
     run_search(SearchConfig(r, 2, Fraction(2), 10_000, mode="signatures", checkpoint_path=path))
-    report = check_thm_2_2(r, hits=load_hits(path, r))
+    report = check_thm_2_2(r, hits=load_hits(path, r)[1])
     assert report.passed and report.checked == 3
 
 
