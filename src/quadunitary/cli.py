@@ -67,12 +67,12 @@ def _emit(fmt: str, **render) -> None:
     """Print one command's output in the requested format, computing only that one.
 
     render maps each format to a zero-argument callable: "json" returns the
-    documents, printed compactly one per line; "csv" returns (header, rows);
-    "text" returns the lines.
+    documents, printed compactly one per line, each a dict or its JSON text
+    already encoded; "csv" returns (header, rows); "text" returns the lines.
     """
     out = render[fmt]()
     if fmt == "json":
-        sys.stdout.writelines(_JSON.encode(doc) + "\n" for doc in out)
+        sys.stdout.writelines((doc if isinstance(doc, str) else _JSON.encode(doc)) + "\n" for doc in out)
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(out[0])
@@ -218,17 +218,17 @@ def _cmd_search(args) -> int:
         checkpoint_path=args.checkpoint,
         verbose=args.verbose,
     )
-    rows = search_rows(cfg)
-    hits = sum(1 for row in rows if row["hit"])
+    lines, hits = search_rows(cfg)
     header = {
         "schema_version": SCHEMA_VERSION,
         "kind": "search",
         "config": _config_echo(cfg),
         "hits": hits,
     }
+    rows = map(json.loads, lines)  # csv and text read each row back from its line
     _emit(
         args.format,
-        json=lambda: chain([header], rows),
+        json=lambda: chain([header], lines),
         csv=lambda: (
             ["z", "norm", "istar", "hit"],
             ([row["z"], row["norm"], _istar_text(row), row["hit"]] for row in rows),
@@ -245,7 +245,7 @@ def _cmd_search(args) -> int:
     if not args.quiet and args.format != "text":
         print(
             f"search d={cfg.ring.d} n={cfg.n} t={cfg.t} max_norm={cfg.max_norm} "
-            f"mode={cfg.mode}: {hits} hits, {len(rows)} records",
+            f"mode={cfg.mode}: {hits} hits, {len(lines)} records",
             file=sys.stderr,
         )
     return 0

@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 from math import gcd, isqrt
 
 from .primes import is_prime, prime_above, prime_kind, small_primes
-from .rings import DomainError, QInt, Ring, canonical_associate, exact_div, index_of_unit
+from .rings import DomainError, QInt, Ring, exact_div, index_of_unit
 
 # Norms above this need an explicit opt-in; factoring them may be slow.
 NORM_CEILING = 1 << 64

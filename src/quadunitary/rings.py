@@ -293,13 +293,18 @@ def exact_div(x: QInt, y: QInt) -> QInt | None:
     return QInt(x.ring, num.a // n, num.b // n)
 
 
+def format_coords(a: int, b: int) -> str:
+    """The element a + b*w in canonical coordinate syntax "a+b*w"."""
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*w"
+    return f"{a}{'+' if b > 0 else ''}{b}*w"
+
+
 def format_element(z: QInt) -> str:
     """Canonical coordinate syntax "a+b*w".  Round-trips through parse_element."""
-    if z.b == 0:
-        return str(z.a)
-    if z.a == 0:
-        return f"{z.b}*w"
-    return f"{z.a}{'+' if z.b >= 0 else ''}{z.b}*w"
+    return format_coords(z.a, z.b)
 
 
 def parse_formatted(r: Ring, text: str) -> QInt:

@@ -8,9 +8,9 @@ Two complete strategies over the same hit set:
   most two integer ranges.  Unbiased and simple; the reference strategy.
   No element is factored: i_star reads only (p, kind, exponent) per prime
   power, and factoring.index_rows gets those from the norm and the content
-  gcd(a, b).  Points come sorted by norm, so each norm is factored once
-  (factor_int caches it), and an element is built only for a hit or a
-  verbose row.
+  gcd(a, b).  Points come sorted by norm, so _index_points computes the
+  index once per (norm, content) pair, and an element is built only to
+  verify a hit.
 * Signatures mode runs a depth-first search over factorization shapes
   (which rational primes occur, how their exponents sit on the primes above)
   with branch-and-bound pruning.  Partial index values grow strictly, so a
@@ -31,8 +31,10 @@ unit is appended to a JSON-lines checkpoint as soon as it finishes, so a run
 that is stopped resumes into an identical run.  read_checkpoint is the one
 reader: it decodes the header into the SearchConfig that wrote the file and
 holds every record to that search's format and target, for a resume and for
-theorems.load_hits alike.  Elements-mode records stay the JSON dicts the
-workers made, through the checkpoint and search_rows to the command line.
+theorems.load_hits alike.  A row (an elements-mode record or a signature)
+is its JSON line, made once in the worker that finds it; the lines go through
+the pool, the checkpoint and search_rows to the command line, and the checked
+rows of a resumed unit are made into lines again by the same formatters.
 
 A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
@@ -57,10 +59,13 @@ from math import gcd, inf, isqrt, nextafter, prod
 from .factoring import index_rows
 from .primes import is_prime, prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
-from .rings import DomainError, QInt, Ring, canonical_associate, format_element, ring
+from .rings import DomainError, QInt, Ring, canonical_associate, format_coords, format_element, ring
 from .udf import _WINDOW, _index_numerators, delta_star_oracle, i_star
 
 CHECKPOINT_SCHEMA = 1
+
+# compact JSON text, as the checkpoint and the command line write it
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class CheckpointError(RuntimeError):
@@ -241,6 +246,29 @@ def iter_sector_elements(r: Ring, lo: int, hi: int):
     """Yield (norm, z) for every sector element with lo <= norm(z) <= hi, sorted."""
     for norm, a, b in _sector_points(r, lo, hi):
         yield norm, QInt(r, a, b)
+
+
+def _index_points(r: Ring, lo: int, hi: int, n: int, derive):
+    """Yield (norm, a, b, derive(terms, den)) for every sector element with lo <= norm <= hi.
+
+    i_star(a + b*w, n) = sum(terms[m] * sqrt(m)) / den depends only on the
+    norm and the content gcd(a, b) (factoring.index_rows), and the points
+    come sorted by norm.  So the kernel and derive run once per (norm,
+    content) pair, from a memo that is cleared when the norm changes.
+    """
+    d = r.d
+    memo: dict[int, object] = {}
+    last = 0
+    for norm, a, b in _sector_points(r, lo, hi):
+        if norm != last:
+            memo.clear()
+            last = norm
+        c = gcd(a, b)
+        if c in memo:
+            value = memo[c]
+        else:
+            value = memo[c] = derive(*_index_numerators(index_rows(d, norm, c), -n))
+        yield norm, a, b, value
 
 
 # ---------------------------------------------------------------------------
@@ -442,34 +470,67 @@ def _verify_hit(z: QInt, n: int, value: Fraction) -> None:
         raise AssertionError(f"hit {format_element(z)} failed oracle re-verification: {oracle} != {expected}")
 
 
-def _elements_task(payload: tuple) -> list[dict]:
+def _terms_json(pairs) -> str:
+    """The istar JSON object of (radicand, coefficient) pairs, whose text needs no escaping."""
+    return "{" + ",".join(f'"{m}":"{c}"' for m, c in pairs) + "}"
+
+
+def _istar_json(terms: dict[int, int], den: int) -> str:
+    """The istar JSON of sum(terms[m] * sqrt(m)) / den, as RadicalValue.to_json_terms has it.
+
+    Radicands in increasing order, each coefficient terms[m] / den in lowest
+    terms; the kernel's coefficients are positive.
+    """
+    pairs = []
+    for m in sorted(terms):
+        c = terms[m]
+        g = gcd(c, den)
+        pairs.append((m, c // g if g == den else f"{c // g}/{den // g}"))
+    return _terms_json(pairs)
+
+
+_HIT_END = ',"hit":true}'  # how a hit's line ends
+
+
+def _row_line(z: str, norm: int, istar: str, hit: bool) -> str:
+    """An elements-mode record as its JSON line; z is the element's text, istar its terms' JSON."""
+    return f'{{"z":"{z}","norm":{norm},"istar":{istar},"hit":{"true" if hit else "false"}}}'
+
+
+def _signature_line(d: int, n: int, entries) -> str:
+    """A hit signature as its JSON line."""
+    return _dumps(Signature.from_entries(d, n, entries).to_json_dict())
+
+
+def _elements_task(payload: tuple) -> list[str]:
     d, n, t_text, lo, hi, verbose = payload
     r = ring(d)
     t = Fraction(t_text)
     t_num, t_den = t.numerator, t.denominator
-    out = []
-    for norm, a, b in _interval_points(r, lo, hi):
+
+    def derive(terms: dict[int, int], den: int) -> tuple[bool, str | None]:
         # i_star = sum(terms[m] * sqrt(m)) / den equals the rational t iff it has
         # only the m = 1 term (the parity criterion) and terms[1] / den = t
-        terms, den = _index_numerators(index_rows(d, norm, gcd(a, b)), -n)
         hit = len(terms) == 1 and terms[1] * t_den == t_num * den
-        if hit or verbose:
-            z = QInt(r, a, b)
-            if hit:
-                _verify_hit(z, n, t)
-            value = RadicalValue.from_numerators(terms, den)
-            out.append(SearchRecord(z, norm, value, hit).to_json_dict())
+        return hit, _istar_json(terms, den) if hit or verbose else None
+
+    out = []
+    for norm, a, b, (hit, istar) in _index_points(r, lo, hi, n, derive):
+        if hit:
+            _verify_hit(QInt(r, a, b), n, t)
+        if istar is not None:
+            out.append(_row_line(format_coords(a, b), norm, istar, hit))
     return out
 
 
-def _signatures_task(payload: tuple) -> list[dict]:
+def _signatures_task(payload: tuple) -> list[str]:
     d, n, target_texts, max_norm, j0, j1 = payload
     targets = tuple(Fraction(s) for s in target_texts)
     hits = _dfs_signatures(d, n, targets, max_norm, j0, j1)
-    return [Signature.from_entries(d, n, ents).to_json_dict() for ents in hits]
+    return [_signature_line(d, n, ents) for ents in hits]
 
 
-def _run_task(args: tuple) -> list[dict]:
+def _run_task(args: tuple) -> list[str]:
     kind, payload = args
     return _elements_task(payload) if kind == "elements" else _signatures_task(payload)
 
@@ -615,7 +676,7 @@ def _check_rows(cfg: SearchConfig, rows, where: str) -> None:
     is cfg.t, and an elements-mode row is a hit exactly when its istar is.
     """
     # compiled here, not at import, which every command pays for
-    radicand, coeff = re.compile(r"[1-9][0-9]*"), re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+    radicand, coeff = re.compile(r"[1-9][0-9]*"), re.compile(r"-?([1-9][0-9]*)(?:/([1-9][0-9]*))?")
     target = {"1": str(cfg.t)}
     try:
         for row in rows:
@@ -627,8 +688,12 @@ def _check_rows(cfg: SearchConfig, rows, where: str) -> None:
             if type(row["hit"]) is not bool:
                 raise ValueError(f"hit {row['hit']!r} is not a boolean")
             for m, c in row["istar"].items():
-                if not (radicand.fullmatch(m) and coeff.fullmatch(c)):
+                fraction = coeff.fullmatch(c)
+                if not (radicand.fullmatch(m) and fraction):
                     raise ValueError(f"istar term {m!r}: {c!r} is not a radicand and a fraction")
+                num, den = fraction.groups()
+                if den is not None and (den == "1" or gcd(int(num), int(den)) != 1):
+                    raise ValueError(f"istar coefficient {c!r} is not in lowest terms")
             if row["hit"] != (row["istar"] == target):
                 raise ValueError(f"hit {row['hit']} disagrees with istar {row['istar']!r} at target {cfg.t}")
             norm = row["norm"]
@@ -656,17 +721,18 @@ class _CheckpointWriter:
                 "kind": "quadunitary-checkpoint",
                 "config": _config_echo(cfg),
             }
-            self._write_line(header)
+            self._write_line(_dumps(header))
 
-    def _write_line(self, obj: dict) -> None:
+    def _write_line(self, text: str) -> None:
         assert self.fh is not None
-        self.fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        self.fh.write(text + "\n")
         self.fh.flush()
         os.fsync(self.fh.fileno())
 
-    def record(self, task_key: list, results: list) -> None:
+    def record(self, key: str, lines: list[str]) -> None:
+        """Append one unit: key is the JSON text of its task key, lines its rows."""
         if self.fh is not None:
-            self._write_line({"task": task_key, "results": results})
+            self._write_line('{"task":' + key + ',"results":[' + ",".join(lines) + "]}")
 
     def close(self) -> None:
         if self.fh is not None:
@@ -686,15 +752,32 @@ def _fork_pool(jobs: int):
     return multiprocessing.get_context("fork" if "fork" in methods else None).Pool(jobs)
 
 
-def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[list[dict]]:
-    """Run (task_key, payload) units, honoring checkpoint and jobs; ordered results.
+def _resumed_lines(cfg: SearchConfig, rows: list[dict], where: str) -> list[str]:
+    """The lines of a checkpoint unit's checked rows, made by the formatters its workers use.
+
+    A resumed elements-mode hit enters the program here and is verified;
+    signatures are verified as witness_records materializes them.
+    """
+    if cfg.mode == "signatures":
+        return [_signature_line(cfg.ring.d, cfg.n, row["entries"]) for row in rows]
+    for row in rows:
+        if row["hit"]:
+            try:
+                _verify_hit(cfg.ring.parse(row["z"]), cfg.n, cfg.t)
+            except AssertionError as exc:
+                raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
+    return [_row_line(row["z"], row["norm"], _terms_json(row["istar"].items()), row["hit"]) for row in rows]
+
+
+def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[list[str]]:
+    """Run (task_key, payload) units, honoring checkpoint and jobs; each unit's lines, in order.
 
     Results arrive in task order (imap keeps it for a pool) and each unit is
     checkpointed as it arrives, so a stopped run keeps the units it delivered.
     A pool is forked only for two or more pending units other than the
     ["above", ...] solve, which is too small to run apart.
     """
-    done: dict[str, list] = {}
+    done: dict[str, list[str]] = {}
     loaded = read_checkpoint(cfg.checkpoint_path, drop_torn=True) if cfg.checkpoint_path else None
     if loaded is not None:
         saved, units = loaded
@@ -702,19 +785,9 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
             raise CheckpointError(
                 f"{cfg.checkpoint_path} was written by a different search configuration"
             )
-        # a resumed elements-mode hit enters the program here; signatures are
-        # verified as witness_records materializes them
-        for line, (_, results) in enumerate(units, start=2):
-            for row in results:
-                if cfg.mode == "elements" and row["hit"]:
-                    try:
-                        _verify_hit(cfg.ring.parse(row["z"]), cfg.n, cfg.t)
-                    except AssertionError as exc:
-                        raise CheckpointError(
-                            f"corrupt checkpoint record at {cfg.checkpoint_path}:{line}: {exc}"
-                        ) from exc
-        done = {json.dumps(task): results for task, results in units}
-    pending = [(key, payload) for key, payload in tasks if json.dumps(key) not in done]
+        for line, (task, rows) in enumerate(units, start=2):
+            done[_dumps(task)] = _resumed_lines(cfg, rows, f"{cfg.checkpoint_path}:{line}")
+    pending = [(key, payload) for key, payload in tasks if _dumps(key) not in done]
     args = [(cfg.mode, payload) for _, payload in pending]
     splittable = sum(1 for key, _ in pending if key[0] != "above")
     writer = _CheckpointWriter(cfg.checkpoint_path, cfg)
@@ -724,12 +797,13 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
                 results = map(_run_task, args)
             else:
                 results = pool.imap(_run_task, args, chunksize=1)
-            for (key, _), res in zip(pending, results):
-                writer.record(key, res)
-                done[json.dumps(key)] = res
+            for (key, _), lines in zip(pending, results):
+                text = _dumps(key)
+                writer.record(text, lines)
+                done[text] = lines
     finally:
         writer.close()
-    return [done[json.dumps(key)] for key, _ in tasks]
+    return [done[_dumps(key)] for key, _ in tasks]
 
 
 def _element_tasks(cfg: SearchConfig) -> list[tuple[list, tuple]]:
@@ -762,9 +836,9 @@ def _signature_search(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[
         tasks.append(([j, j1], (*head, j, j1)))
     tasks.append((["above", limit], (*head, table_size, None)))
     return [
-        Signature.from_entries(cfg.ring.d, cfg.n, data["entries"])
-        for results in _task_results(cfg, tasks)
-        for data in results
+        Signature.from_entries(cfg.ring.d, cfg.n, json.loads(line)["entries"])
+        for lines in _task_results(cfg, tasks)
+        for line in lines
     ]
 
 
@@ -817,20 +891,24 @@ def run_search(cfg: SearchConfig) -> list[SearchRecord]:
     Signature hits are materialized to every witness element by witness_records.
     """
     if cfg.mode == "elements":
-        return [SearchRecord.from_json_dict(cfg.ring, row) for row in search_rows(cfg)]
+        lines, _ = search_rows(cfg)
+        return [SearchRecord.from_json_dict(cfg.ring, json.loads(line)) for line in lines]
     return witness_records(cfg.ring, cfg.n, search_signatures(cfg))
 
 
-def search_rows(cfg: SearchConfig) -> list[dict]:
-    """run_search's records as their JSON dicts, in the same order.
+def search_rows(cfg: SearchConfig) -> tuple[list[str], int]:
+    """run_search's records as their JSON lines, in the same order, and how many are hits.
 
-    Elements-mode rows are the dicts the workers made or the checkpoint
-    held; each hit among them was verified where it entered the program.
+    Elements-mode lines are the ones the workers made, or for a resumed unit
+    the checkpoint's checked rows made into lines again by the same
+    formatter; each hit among them was verified where it entered the program.
     """
     if cfg.mode != "elements":
-        return [rec.to_json_dict() for rec in run_search(cfg)]
-    return [row for results in _task_results(cfg, _element_tasks(cfg)) for row in results]
+        lines = records_to_json_lines(run_search(cfg))
+        return lines, len(lines)
+    lines = [line for unit in _task_results(cfg, _element_tasks(cfg)) for line in unit]
+    return lines, sum(1 for line in lines if line.endswith(_HIT_END))
 
 
 def records_to_json_lines(records: list[SearchRecord]) -> list[str]:
-    return [json.dumps(rec.to_json_dict(), separators=(",", ":")) for rec in records]
+    return [_dumps(rec.to_json_dict()) for rec in records]

@@ -32,21 +32,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
-from .factoring import FactorEntry, factor_element, factor_int, index_rows
+from .factoring import FactorEntry, factor_element, factor_int
 from .primes import prime_above
 from .rings import DomainError, K, QInt, Ring, canonical_associate, format_element, ring
 from .search import (
     CheckpointError,
     SearchConfig,
     Signature,
-    _sector_points,
+    _index_points,
     read_checkpoint,
     signature_hits_multi,
     witness_records,
 )
-from .udf import _ZETA_TERMS, _index_numerators, i_star, sigma_star_range, zeta_bound_check
+from .udf import _ZETA_TERMS, i_star, sigma_star_range, zeta_bound_check
 
 REPORT_SCHEMA = 1
 
@@ -266,16 +265,18 @@ def check_thm_2_4(max_norm: int = 10_000) -> TheoremReport:
     if max_norm < 1:
         raise DomainError("max_norm must be at least 1")
     sample_every = max(1, max_norm // 4)
-    for norm, a, b in _sector_points(r, 1, max_norm):
+
+    def value(terms: dict[int, int], den: int) -> Fraction | None:
         # i_star(z, 2) = sum(terms[m] * sqrt(m)) / den, rational iff only m = 1
-        terms, den = _index_numerators(index_rows(r.d, norm, gcd(a, b)), -2)
+        return Fraction(terms[1], den) if len(terms) == 1 else None
+
+    for norm, a, b, fr in _index_points(r, 1, max_norm, 2, value):
         report.checked += 1
-        if len(terms) > 1:
+        if fr is None:
             report.violations.append(
                 {"z": format_element(QInt(r, a, b)), "norm": norm, "reason": "value not rational"}
             )
             continue
-        fr = Fraction(terms[1], den)
         if fr.numerator % 3 == 0:
             report.violations.append(
                 {"z": format_element(QInt(r, a, b)), "norm": norm, "value": str(fr),

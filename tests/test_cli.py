@@ -189,6 +189,10 @@ def test_search_corrupt_checkpoint_record_exits_2(tmp_path, capsys):
         "non-canonical z": lambda rec: rec.update(z="1 + 1*w"),
         "norm that disagrees with z": lambda rec: rec.update(norm=3),
         "hit with an irrational istar": lambda rec: rec.update(hit=True, istar={"2": "1"}),
+        "coefficient not in lowest terms": lambda rec: rec.update(istar={"1": "4/2"}),
+        "coefficient over 1": lambda rec: rec.update(istar={"1": "3/1"}),
+        "coefficient with a leading zero": lambda rec: rec.update(istar={"1": "03/2"}),
+        "zero coefficient": lambda rec: rec.update(istar={"1": "3/2", "2": "0"}),
     }
     verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
     for name, corrupt in cases.items():

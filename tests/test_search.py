@@ -18,6 +18,7 @@ from quadunitary.rings import K, DomainError, format_element, in_sector, ring
 from quadunitary.search import (
     CheckpointError,
     SearchConfig,
+    SearchRecord,
     SigEntry,
     Signature,
     _envelope_cached,
@@ -27,6 +28,7 @@ from quadunitary.search import (
     iter_sector_elements,
     records_to_json_lines,
     run_search,
+    search_rows,
     search_signatures,
     signature_hits_multi,
 )
@@ -204,6 +206,67 @@ def test_elements_hits_equal_verbose_hits(d, n, t, bound):
     for rec in verbose[::7]:
         assert rec.value == i_star(rec.z, n)
         assert rec.is_hit == (rec.value == t)
+
+
+def test_worker_lines_are_the_json_of_their_records():
+    # every sector element to norm 3000 in every ring at n = 1..4: a worker's
+    # line is the compact JSON of the record, irrational multi-radicand
+    # istar, a = 0, b = 0, negative a and hits included
+    t = Fraction(2)
+    seen = set()
+    for d in K:
+        r = ring(d)
+        points = list(iter_sector_elements(r, 1, 3000))
+        for n in range(1, 5):
+            lines = search._elements_task((d, n, str(t), 1, 3000, True))
+            assert len(lines) == len(points), (d, n)
+            for line, (norm, z) in zip(lines, points):
+                value = i_star(z, n)
+                record = SearchRecord(z, norm, value, value == t)
+                assert line == json.dumps(record.to_json_dict(), separators=(",", ":")), (d, n, line)
+                seen.update(
+                    name for name, present in (
+                        ("multi-radicand", len(value.terms) > 2),
+                        ("a = 0", z.a == 0),
+                        ("b = 0", z.b == 0),
+                        ("negative a", z.a < 0),
+                        ("hit", record.is_hit),
+                    ) if present
+                )
+    assert seen == {"multi-radicand", "a = 0", "b = 0", "negative a", "hit"}
+
+
+def test_checkpoint_unit_line_is_the_json_of_its_rows(tmp_path):
+    path = tmp_path / "cp.jsonl"
+    units = [
+        ([2, 3000], search._elements_task((-7, 1, "5/2", 2, 3000, True))),
+        ([3001, 4000], search._elements_task((-1, 2, "2", 3001, 4000, False))),  # no hits
+        (["above", 54], search._signatures_task((-1, 2, ("2",), 3000, 0, None))),
+    ]
+    assert [bool(lines) for _, lines in units] == [True, False, True]
+    writer = search._CheckpointWriter(str(path), SearchConfig(ring(-1), 2, Fraction(2), 4000))
+    for key, lines in units:
+        writer.record(search._dumps(key), lines)
+    writer.close()
+    written = path.read_text().splitlines()[1:]
+    assert written == [
+        json.dumps({"task": key, "results": [json.loads(line) for line in lines]}, separators=(",", ":"))
+        for key, lines in units
+    ]
+
+
+@pytest.mark.parametrize("mode, verbose", [("elements", True), ("elements", False), ("signatures", False)])
+def test_resumed_rows_are_made_into_the_fresh_lines(tmp_path, monkeypatch, mode, verbose):
+    monkeypatch.setattr(search, "_WINDOW", 512)
+    path = str(tmp_path / "cp.jsonl")
+
+    def cfg(**kw):
+        return SearchConfig(ring(-1), 2, Fraction(2), 3000, mode=mode, verbose=verbose, **kw)
+
+    lines, hits = search_rows(cfg())
+    assert hits == sum(json.loads(line)["hit"] for line in lines) > 0
+    assert search_rows(cfg(checkpoint_path=path)) == (lines, hits)
+    assert search_rows(cfg(checkpoint_path=path)) == (lines, hits)  # every unit resumed
 
 
 def test_signature_shape_arithmetic():

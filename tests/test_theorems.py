@@ -166,8 +166,9 @@ def test_thm_2_4_honest_pass():
 
 
 def test_thm_2_4_flags_fabricated_values(monkeypatch):
-    # the sweep reports an element by its coordinates only when it fails
-    real = theorems._index_numerators
+    # the sweep reports an element by its coordinates only when it fails; it
+    # reads the kernel through search._index_points
+    real = search._index_numerators
 
     def fabricated(rows, k):
         terms, den = real(rows, k)
@@ -177,7 +178,7 @@ def test_thm_2_4_flags_fabricated_values(monkeypatch):
             return {1: 3}, 4  # numerator 3
         return terms, den
 
-    monkeypatch.setattr(theorems, "_index_numerators", fabricated)
+    monkeypatch.setattr(search, "_index_numerators", fabricated)
     report = check_thm_2_4(max_norm=7)
     assert not report.passed
     assert report.violations == [
