@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .factoring import FactorEntry, factor_element, factor_int
 from .primes import prime_above
-from .rings import DomainError, K, QInt, Ring, canonical_associate, format_element, ring
+from .rings import DomainError, K, QInt, Ring, canonical_associate, format_coords, format_element, ring
 from .search import (
     CheckpointError,
     SearchConfig,
@@ -274,16 +274,16 @@ def check_thm_2_4(max_norm: int = 10_000) -> TheoremReport:
         report.checked += 1
         if fr is None:
             report.violations.append(
-                {"z": format_element(QInt(r, a, b)), "norm": norm, "reason": "value not rational"}
+                {"z": format_coords(a, b), "norm": norm, "reason": "value not rational"}
             )
             continue
         if fr.numerator % 3 == 0:
             report.violations.append(
-                {"z": format_element(QInt(r, a, b)), "norm": norm, "value": str(fr),
+                {"z": format_coords(a, b), "norm": norm, "value": str(fr),
                  "reason": "numerator divisible by 3"}
             )
         elif norm % sample_every == 0 and len(report.witnesses) < 6:
-            report.witnesses.append({"z": format_element(QInt(r, a, b)), "norm": norm, "value": str(fr)})
+            report.witnesses.append({"z": format_coords(a, b), "norm": norm, "value": str(fr)})
     report.notes.append("every value in the sweep was rational, as the yes/no check above enforces")
     return report
 
