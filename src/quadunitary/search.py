@@ -33,8 +33,9 @@ reader: it decodes the header into the SearchConfig that wrote the file and
 holds every record to that search's format and target, for a resume and for
 theorems.load_hits alike.  A row (an elements-mode record or a signature)
 is its JSON line, made once in the worker that finds it; the lines go through
-the pool, the checkpoint and search_rows to the command line, and the checked
-rows of a resumed unit are made into lines again by the same formatters.
+the pool, the checkpoint and search_rows to the command line.  The rows of a
+resumed unit are checked, then made into lines again by the same formatters:
+re-encoded, not recomputed.
 
 A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
@@ -475,20 +476,6 @@ def _terms_json(pairs) -> str:
     return "{" + ",".join(f'"{m}":"{c}"' for m, c in pairs) + "}"
 
 
-def _istar_json(terms: dict[int, int], den: int) -> str:
-    """The istar JSON of sum(terms[m] * sqrt(m)) / den, as RadicalValue.to_json_terms has it.
-
-    Radicands in increasing order, each coefficient terms[m] / den in lowest
-    terms; the kernel's coefficients are positive.
-    """
-    pairs = []
-    for m in sorted(terms):
-        c = terms[m]
-        g = gcd(c, den)
-        pairs.append((m, c // g if g == den else f"{c // g}/{den // g}"))
-    return _terms_json(pairs)
-
-
 _HIT_END = ',"hit":true}'  # how a hit's line ends
 
 
@@ -512,7 +499,9 @@ def _elements_task(payload: tuple) -> list[str]:
         # i_star = sum(terms[m] * sqrt(m)) / den equals the rational t iff it has
         # only the m = 1 term (the parity criterion) and terms[1] / den = t
         hit = len(terms) == 1 and terms[1] * t_den == t_num * den
-        return hit, _istar_json(terms, den) if hit or verbose else None
+        if not (hit or verbose):
+            return hit, None
+        return hit, _terms_json(RadicalValue.from_numerators(terms, den).to_json_terms().items())
 
     out = []
     for norm, a, b, (hit, istar) in _index_points(r, lo, hi, n, derive):
@@ -687,6 +676,7 @@ def _check_rows(cfg: SearchConfig, rows, where: str) -> None:
                 raise ValueError(f"a record must have exactly the keys {sorted(_ROW_KEYS)}")
             if type(row["hit"]) is not bool:
                 raise ValueError(f"hit {row['hit']!r} is not a boolean")
+            last = 0
             for m, c in row["istar"].items():
                 fraction = coeff.fullmatch(c)
                 if not (radicand.fullmatch(m) and fraction):
@@ -694,6 +684,9 @@ def _check_rows(cfg: SearchConfig, rows, where: str) -> None:
                 num, den = fraction.groups()
                 if den is not None and (den == "1" or gcd(int(num), int(den)) != 1):
                     raise ValueError(f"istar coefficient {c!r} is not in lowest terms")
+                if int(m) <= last:
+                    raise ValueError(f"istar radicand {m} does not follow {last}")
+                last = int(m)
             if row["hit"] != (row["istar"] == target):
                 raise ValueError(f"hit {row['hit']} disagrees with istar {row['istar']!r} at target {cfg.t}")
             norm = row["norm"]
@@ -755,8 +748,11 @@ def _fork_pool(jobs: int):
 def _resumed_lines(cfg: SearchConfig, rows: list[dict], where: str) -> list[str]:
     """The lines of a checkpoint unit's checked rows, made by the formatters its workers use.
 
-    A resumed elements-mode hit enters the program here and is verified;
-    signatures are verified as witness_records materializes them.
+    The rows are re-encoded as they stand, not recomputed: _check_rows held
+    them to the form a worker writes, so the lines are a fresh run's for a
+    checkpoint the program wrote.  A resumed elements-mode hit enters the
+    program here and is verified; signatures are verified as
+    witness_records materializes them.
     """
     if cfg.mode == "signatures":
         return [_signature_line(cfg.ring.d, cfg.n, row["entries"]) for row in rows]
@@ -900,7 +896,7 @@ def search_rows(cfg: SearchConfig) -> tuple[list[str], int]:
     """run_search's records as their JSON lines, in the same order, and how many are hits.
 
     Elements-mode lines are the ones the workers made, or for a resumed unit
-    the checkpoint's checked rows made into lines again by the same
+    the checkpoint's checked rows re-encoded (not recomputed) by the same
     formatter; each hit among them was verified where it entered the program.
     """
     if cfg.mode != "elements":
@@ -911,4 +907,8 @@ def search_rows(cfg: SearchConfig) -> tuple[list[str], int]:
 
 
 def records_to_json_lines(records: list[SearchRecord]) -> list[str]:
-    return [_dumps(rec.to_json_dict()) for rec in records]
+    """Records as their JSON lines, by the formatter elements-mode workers use."""
+    return [
+        _row_line(format_element(rec.z), rec.norm, _terms_json(rec.value.to_json_terms().items()), rec.is_hit)
+        for rec in records
+    ]

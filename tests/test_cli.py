@@ -193,6 +193,14 @@ def test_search_corrupt_checkpoint_record_exits_2(tmp_path, capsys):
         "coefficient over 1": lambda rec: rec.update(istar={"1": "3/1"}),
         "coefficient with a leading zero": lambda rec: rec.update(istar={"1": "03/2"}),
         "zero coefficient": lambda rec: rec.update(istar={"1": "3/2", "2": "0"}),
+        "radicands out of order": lambda rec: rec.update(istar={"3": "1", "1": "3/2"}),
+        "zero radicand": lambda rec: rec.update(istar={"0": "3/2"}),
+        "negative radicand": lambda rec: rec.update(istar={"-1": "3/2"}),
+        "radicand with a leading zero": lambda rec: rec.update(istar={"01": "3/2"}),
+        "zero denominator": lambda rec: rec.update(istar={"1": "3/0"}),
+        "coefficient with a space": lambda rec: rec.update(istar={"1": " 3/2"}),
+        "decimal coefficient": lambda rec: rec.update(istar={"1": "1.5"}),
+        "number coefficient": lambda rec: rec.update(istar={"1": 1.5}),
     }
     verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
     for name, corrupt in cases.items():

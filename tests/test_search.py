@@ -210,8 +210,9 @@ def test_elements_hits_equal_verbose_hits(d, n, t, bound):
 
 def test_worker_lines_are_the_json_of_their_records():
     # every sector element to norm 3000 in every ring at n = 1..4: a worker's
-    # line is the compact JSON of the record, irrational multi-radicand
-    # istar, a = 0, b = 0, negative a and hits included
+    # line, and records_to_json_lines's line for the record, is the compact
+    # JSON of the record, irrational multi-radicand istar, a = 0, b = 0,
+    # negative a and hits included
     t = Fraction(2)
     seen = set()
     for d in K:
@@ -220,9 +221,11 @@ def test_worker_lines_are_the_json_of_their_records():
         for n in range(1, 5):
             lines = search._elements_task((d, n, str(t), 1, 3000, True))
             assert len(lines) == len(points), (d, n)
+            records = []
             for line, (norm, z) in zip(lines, points):
                 value = i_star(z, n)
                 record = SearchRecord(z, norm, value, value == t)
+                records.append(record)
                 assert line == json.dumps(record.to_json_dict(), separators=(",", ":")), (d, n, line)
                 seen.update(
                     name for name, present in (
@@ -233,6 +236,7 @@ def test_worker_lines_are_the_json_of_their_records():
                         ("hit", record.is_hit),
                     ) if present
                 )
+            assert records_to_json_lines(records) == lines, (d, n)
     assert seen == {"multi-radicand", "a = 0", "b = 0", "negative a", "hit"}
 
 
