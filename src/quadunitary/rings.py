@@ -307,6 +307,11 @@ def format_element(z: QInt) -> str:
     return format_coords(z.a, z.b)
 
 
+# format_coords's "a", "b*w" and, for a != 0, "a+b*w" or "a-b*w"; re caches
+# the compiled pattern on first use, so no command pays for it at import
+_FORMATTED = r"(0|-?[1-9][0-9]*)|(-?[1-9][0-9]*)?((?(2)[+-]|-?)[1-9][0-9]*)\*w"
+
+
 def parse_formatted(r: Ring, text: str) -> QInt:
     """The exact inverse of format_element: "a", "b*w", "a+b*w" or "a-b*w".
 
@@ -314,21 +319,12 @@ def parse_formatted(r: Ring, text: str) -> QInt:
     format_element would not have produced, spacing and signs included, is a
     DomainError.  User input goes through parse_element.
     """
-    try:
-        if text.endswith("*w"):
-            body = text[:-2]
-            cut = max(body.rfind("+"), body.rfind("-"))
-            if cut > 0:
-                z = QInt(r, int(body[:cut]), int(body[cut:]))
-            else:
-                z = QInt(r, 0, int(body))
-        else:
-            z = QInt(r, int(text), 0)
-    except (AttributeError, ValueError):
-        z = None
-    if z is None or format_element(z) != text:
+    m = re.fullmatch(_FORMATTED, text) if isinstance(text, str) else None
+    if m is None:
         raise DomainError(f"not an element in canonical coordinate syntax: {text!r}")
-    return z
+    if m[1] is not None:
+        return QInt(r, int(m[1]), 0)
+    return QInt(r, int(m[2] or 0), int(m[3]))
 
 
 def _frac_text(q: Fraction) -> str:

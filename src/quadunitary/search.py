@@ -28,14 +28,15 @@ Both modes split the search into work units.  Each unit's results are held
 in memory and the units are merged in their fixed order, so records come out
 in (norm, coordinates) order and are byte-identical for any job count.  Each
 unit is appended to a JSON-lines checkpoint as soon as it finishes, so a run
-that is stopped resumes into an identical run.  read_checkpoint is the one
-reader: it decodes the header into the SearchConfig that wrote the file and
-holds every record to that search's format and target, for a resume and for
-theorems.load_hits alike.  A row (an elements-mode record or a signature)
-is its JSON line, made once in the worker that finds it; the lines go through
-the pool, the checkpoint and search_rows to the command line.  The rows of a
-resumed unit are checked, then made into lines again by the same formatters:
-re-encoded, not recomputed.
+that is stopped resumes into an identical run.  A row (an elements-mode
+record or a signature) is its JSON line, made once in the worker that finds
+it; the lines go through the pool, the checkpoint and search_rows to the
+command line.  read_checkpoint is the one reader, for a resume and for
+theorems.load_hits alike, and the one module that knows the row format: it
+decodes the header into the SearchConfig that wrote the file and, in one
+pass per unit, holds every row to that search's format, target and window
+and makes it into its line again by the same formatter (re-encoded, not
+recomputed), returning each unit's lines and hits.
 
 A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
@@ -484,11 +485,6 @@ def _row_line(z: str, norm: int, istar: str, hit: bool) -> str:
     return f'{{"z":"{z}","norm":{norm},"istar":{istar},"hit":{"true" if hit else "false"}}}'
 
 
-def _signature_line(d: int, n: int, entries) -> str:
-    """A hit signature as its JSON line."""
-    return _dumps(Signature.from_entries(d, n, entries).to_json_dict())
-
-
 def _elements_task(payload: tuple) -> list[str]:
     d, n, t_text, lo, hi, verbose = payload
     r = ring(d)
@@ -516,7 +512,7 @@ def _signatures_task(payload: tuple) -> list[str]:
     d, n, target_texts, max_norm, j0, j1 = payload
     targets = tuple(Fraction(s) for s in target_texts)
     hits = _dfs_signatures(d, n, targets, max_norm, j0, j1)
-    return [_signature_line(d, n, ents) for ents in hits]
+    return [_dumps(Signature.from_entries(d, n, ents).to_json_dict()) for ents in hits]
 
 
 def _run_task(args: tuple) -> list[str]:
@@ -551,18 +547,19 @@ def _truncate(path: str, size: int) -> None:
         raise CheckpointError(f"cannot drop the torn last line of {path}: {exc}") from exc
 
 
-def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, list[tuple[list, list]]] | None:
-    """The search config and the checked (task, results) units of a checkpoint file.
+def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, list[tuple[list, list, list]]] | None:
+    """The search config and the checked (task, lines, hits) units of a checkpoint file.
 
     Returns None for a missing or empty file.  Raises CheckpointError when
     the file cannot be read, when the header does not name a search
     checkpoint of this schema version whose config encodes back to itself,
-    or when a unit line does not parse into records as that search writes
-    them (_check_rows).  Whether that search is the caller's is the caller's
-    call.  A last line without its newline is what a crash mid-write leaves:
-    with drop_torn it is not parsed, and once the rest of the file is known
-    to be a checkpoint it is cut from the file, so the next unit appended
-    starts on a line of its own.
+    or when a unit is not one that search writes: a task seen twice, an
+    elements-mode task that is not one of its windows, or rows that
+    _check_rows refuses.  Whether that search is the caller's is the
+    caller's call.  A last line without its newline is what a crash
+    mid-write leaves: with drop_torn it is not parsed, and once the rest of
+    the file is known to be a checkpoint it is cut from the file, so the
+    next unit appended starts on a line of its own.
     """
     try:
         with open(path, "rb") as fh:
@@ -619,22 +616,26 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, l
             raise CheckpointError(f"corrupt checkpoint entry at {path}:{i}: {exc}") from exc
     if torn:
         _truncate(path, len(data))
-    for i, (_, results) in enumerate(units, start=2):
-        _check_rows(cfg, results, f"{path}:{i}")
+    del data, lines  # so the file's text and the lines made below are not held at once
+    windows = {_dumps(key) for key, _ in _element_tasks(cfg)} if cfg.mode == "elements" else None
+    seen = set()
+    for i, (task, rows) in enumerate(units):
+        where, key = f"{path}:{i + 2}", _dumps(task)
+        if key in seen or windows is not None and key not in windows:
+            raise CheckpointError(f"corrupt checkpoint entry at {where}: {key} is repeated or not a task of this search")
+        seen.add(key)
+        units[i] = (task, *_check_rows(cfg, task, rows, where))
     return cfg, units
 
 
 _ROW_KEYS = {"z", "norm", "istar", "hit"}
-_SIGNATURE_KEYS = {"entries", "norm", "value"}
 
 
-def _check_signature(cfg: SearchConfig, row: dict) -> None:
-    """Raise ValueError unless row is a signature record as _signatures_task writes it for cfg.t."""
+def _check_signature(cfg: SearchConfig, row: dict) -> tuple[Signature, dict]:
+    """The Signature of a record and its JSON dict; ValueError unless the record is that dict, at cfg.t."""
     d = cfg.ring.d
-    if row.keys() != _SIGNATURE_KEYS:
-        raise ValueError(f"a record must have exactly the keys {sorted(_SIGNATURE_KEYS)}")
     last = 1
-    for p, kind, alphas in row["entries"]:
+    for p, kind, alphas in row.get("entries", ()):
         if not (type(p) is int and p > last and is_prime(p) and kind == prime_kind(d, p)):
             raise ValueError(
                 f"entry {[p, kind, alphas]!r} is not a prime of d={d} with its kind, "
@@ -649,35 +650,46 @@ def _check_signature(cfg: SearchConfig, row: dict) -> None:
             and alphas[0] >= alphas[-1]
         ):
             raise ValueError(f"entry {[p, kind, alphas]!r} does not have its kind's exponents")
-    sig = Signature.from_entries(d, cfg.n, row["entries"])
-    if type(row["norm"]) is not int or row["norm"] != sig.norm():
-        raise ValueError(f"norm {row['norm']!r} is not the norm of the entries")
-    if row["value"] != str(sig.value()):
-        raise ValueError(f"value {row['value']!r} is not the index of the entries")
-    if row["value"] != str(cfg.t):
+    sig = Signature.from_entries(d, cfg.n, row.get("entries", ()))
+    want = sig.to_json_dict()
+    if row != want or type(row["norm"]) is not int:
+        raise ValueError(f"record {row!r} is not {want!r}, the record of its entries")
+    if want["value"] != str(cfg.t):
         raise ValueError(f"value {row['value']!r} is not the target {cfg.t}")
+    return sig, want
 
 
-def _check_rows(cfg: SearchConfig, rows, where: str) -> None:
-    """Raise CheckpointError unless rows are records as cfg's search writes them.
+def _check_rows(cfg: SearchConfig, task, rows, where: str) -> tuple[list[str], list]:
+    """A unit's lines and hits, in one pass; CheckpointError unless rows are cfg's search's.
 
-    The records of a checkpoint answer its one target: a signature's value
-    is cfg.t, and an elements-mode row is a hit exactly when its istar is.
+    Each row is held to the form and the one target of cfg's search, then
+    made into its line by the formatter a worker uses: re-encoded as
+    checked, not recomputed.  An elements-mode unit [lo, hi] holds rows in
+    strictly increasing (norm, a, b) with lo <= norm <= hi; its hits are the
+    elements parsed from its hit rows.  A signatures unit's hits are its
+    Signatures.
     """
-    # compiled here, not at import, which every command pays for
-    radicand, coeff = re.compile(r"[1-9][0-9]*"), re.compile(r"-?([1-9][0-9]*)(?:/([1-9][0-9]*))?")
-    target = {"1": str(cfg.t)}
+    lines, hits = [], []
     try:
+        if cfg.mode == "signatures":
+            for row in rows:
+                sig, want = _check_signature(cfg, row)
+                lines.append(_dumps(want))
+                hits.append(sig)
+            return lines, hits
+        # compiled here, not at import, which every command pays for
+        radicand, coeff = re.compile(r"[1-9][0-9]*"), re.compile(r"-?([1-9][0-9]*)(?:/([1-9][0-9]*))?")
+        target = {"1": str(cfg.t)}
+        lo, hi = task
+        prev: tuple = (lo,)  # below every point of the window
         for row in rows:
-            if cfg.mode == "signatures":
-                _check_signature(cfg, row)
-                continue
             if row.keys() != _ROW_KEYS:
                 raise ValueError(f"a record must have exactly the keys {sorted(_ROW_KEYS)}")
-            if type(row["hit"]) is not bool:
-                raise ValueError(f"hit {row['hit']!r} is not a boolean")
+            text, norm, istar, hit = row["z"], row["norm"], row["istar"], row["hit"]
+            if type(hit) is not bool:
+                raise ValueError(f"hit {hit!r} is not a boolean")
             last = 0
-            for m, c in row["istar"].items():
+            for m, c in istar.items():
                 fraction = coeff.fullmatch(c)
                 if not (radicand.fullmatch(m) and fraction):
                     raise ValueError(f"istar term {m!r}: {c!r} is not a radicand and a fraction")
@@ -687,13 +699,20 @@ def _check_rows(cfg: SearchConfig, rows, where: str) -> None:
                 if int(m) <= last:
                     raise ValueError(f"istar radicand {m} does not follow {last}")
                 last = int(m)
-            if row["hit"] != (row["istar"] == target):
-                raise ValueError(f"hit {row['hit']} disagrees with istar {row['istar']!r} at target {cfg.t}")
-            norm = row["norm"]
-            if type(norm) is not int or norm != cfg.ring.parse(row["z"]).norm():
-                raise ValueError(f"norm {norm!r} is not the norm of {row['z']}")
+            if hit != (istar == target):
+                raise ValueError(f"hit {hit} disagrees with istar {istar!r} at target {cfg.t}")
+            z = cfg.ring.parse(text)
+            if type(norm) is not int or norm != z.norm():
+                raise ValueError(f"norm {norm!r} is not the norm of {text}")
+            if not (prev < (norm, z.a, z.b) and norm <= hi):
+                raise ValueError(f"{text} (norm {norm}) does not follow the row before it in [{lo}, {hi}]")
+            prev = (norm, z.a, z.b)
+            lines.append(_row_line(text, norm, _terms_json(istar.items()), hit))
+            if hit:
+                hits.append(z)
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
+    return lines, hits
 
 
 class _CheckpointWriter:
@@ -745,26 +764,6 @@ def _fork_pool(jobs: int):
     return multiprocessing.get_context("fork" if "fork" in methods else None).Pool(jobs)
 
 
-def _resumed_lines(cfg: SearchConfig, rows: list[dict], where: str) -> list[str]:
-    """The lines of a checkpoint unit's checked rows, made by the formatters its workers use.
-
-    The rows are re-encoded as they stand, not recomputed: _check_rows held
-    them to the form a worker writes, so the lines are a fresh run's for a
-    checkpoint the program wrote.  A resumed elements-mode hit enters the
-    program here and is verified; signatures are verified as
-    witness_records materializes them.
-    """
-    if cfg.mode == "signatures":
-        return [_signature_line(cfg.ring.d, cfg.n, row["entries"]) for row in rows]
-    for row in rows:
-        if row["hit"]:
-            try:
-                _verify_hit(cfg.ring.parse(row["z"]), cfg.n, cfg.t)
-            except AssertionError as exc:
-                raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
-    return [_row_line(row["z"], row["norm"], _terms_json(row["istar"].items()), row["hit"]) for row in rows]
-
-
 def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[list[str]]:
     """Run (task_key, payload) units, honoring checkpoint and jobs; each unit's lines, in order.
 
@@ -781,8 +780,13 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
             raise CheckpointError(
                 f"{cfg.checkpoint_path} was written by a different search configuration"
             )
-        for line, (task, rows) in enumerate(units, start=2):
-            done[_dumps(task)] = _resumed_lines(cfg, rows, f"{cfg.checkpoint_path}:{line}")
+        for line, (task, lines, hits) in enumerate(units, start=2):
+            try:  # a resumed elements-mode hit enters here; signatures are verified by witness_records
+                for z in hits if cfg.mode == "elements" else ():
+                    _verify_hit(z, cfg.n, cfg.t)
+            except AssertionError as exc:
+                raise CheckpointError(f"corrupt checkpoint record at {cfg.checkpoint_path}:{line}: {exc}") from exc
+            done[_dumps(task)] = lines
     pending = [(key, payload) for key, payload in tasks if _dumps(key) not in done]
     args = [(cfg.mode, payload) for _, payload in pending]
     splittable = sum(1 for key, _ in pending if key[0] != "above")

@@ -6,11 +6,11 @@ violation found.  An honest run has zero violations; the checkers themselves
 are exercised against fabricated bad inputs in the test suite.  Checks can
 consume persisted search checkpoints so that expensive discovery and cheap
 verification stay separate, or discover their own hit population through the
-signature search.  A checkpoint's records are held to the search that wrote
-it, target included, by search.read_checkpoint.  Signatures become hits
-through search.witness_records, which checks each witness with the oracle;
-elements-mode hits read back are trusted: they are not run through the oracle
-again.
+signature search.  search.read_checkpoint holds a checkpoint's records to the
+search that wrote it, target included, and returns its hits.  Signatures
+become hits through search.witness_records, which checks each witness with
+the oracle; elements-mode hits read back are trusted: they are not run
+through the oracle again.
 
 Check ids (CLI surface):
 
@@ -39,7 +39,6 @@ from .rings import DomainError, K, QInt, Ring, canonical_associate, format_coord
 from .search import (
     CheckpointError,
     SearchConfig,
-    Signature,
     _index_points,
     read_checkpoint,
     signature_hits_multi,
@@ -136,8 +135,8 @@ def load_hits(path: str, r: Ring) -> tuple[SearchConfig, list[Hit]]:
     """The search that wrote a checkpoint (either mode), and its hits sorted by (norm, a, b).
 
     search.read_checkpoint holds every record to that search, its target
-    included.  Signatures become hits through witness_records; elements-mode
-    hits are taken as read.
+    included, and returns each unit's hits.  Signatures become hits through
+    witness_records; elements-mode hits are taken as read.
     """
     loaded = read_checkpoint(path)
     if loaded is None:
@@ -145,14 +144,11 @@ def load_hits(path: str, r: Ring) -> tuple[SearchConfig, list[Hit]]:
     cfg, units = loaded
     if cfg.ring != r:
         raise DomainError(f"checkpoint was searched in d={cfg.ring.d}, not d={r.d}")
-    rows = [row for _, results in units for row in results]
+    hits = [hit for _, _, unit_hits in units for hit in unit_hits]
     if cfg.mode == "signatures":
-        sigs = [Signature.from_entries(r.d, cfg.n, row["entries"]) for row in rows]
-        zs = [rec.z for rec in witness_records(r, cfg.n, sigs)]
-    else:
-        zs = sorted((r.parse(row["z"]) for row in rows if row["hit"]),
-                    key=lambda z: (z.norm(), z.a, z.b))
-    return cfg, [Hit(cfg.n, cfg.t, z) for z in zs]
+        hits = [rec.z for rec in witness_records(r, cfg.n, hits)]
+    hits.sort(key=lambda z: (z.norm(), z.a, z.b))
+    return cfg, [Hit(cfg.n, cfg.t, z) for z in hits]
 
 
 def _entry_norm(e: FactorEntry) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from quadunitary.cli import main
-from quadunitary.search import Signature
+from quadunitary.search import Signature, _elements_task
 
 
 def run_cli(capsys, *argv):
@@ -332,6 +332,56 @@ def test_resumed_records_must_agree_with_the_target(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), (name, argv[0])
             assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), (name, argv[0])
+
+
+def test_checkpoint_units_must_be_the_searchs_windows_once(tmp_path, capsys):
+    # a unit is one of the search's units, written once, with its rows in
+    # strictly increasing (norm, a, b) inside its window [2, 1000]
+    stray = json.loads(_elements_task((-1, 2, "2", 5200, 5200, True))[0])
+    assert stray["norm"] == 5200
+
+    def with_row(make):
+        def corrupt(lines):
+            unit = json.loads(lines[1])
+            unit["results"].append(make(unit["results"]))
+            return [lines[0], json.dumps(unit)], 2
+        return corrupt
+
+    def rekeyed(lines):
+        unit = json.loads(lines[1])
+        unit["task"] = [5000, 6000]
+        return lines + [json.dumps(unit)], 3
+
+    def swapped(lines):
+        unit = json.loads(lines[1])
+        unit["results"][:2] = unit["results"][1::-1]
+        return [lines[0], json.dumps(unit)], 2
+
+    repeated = lambda lines: (lines + lines[-1:], len(lines) + 1)
+    cases = {
+        "row of norm 5200": ("--verbose", with_row(lambda rows: stray)),
+        "copy of an earlier row": ("--verbose", with_row(lambda rows: rows[5])),
+        "rows out of order": ("--quiet", swapped),
+        "unit there twice": ("--quiet", repeated),
+        "unit re-keyed [5000, 6000]": ("--quiet", rekeyed),
+        "signatures unit there twice": ("signatures", repeated),
+    }
+    for i, (name, (option, corrupt)) in enumerate(cases.items()):
+        path = tmp_path / f"cp{i}.jsonl"
+        mode = ("--mode", "signatures", "--quiet") if option == "signatures" else (option,)
+        args = (
+            "search", "--ring", "-1", "--power", "2", "--target", "2",
+            "--max-norm", "1000", *mode, "--checkpoint", str(path),
+        )
+        assert run_cli(capsys, *args)[0] == 0
+        lines, line = corrupt(path.read_text().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+        verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
+        for argv in (args, verify):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (name, argv[0])
+            assert err.startswith("error: corrupt checkpoint "), (name, argv[0])
+            assert f" at {path}:{line}: " in err, (name, argv[0])
 
 
 def test_checkpoint_header_must_be_a_search_config(tmp_path, capsys):

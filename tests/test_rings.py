@@ -11,6 +11,7 @@ from quadunitary.rings import (
     arg_less,
     canonical_associate,
     exact_div,
+    format_coords,
     format_element,
     in_sector,
     index_of_unit,
@@ -240,6 +241,10 @@ def test_parse_formatted_inverts_format_element():
         for _ in range(50):
             z = random_nonzero(rng, r, span=10**6)
             assert parse_formatted(r, format_element(z)) == z
+        # every coordinate pair in a box, zero and both signs of both included
+        for a in range(-60, 61):
+            for b in range(-60, 61):
+                assert parse_formatted(r, format_coords(a, b)) == QInt(r, a, b)
 
 
 def test_parse_formatted_rejects_non_canonical_text():
@@ -248,6 +253,7 @@ def test_parse_formatted_rejects_non_canonical_text():
         "", "w", "1*w+3", "3+1w", "3 + 1*w", " 3", "3 ", "+3", "03", "-0", "0*w",
         "3+0*w", "0+1*w", "3+-1*w", "3--1*w", "1_0", "1/2", "i", "1+i", "3+4*w*w",
         "3+4*W", "sqrt(-1)", "3.0", "\u0663",
+        "1+01*w", "01+1*w", "+1*w", "1+*w", "*w", "1+", "0-1*w", "-0*w", "1*w*w", "1+1*w ",
     ):
         with pytest.raises(DomainError):
             parse_formatted(r, text)

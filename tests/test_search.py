@@ -14,7 +14,7 @@ import pytest
 
 from quadunitary import primes, search
 from quadunitary.primes import prime_kind, primes_up_to, small_primes
-from quadunitary.rings import K, DomainError, format_element, in_sector, ring
+from quadunitary.rings import K, DomainError, QInt, format_element, in_sector, ring
 from quadunitary.search import (
     CheckpointError,
     SearchConfig,
@@ -356,6 +356,39 @@ def test_multi_target_equals_single_target_union():
     assert sorted(map(key, multi)) == sorted(map(key, singles))
     values = {s.value() for s in multi}
     assert values <= set(targets)
+
+
+@pytest.mark.parametrize("mode, verbose", [("elements", True), ("elements", False), ("signatures", False)])
+def test_read_checkpoint_returns_each_units_fresh_lines_and_hits(tmp_path, monkeypatch, mode, verbose):
+    monkeypatch.setattr(search, "_WINDOW", 512)
+    r, n, t = ring(-1), 2, Fraction(2)
+    path = str(tmp_path / "cp.jsonl")
+    cfg = SearchConfig(r, n, t, 3000, mode=mode, verbose=verbose, checkpoint_path=path)
+    written = {}  # each unit's lines as the fresh run writes them
+    record = search._CheckpointWriter.record
+
+    def spy(writer, key, lines):
+        written[key] = lines
+        record(writer, key, lines)
+
+    monkeypatch.setattr(search._CheckpointWriter, "record", spy)
+    search_rows(cfg)
+    monkeypatch.setattr(search._CheckpointWriter, "record", record)
+    saved, units = search.read_checkpoint(path)
+    assert search._config_echo(saved) == search._config_echo(cfg)
+    assert [search._dumps(task) for task, _, _ in units] == list(written)
+    for task, lines, hits in units:
+        assert lines == written[search._dumps(task)], task
+        if mode == "elements":
+            want = [z for _, z in iter_sector_elements(r, *task) if i_star(z, n) == t]
+            assert hits == want and all(type(z) is QInt for z in hits), task
+        else:
+            assert hits == [Signature.from_entries(-1, n, json.loads(line)["entries"]) for line in lines]
+    if mode == "elements":
+        assert len(units) == 6 and sum(len(hits) > 0 for _, _, hits in units) > 1
+    else:
+        sigs = [hit for _, _, hits in units for hit in hits]
+        assert sigs == search_signatures(SearchConfig(r, n, t, 3000, mode=mode)) != []
 
 
 def test_jobs_do_not_change_output(monkeypatch):
