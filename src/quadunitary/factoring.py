@@ -155,16 +155,10 @@ def factor_element(z: QInt, allow_large: bool = False) -> Factorization:
     rest = z
     for p, e in factor_int(n):
         pc = prime_above(p, z.ring)
-        if pc.kind == "inert":
-            assert e % 2 == 0, (z, p)
-            exp = e // 2
+        if pc.kind != "split":
+            exp = e if pc.kind == "ramified" else e // 2  # an inert pi is p, of norm p^2
             entries.append(FactorEntry(pc.pi, exp, p, pc.kind))
             for _ in range(exp):
-                rest = exact_div(rest, pc.pi)  # type: ignore[arg-type]
-                assert rest is not None
-        elif pc.kind == "ramified":
-            entries.append(FactorEntry(pc.pi, e, p, pc.kind))
-            for _ in range(e):
                 rest = exact_div(rest, pc.pi)  # type: ignore[arg-type]
                 assert rest is not None
         else:

@@ -177,26 +177,21 @@ def _norm_form_seed(r: Ring, p: int) -> QInt:
 
 
 @lru_cache(maxsize=None)
-def _prime_above(p: int, d: int) -> PrimeClass:
-    r = ring(d)
-    kind = classify(p, r)
-    if kind == "inert":
-        return PrimeClass(p, d, kind, r.element(p))
-    seed = _norm_form_seed(r, p)
-    assert seed.norm() == p, (p, d)
-    w1, _ = canonical_associate(seed)
-    if kind == "ramified":
-        return PrimeClass(p, d, kind, w1)
-    w2, _ = canonical_associate(seed.conj())
-    assert w1 != w2, (p, d)
-    if arg_less(w2, w1):
-        w1, w2 = w2, w1
-    return PrimeClass(p, d, kind, w1, w2)
-
-
 def prime_above(p: int, r: Ring) -> PrimeClass:
     """Canonical data for the primes of the ring lying above p.  Memoized."""
-    return _prime_above(p, r.d)
+    kind = classify(p, r)
+    if kind == "inert":
+        return PrimeClass(p, r.d, kind, r.element(p))
+    seed = _norm_form_seed(r, p)
+    assert seed.norm() == p, (p, r.d)
+    w1, _ = canonical_associate(seed)
+    if kind == "ramified":
+        return PrimeClass(p, r.d, kind, w1)
+    w2, _ = canonical_associate(seed.conj())
+    assert w1 != w2, (p, r.d)
+    if arg_less(w2, w1):
+        w1, w2 = w2, w1
+    return PrimeClass(p, r.d, kind, w1, w2)
 
 
 def xi(r: Ring) -> QInt:

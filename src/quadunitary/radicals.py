@@ -169,13 +169,12 @@ class RadicalValue:
         parts: list[str] = []
         for m, c in sorted(self._terms.items()):
             mag = abs(c)
-            coef = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
             if m == 1:
-                body = coef
+                body = str(mag)
             elif mag == 1:
                 body = f"sqrt({m})"
             else:
-                body = f"{coef}*sqrt({m})"
+                body = f"{mag}*sqrt({m})"
             if not parts:
                 parts.append(body if c >= 0 else f"-{body}")
             else:

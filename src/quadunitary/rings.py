@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import prod
 
 K = (-163, -67, -43, -19, -11, -7, -3, -2, -1)
 
@@ -31,7 +32,7 @@ class Ring:
         if self.d not in K:
             raise DomainError(f"ring must be one of {list(K)}, got {self.d}")
 
-    @property
+    @cached_property
     def half_integral(self) -> bool:
         """True when the basis element is (1 + sqrt(d))/2 rather than sqrt(d)."""
         return self.d % 4 == 1
@@ -44,13 +45,14 @@ class Ring:
             return 6
         return 2
 
-    @property
+    @cached_property
     def disc(self) -> int:
         """The field discriminant D: d when d = 1 (mod 4), else 4d.
 
         The one norm form of every ring: with s = 1 for half-integral rings
-        and 0 otherwise, 4 * N(a + b*w) = (2a + s*b)^2 + |D| * b^2.  Prime
-        kinds, prime witnesses and the sector walk are all read off it.
+        and 0 otherwise, 4 * N(a + b*w) = (2a + s*b)^2 + |D| * b^2, and
+        w^2 = s*w + (D - s)/4.  Element arithmetic, prime kinds, prime
+        witnesses and the sector walk are all read off it.
         """
         return self.d if self.half_integral else 4 * self.d
 
@@ -131,12 +133,9 @@ class QInt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b, c, e = self.a, self.b, o.a, o.b
-        if self.ring.half_integral:
-            # w^2 = w + (d-1)/4
-            m = (self.ring.d - 1) // 4
-            return QInt(self.ring, a * c + b * e * m, a * e + b * c + b * e)
-        return QInt(self.ring, a * c + b * e * self.ring.d, a * e + b * c)
+        r = self.ring
+        s, be = r.half_integral, self.b * o.b  # w^2 = s*w + (D - s)/4
+        return QInt(r, self.a * o.a + be * ((r.disc - s) >> 2), self.a * o.b + self.b * o.a + s * be)
 
     __rmul__ = __mul__
 
@@ -154,15 +153,14 @@ class QInt:
 
     def conj(self) -> "QInt":
         """Complex conjugate, expressed in the same integral basis."""
-        if self.ring.half_integral:
-            return QInt(self.ring, self.a + self.b, -self.b)
-        return QInt(self.ring, self.a, -self.b)
+        r, b = self.ring, self.b
+        return QInt(r, self.a + r.half_integral * b, -b)
 
     def norm(self) -> int:
         """The field norm z * conj(z); a nonnegative rational integer."""
-        if self.ring.half_integral:
-            return self.a * self.a + self.a * self.b + self.b * self.b * (1 - self.ring.d) // 4
-        return self.a * self.a - self.ring.d * self.b * self.b
+        r, b = self.ring, self.b
+        u = 2 * self.a + r.half_integral * b
+        return (u * u - r.disc * b * b) >> 2
 
     @property
     def is_zero(self) -> bool:
@@ -207,20 +205,6 @@ def _unit_index_map(d: int) -> dict[tuple[int, int], int]:
     return {(u.a, u.b): i for i, u in enumerate(_units(d))}
 
 
-@lru_cache(maxsize=None)
-def _unit_inverse_indices(d: int) -> tuple[int, ...]:
-    units = _units(d)
-    lookup = _unit_index_map(d)
-    inv = []
-    for u in units:
-        for v in units:
-            w = u * v
-            if w.a == 1 and w.b == 0:
-                inv.append(lookup[(v.a, v.b)])
-                break
-    return tuple(inv)
-
-
 def index_of_unit(u: QInt) -> int:
     idx = _unit_index_map(u.ring.d).get((u.a, u.b))
     if idx is None:
@@ -261,13 +245,16 @@ def canonical_associate(z: QInt) -> tuple[QInt, int]:
     """The unique associate of z in the sector, plus the unit index u with z = u * w."""
     if z.is_zero:
         raise DomainError("zero has no canonical associate")
-    units = z.ring.units()
-    inverses = _unit_inverse_indices(z.ring.d)
-    for i, u in enumerate(units):
+    for u in z.ring.units():
         w = z * u
         if in_sector(w):
-            return w, inverses[i]
+            return w, index_of_unit(u.conj())  # a unit's inverse is its conjugate
     raise AssertionError(f"unit orbit of {z!r} missed the sector")
+
+
+def canonical_product(r: Ring, parts) -> QInt:
+    """The canonical associate of the product of parts (elements of r)."""
+    return canonical_associate(prod(parts, start=r.one()))[0]
 
 
 def is_associate(x: QInt, y: QInt) -> bool:
@@ -327,26 +314,22 @@ def parse_formatted(r: Ring, text: str) -> QInt:
     return QInt(r, int(m[2] or 0), int(m[3]))
 
 
-def _frac_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def pretty_element(z: QInt) -> str:
     """Radical syntax "x+y*sqrt(d)" with rational x, y (halves for d = 1 mod 4)."""
     x, y = z.rational_parts()
     root = "i" if z.ring.d == -1 else f"sqrt({z.ring.d})"
     if y == 0:
-        return _frac_text(x)
+        return str(x)
     if y == 1:
         ytext = root
     elif y == -1:
         ytext = f"-{root}"
     else:
-        ytext = f"{_frac_text(y)}*{root}"
+        ytext = f"{y}*{root}"
     if x == 0:
         return ytext
     sep = "+" if y > 0 else ""
-    return f"{_frac_text(x)}{sep}{ytext}"
+    return f"{x}{sep}{ytext}"
 
 
 _TERM_RE = re.compile(

@@ -34,7 +34,7 @@ it; the lines go through the pool, the checkpoint and search_rows to the
 command line.  read_checkpoint is the one reader, for a resume and for
 theorems.load_hits alike, and the one module that knows the row format: it
 decodes the header into the SearchConfig that wrote the file and, in one
-pass per unit, holds every row to that search's format, target and window
+pass per unit, holds every row to that search's format, target and unit
 and makes it into its line again by the same formatter (re-encoded, not
 recomputed), returning each unit's lines and hits.
 
@@ -61,7 +61,7 @@ from math import gcd, inf, isqrt, nextafter, prod
 from .factoring import index_rows
 from .primes import is_prime, prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
-from .rings import DomainError, QInt, Ring, canonical_associate, format_coords, format_element, ring
+from .rings import DomainError, QInt, Ring, canonical_product, format_coords, format_element, in_sector, ring
 from .udf import _WINDOW, _index_numerators, delta_star_oracle, i_star
 
 CHECKPOINT_SCHEMA = 1
@@ -183,7 +183,7 @@ class Signature:
                 if a1 != a2:
                     opts.append(pc.pi**a2 * pc.pi_bar**a1)
                 options.append(opts)
-        outs = {_product(r, combo) for combo in product(*options)}
+        outs = {canonical_product(r, combo) for combo in product(*options)}
         return sorted(outs, key=lambda z: (z.norm(), z.a, z.b))
 
     def to_json_dict(self) -> dict:
@@ -192,13 +192,6 @@ class Signature:
             "norm": self.norm(),
             "value": str(self.value()),
         }
-
-
-def _product(r: Ring, parts) -> QInt:
-    z = r.one()
-    for part in parts:
-        z = z * part
-    return canonical_associate(z)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +546,9 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, l
     Returns None for a missing or empty file.  Raises CheckpointError when
     the file cannot be read, when the header does not name a search
     checkpoint of this schema version whose config encodes back to itself,
-    or when a unit is not one that search writes: a task seen twice, an
-    elements-mode task that is not one of its windows, or rows that
-    _check_rows refuses.  Whether that search is the caller's is the
-    caller's call.  A last line without its newline is what a crash
+    or when a unit is not one that search writes: a task seen twice, a
+    task that is not one of its units, or rows that _check_rows refuses.
+    Whether that search is the caller's is the caller's call.  A last line without its newline is what a crash
     mid-write leaves: with drop_torn it is not parsed, and once the rest of
     the file is known to be a checkpoint it is cut from the file, so the
     next unit appended starts on a line of its own.
@@ -617,11 +609,12 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, l
     if torn:
         _truncate(path, len(data))
     del data, lines  # so the file's text and the lines made below are not held at once
-    windows = {_dumps(key) for key, _ in _element_tasks(cfg)} if cfg.mode == "elements" else None
+    tasks = _element_tasks(cfg) if cfg.mode == "elements" else _signature_tasks(cfg, (cfg.t,))
+    keys = {_dumps(key) for key, _ in tasks}
     seen = set()
     for i, (task, rows) in enumerate(units):
         where, key = f"{path}:{i + 2}", _dumps(task)
-        if key in seen or windows is not None and key not in windows:
+        if key in seen or key not in keys:
             raise CheckpointError(f"corrupt checkpoint entry at {where}: {key} is repeated or not a task of this search")
         seen.add(key)
         units[i] = (task, *_check_rows(cfg, task, rows, where))
@@ -664,16 +657,29 @@ def _check_rows(cfg: SearchConfig, task, rows, where: str) -> tuple[list[str], l
 
     Each row is held to the form and the one target of cfg's search, then
     made into its line by the formatter a worker uses: re-encoded as
-    checked, not recomputed.  An elements-mode unit [lo, hi] holds rows in
-    strictly increasing (norm, a, b) with lo <= norm <= hi; its hits are the
-    elements parsed from its hit rows.  A signatures unit's hits are its
+    checked, not recomputed.  An elements-mode unit [lo, hi] holds sector
+    elements in strictly increasing (norm, a, b) with lo <= norm <= hi: only
+    hits, or with verbose every point of the window; its hits are the
+    elements parsed from its hit rows.  A signatures unit holds signatures
+    of norm at most max_norm in strictly increasing entries, the DFS's
+    order, whose first prime is in its table slots [j0, j1), or for the
+    ["above", limit] unit is one prime above the table; its hits are its
     Signatures.
     """
     lines, hits = [], []
     try:
         if cfg.mode == "signatures":
+            above = task[0] == "above"
+            first = () if above else small_primes(isqrt(cfg.max_norm))[task[0]:task[1]]
+            prev = []  # below every nonempty entries list
             for row in rows:
                 sig, want = _check_signature(cfg, row)
+                entries = row["entries"]
+                p = entries[0][0]
+                in_unit = len(entries) == 1 and p > task[1] if above else p in first
+                if not (in_unit and prev < entries and want["norm"] <= cfg.max_norm):
+                    raise ValueError(f"{entries} is not the next hit of unit {task} after {prev} with norm <= {cfg.max_norm}")
+                prev = entries
                 lines.append(_dumps(want))
                 hits.append(sig)
             return lines, hits
@@ -701,15 +707,19 @@ def _check_rows(cfg: SearchConfig, task, rows, where: str) -> tuple[list[str], l
                 last = int(m)
             if hit != (istar == target):
                 raise ValueError(f"hit {hit} disagrees with istar {istar!r} at target {cfg.t}")
+            if not (hit or cfg.verbose):
+                raise ValueError(f"{text} is not a hit, and the unit lists only hits")
             z = cfg.ring.parse(text)
             if type(norm) is not int or norm != z.norm():
                 raise ValueError(f"norm {norm!r} is not the norm of {text}")
-            if not (prev < (norm, z.a, z.b) and norm <= hi):
-                raise ValueError(f"{text} (norm {norm}) does not follow the row before it in [{lo}, {hi}]")
+            if not (prev < (norm, z.a, z.b) and norm <= hi and in_sector(z)):
+                raise ValueError(f"{text} (norm {norm}) is not a sector element after the last row in [{lo}, {hi}]")
             prev = (norm, z.a, z.b)
             lines.append(_row_line(text, norm, _terms_json(istar.items()), hit))
             if hit:
                 hits.append(z)
+        if cfg.verbose and len(lines) != len(_interval_points(cfg.ring, lo, hi)):
+            raise ValueError(f"{len(lines)} rows are not every sector element of norm in [{lo}, {hi}]")
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
     return lines, hits
@@ -817,16 +827,15 @@ def _element_tasks(cfg: SearchConfig) -> list[tuple[list, tuple]]:
     return tasks
 
 
-def _signature_search(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[Signature]:
-    """Hit signatures for any of the targets (all > 1), in deterministic DFS order.
+def _signature_tasks(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[tuple[list, tuple]]:
+    """The (task_key, payload) units of a signature search, for running it and for reading its checkpoint.
 
     One unit per 256 table slots of first primes, then one unit, keyed
     ["above", isqrt(max_norm)], for the first primes above the table.
     """
     limit = isqrt(cfg.max_norm)
-    # fill the caches before any worker forks
+    # fill the caches (prime table, envelope) before any worker forks
     table_size = len(small_primes(limit))
-    _envelope_cached(cfg.n, limit)
     j_limit = _root_limit(cfg.n, targets, cfg.max_norm)
     chunk = 256
     head = (cfg.ring.d, cfg.n, tuple(str(t) for t in sorted(targets)), cfg.max_norm)
@@ -835,9 +844,14 @@ def _signature_search(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[
         j1 = min(j + chunk, j_limit)
         tasks.append(([j, j1], (*head, j, j1)))
     tasks.append((["above", limit], (*head, table_size, None)))
+    return tasks
+
+
+def _signature_search(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[Signature]:
+    """Hit signatures for any of the targets (all > 1), in deterministic DFS order."""
     return [
         Signature.from_entries(cfg.ring.d, cfg.n, json.loads(line)["entries"])
-        for lines in _task_results(cfg, tasks)
+        for lines in _task_results(cfg, _signature_tasks(cfg, targets))
         for line in lines
     ]
 

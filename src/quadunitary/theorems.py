@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .factoring import FactorEntry, factor_element, factor_int
 from .primes import prime_above
-from .rings import DomainError, K, QInt, Ring, canonical_associate, format_coords, format_element, ring
+from .rings import DomainError, K, QInt, Ring, canonical_product, format_coords, format_element, ring
 from .search import (
     CheckpointError,
     SearchConfig,
@@ -381,15 +381,11 @@ def g_map(n: int, r: Ring) -> QInt:
     """
     if n < 1:
         raise DomainError("g_map needs a positive integer")
-    z = r.one()
+    parts = []
     for p, e in factor_int(n):
         pc = prime_above(p, r)
-        if pc.kind == "split":
-            base = canonical_associate(pc.pi * pc.pi)[0]
-        else:
-            base = r.element(p)
-        z = z * base**e
-    return canonical_associate(z)[0]
+        parts.append((pc.pi * pc.pi if pc.kind == "split" else r.element(p)) ** e)
+    return canonical_product(r, parts)
 
 
 def check_thm_2_6(b: Fraction = Fraction(2), bound: int = 100_000) -> TheoremReport:

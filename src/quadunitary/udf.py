@@ -19,7 +19,7 @@ from math import isqrt
 from .factoring import Factorization, factor_element
 from .primes import small_primes
 from .radicals import RadicalValue
-from .rings import DomainError, QInt, canonical_associate
+from .rings import DomainError, QInt, canonical_product
 
 # ---------------------------------------------------------------------------
 # unitary divisors
@@ -30,13 +30,10 @@ def unitary_divisors(z: QInt) -> list[QInt]:
     if z.is_zero:
         raise DomainError("zero has no unitary divisors")
     powers = [e.prime**e.exponent for e in factor_element(z).entries]
-    out = []
-    for mask in range(1 << len(powers)):
-        x = z.ring.one()
-        for j, pw in enumerate(powers):
-            if mask >> j & 1:
-                x = x * pw
-        out.append(canonical_associate(x)[0])
+    out = [
+        canonical_product(z.ring, [pw for j, pw in enumerate(powers) if mask >> j & 1])
+        for mask in range(1 << len(powers))
+    ]
     return sorted(out, key=lambda x: (x.norm(), x.a, x.b))
 
 

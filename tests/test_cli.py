@@ -357,6 +357,19 @@ def test_checkpoint_units_must_be_the_searchs_windows_once(tmp_path, capsys):
         unit["results"][:2] = unit["results"][1::-1]
         return [lines[0], json.dumps(unit)], 2
 
+    def rows_changed(change):
+        def corrupt(lines):
+            unit = json.loads(lines[1])
+            change(unit["results"])
+            return [lines[0], json.dumps(unit)], 2
+        return corrupt
+
+    def associate(rows):
+        assert rows[0]["z"] == "1+1*w"
+        rows[0]["z"] = "-1+1*w"  # the same norm and index, outside the sector
+
+    # a non-verbose unit holds only hits; a verbose unit every sector element of its window
+    non_hit = {"z": "1+1*w", "norm": 2, "istar": {"1": "3/2"}, "hit": False}
     repeated = lambda lines: (lines + lines[-1:], len(lines) + 1)
     cases = {
         "row of norm 5200": ("--verbose", with_row(lambda rows: stray)),
@@ -365,6 +378,9 @@ def test_checkpoint_units_must_be_the_searchs_windows_once(tmp_path, capsys):
         "unit there twice": ("--quiet", repeated),
         "unit re-keyed [5000, 6000]": ("--quiet", rekeyed),
         "signatures unit there twice": ("signatures", repeated),
+        "non-hit row in a non-verbose unit": ("--quiet", rows_changed(lambda rows: rows.insert(0, non_hit))),
+        "associate outside the sector": ("--verbose", rows_changed(associate)),
+        "verbose unit missing a row": ("--verbose", rows_changed(lambda rows: rows.pop(5))),
     }
     for i, (name, (option, corrupt)) in enumerate(cases.items()):
         path = tmp_path / f"cp{i}.jsonl"
@@ -377,6 +393,49 @@ def test_checkpoint_units_must_be_the_searchs_windows_once(tmp_path, capsys):
         lines, line = corrupt(path.read_text().splitlines())
         path.write_text("\n".join(lines) + "\n")
         verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
+        for argv in (args, verify):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (name, argv[0])
+            assert err.startswith("error: corrupt checkpoint "), (name, argv[0])
+            assert f" at {path}:{line}: " in err, (name, argv[0])
+
+
+def test_signatures_checkpoint_units_must_be_the_searchs_tasks(tmp_path, capsys):
+    # a signatures unit is one of the search's tasks; its rows come in the
+    # DFS's order (strictly increasing entries), start at a prime of the
+    # unit's table slots (one prime above the table for the "above" unit)
+    # and have norm <= max-norm
+    def rekeyed(lines):
+        unit = json.loads(lines[1])
+        assert unit["task"] == [0, 3]
+        unit["task"] = [0, 2]
+        return lines + [json.dumps(unit)], 4
+
+    def with_rows(change, at=1):
+        def corrupt(lines):
+            unit = json.loads(lines[at])
+            change(unit["results"], json.loads(lines[1])["results"])
+            return lines[:at] + [json.dumps(unit)] + lines[at + 1:], at + 1
+        return corrupt
+
+    # 2^2 * 3^2 * 5 at d = -7, n = 1: 3/2 * 10/9 * 6/5 = 2, but its norm is 8100
+    far = {"entries": [[2, "split", [2, 0]], [3, "inert", [2]], [5, "inert", [1]]], "norm": 8100, "value": "2"}
+    cases = {
+        "unit re-keyed [0, 2]": (-1, 2, 2000, rekeyed),
+        "copy of the unit's first row": (-1, 2, 2000, with_rows(lambda rows, _: rows.append(rows[0]))),
+        "row copied into the above unit": (-1, 2, 2000, with_rows(lambda rows, table: rows.append(table[0]), at=2)),
+        "row of norm 8100 > 1000": (-7, 1, 1000, with_rows(lambda rows, _: rows.append(far))),
+    }
+    for i, (name, (d, n, max_norm, corrupt)) in enumerate(cases.items()):
+        path = tmp_path / f"cp{i}.jsonl"
+        args = (
+            "search", "--ring", str(d), "--power", str(n), "--target", "2", "--max-norm", str(max_norm),
+            "--mode", "signatures", "--quiet", "--checkpoint", str(path),
+        )
+        assert run_cli(capsys, *args)[0] == 0
+        lines, line = corrupt(path.read_text().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+        verify = ("verify", "thm2.2", "--ring", str(d), "--hits", str(path))
         for argv in (args, verify):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), (name, argv[0])

@@ -7,6 +7,7 @@ import pytest
 
 from quadunitary import search, theorems
 from quadunitary.factoring import factor_element
+from quadunitary.primes import prime_above
 from quadunitary.radicals import RadicalValue
 from quadunitary.rings import K, DomainError, ring
 from quadunitary.search import (
@@ -209,10 +210,50 @@ def test_thm_2_5_flags_fabricated_hits():
     assert any("odd" in reason for reason in report.violations[0]["reasons"])
 
 
+def test_thm_2_5_checks_fabricated_hits_in_every_branch():
+    # no real hit has 3 not dividing N(z) up to norm 10^10, so the check's
+    # branches only run on fabricated hits; each is worked out by hand
+    def check(r, z):
+        assert z.norm() % 3 != 0
+        return check_thm_2_5(r, hits=[Hit(2, Fraction(2), z)])
+
+    # d = -7: 2 and 11 split; pi2^2 * pibar2^2 * pi11^2 has norm 16 * 121.
+    # Both exponents above 2 are even and positive, so the odd part must have
+    # an odd prime count: pi11 alone, whose norm 11 is 5 mod 6 and whose
+    # norm power 11^2 is 1 mod 6
+    r7 = ring(-7)
+    two, eleven = prime_above(2, r7), prime_above(11, r7)
+    assert (two.kind, eleven.kind) == ("split", "split")
+    report = check(r7, two.pi**2 * two.pi_bar**2 * eleven.pi**2)
+    assert (report.passed, report.checked) == (True, 1)
+    assert (report.witnesses[0]["gamma1"], report.witnesses[0]["gamma2"]) == (2, 2)
+    # one exponent above 2 odd: pi2^3 * pibar2^2 * pi11^2
+    report = check(r7, two.pi**3 * two.pi_bar**2 * eleven.pi**2)
+    assert report.violations[0]["reasons"] == ["an exponent above 2 is odd despite 3 not dividing N(z)"]
+    # d = -1: (1+i)^2 * pi5^2 * pi13 has mu = 2, so gamma = 1 and
+    # 2^2 + 1 = 5 mod 6; the norm powers 25 and 13 are 1 mod 6, 5 is 5 mod
+    # 6, and the odd part has an even count, 2
+    r1 = ring(-1)
+    z = r1.element(1, 1) ** 2 * prime_above(5, r1).pi ** 2 * prime_above(13, r1).pi
+    report = check(r1, z)
+    assert (report.passed, report.checked) == (True, 1)
+    assert report.witnesses == [{"z": str(z), "norm": 1300, "n": 2, "t": "2", "gamma": 1}]
+    # d = -11, outside {-1, -2, -7}: 2 and 7 are inert and 5 splits, and
+    # 2 * pi5^2 * 7 has gamma = mu = 1, unhalved; the norm powers 25 and 49
+    # are 1 mod 6, 5 is 5 mod 6, and the odd part has 2 primes
+    r11 = ring(-11)
+    assert [prime_above(p, r11).kind for p in (2, 5, 7)] == ["inert", "split", "inert"]
+    z = r11.element(2) * prime_above(5, r11).pi ** 2 * r11.element(7)
+    report = check(r11, z)
+    assert (report.passed, report.checked) == (True, 1)
+    assert report.witnesses[0]["gamma"] == 1
+
+
 def test_thm_2_5_skips_norms_divisible_by_3():
     r = ring(-1)
     report = check_thm_2_5(r, hits=[Hit(2, Fraction(2), r.element(3, 9))])
     assert report.vacuous
+    assert "  result: vacuous (no qualifying cases below the bound)" in report.to_text().splitlines()
     assert any("skipped 1" in note for note in report.notes)
 
 
