@@ -377,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--checkpoint", help="JSON-lines checkpoint path for resumable runs")
     p.add_argument("--verbose", action="store_true", help="emit non-hits too (elements mode)")
-    p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
+    p.add_argument("--quiet", action="store_true", help="omit the summary line (hits, records) that json and csv print on stderr")
     p.set_defaults(func=_cmd_search)
 
     p = subs.add_parser("verify", help="run one theorem check and report violations")

@@ -33,10 +33,12 @@ record or a signature) is its JSON line, made once in the worker that finds
 it; the lines go through the pool, the checkpoint and search_rows to the
 command line.  read_checkpoint is the one reader, for a resume and for
 theorems.load_hits alike, and the one module that knows the row format: it
-decodes the header into the SearchConfig that wrote the file and, in one
-pass per unit, holds every row to that search's format, target and unit
-and makes it into its line again by the same formatter (re-encoded, not
-recomputed), returning each unit's lines and hits.
+decodes the header into the SearchConfig that wrote the file and reads the
+units one line at a time.  An elements-mode unit must be the writer's text
+byte for byte; its rows are read in one pass over that text, held to the
+search's format, target and unit, and kept as read (not re-encoded, not
+recomputed).  A signatures unit is decoded as JSON and each row made into
+its line again from its entries.  Each unit's lines and hits are returned.
 
 A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
@@ -197,19 +199,18 @@ class Signature:
 # ---------------------------------------------------------------------------
 # element enumeration
 
-def _interval_points(r: Ring, lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """All sector elements with lo <= norm <= hi as sorted (norm, a, b).
+def _interval_ranges(r: Ring, lo: int, hi: int):
+    """Yield (a_range, b, sb, k): the sector elements a + b*w with lo <= norm <= hi, norm a*(a + sb) + k.
 
     Walks the norm form of Ring.disc: for each b >= 0, u = 2a + s*b runs
     over the two ranges on either side of the excluded middle
     u^2 < 4*lo - |D| * b^2, cut to the sector (a >= 1 and b >= 0 for
     d = -1, -3; b > 0, or b = 0 and a >= 1, otherwise), and each u range is
-    walked as the a range it holds.
+    yielded as the a range it holds.
     """
     absdisc = -r.disc
     s = int(r.half_integral)
     narrow = r.d in (-1, -3)  # sectors narrower than the upper half plane
-    out: list[tuple[int, int, int]] = []
     b = 0
     while absdisc * b * b <= 4 * hi:
         c, sb = absdisc * b * b, s * b
@@ -218,11 +219,22 @@ def _interval_points(r: Ring, lo: int, hi: int) -> list[tuple[int, int, int]]:
         excl = isqrt(4 * lo - c - 1) if 4 * lo > c else -1
         u_min = 2 + sb if narrow or b == 0 else -u_hi
         for first, last in ((u_min, -max(excl, 0) - 1), (max(u_min, excl + 1), u_hi)):
-            a_range = range((first - sb + 1) >> 1, ((last - sb) >> 1) + 1)
-            out += [(a * (a + sb) + k, a, b) for a in a_range]
+            yield range((first - sb + 1) >> 1, ((last - sb) >> 1) + 1), b, sb, k
         b += 1
+
+
+def _interval_points(r: Ring, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """All sector elements with lo <= norm <= hi as sorted (norm, a, b)."""
+    out: list[tuple[int, int, int]] = []
+    for a_range, b, sb, k in _interval_ranges(r, lo, hi):
+        out += [(a * (a + sb) + k, a, b) for a in a_range]
     out.sort()
     return out
+
+
+def _interval_count(r: Ring, lo: int, hi: int) -> int:
+    """How many sector elements have lo <= norm <= hi, with no point built."""
+    return sum(len(a_range) for a_range, *_ in _interval_ranges(r, lo, hi))
 
 
 def _sector_points(r: Ring, lo: int, hi: int):
@@ -528,8 +540,17 @@ def _config_echo(cfg: SearchConfig) -> dict:
     }
 
 
-# every header the writer emits starts with these bytes
-_HEADER_START = b'{"schema_version":%d,"kind":"quadunitary-checkpoint",' % CHECKPOINT_SCHEMA
+# every header the writer emits starts with this text
+_HEADER_START = '{"schema_version":%d,"kind":"quadunitary-checkpoint",' % CHECKPOINT_SCHEMA
+
+# An elements-mode unit is read as the text _CheckpointWriter.record writes,
+# by patterns that re compiles on first use, so no command pays for them at
+# import: the unit's start with its [lo, hi] key, then each row as _row_line
+# writes it with the comma before the next row, then "]}".  An istar term is
+# read as RadicalValue.to_json_terms writes it: "radicand":"a" or "a/b".
+_UNIT_START = r'\{"task":\[([1-9][0-9]*),([1-9][0-9]*)\],"results":\['
+_ROW = r'(\{"z":"([^"]*)","norm":([1-9][0-9]*),"istar":(\{[^}]*\}),"hit":(true|false)\})(?:,(?=\{)|\Z)'
+_TERM = r'"([1-9][0-9]*)":"-?([1-9][0-9]*)(?:/([1-9][0-9]*))?"'
 
 
 def _truncate(path: str, size: int) -> None:
@@ -546,39 +567,60 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, l
     Returns None for a missing or empty file.  Raises CheckpointError when
     the file cannot be read, when the header does not name a search
     checkpoint of this schema version whose config encodes back to itself,
-    or when a unit is not one that search writes: a task seen twice, a
-    task that is not one of its units, or rows that _check_rows refuses.
-    Whether that search is the caller's is the caller's call.  A last line without its newline is what a crash
-    mid-write leaves: with drop_torn it is not parsed, and once the rest of
-    the file is known to be a checkpoint it is cut from the file, so the
-    next unit appended starts on a line of its own.
+    or when a unit is not one that search writes: a task seen twice, a task
+    that is not one of its units, an elements-mode unit that is not the
+    writer's text byte for byte, or rows that _check_rows or
+    _check_signatures refuses.  Whether that search is the caller's is the
+    caller's call.
+
+    The file is read one line at a time, and each unit's text is dropped
+    once its rows are taken, so its bytes are never all held at once.  A
+    last line without its newline is what a crash mid-write leaves: with
+    drop_torn it is not parsed, and once the rest of the file is known to
+    be a checkpoint it is cut from the file, so the next unit appended
+    starts on a line of its own.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, encoding="utf-8", newline="\n")
     except FileNotFoundError:
         return None
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    torn = b""
-    if drop_torn:
-        cut = data.rfind(b"\n") + 1
-        data, torn = data[:cut], data[cut:]
+    loaded, torn = None, ""
     try:
-        lines = data.decode("utf-8").split("\n")
+        with fh:
+            header = fh.readline()
+            if drop_torn and not header.endswith("\n"):
+                # a crash while the header was written; the fragment must be its start
+                if header[: len(_HEADER_START)] != _HEADER_START[: len(header)]:
+                    raise CheckpointError(f"{path} is not a search checkpoint")
+                torn = header
+            elif header:
+                cfg = _read_header(path, header)
+                keys = None
+                if cfg.mode == "signatures":
+                    keys = {_dumps(key) for key, _ in _signature_tasks(cfg, (cfg.t,))}
+                loaded, seen = (cfg, []), set()
+                for line, text in enumerate(iter(fh.readline, ""), start=2):
+                    if drop_torn and not text.endswith("\n"):
+                        torn = text
+                        break
+                    loaded[1].append(_read_unit(cfg, text, f"{path}:{line}", seen, keys))
+                    del text  # one unit's text at a time
+            size = os.fstat(fh.fileno()).st_size
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path} is not a UTF-8 checkpoint: {exc}") from exc
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
-        # a crash while the header was written; the fragment must be its start
-        if torn:
-            if torn[: len(_HEADER_START)] != _HEADER_START[: len(torn)]:
-                raise CheckpointError(f"{path} is not a search checkpoint")
-            _truncate(path, 0)
-        return None
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if torn:
+        _truncate(path, size - len(torn.encode()))
+    return loaded
+
+
+def _read_header(path: str, line: str) -> SearchConfig:
+    """The SearchConfig a header line names; CheckpointError unless it is a search's header of this schema."""
     try:
-        header = json.loads(lines[0])
+        header = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}") from exc
     if not isinstance(header, dict) or header.get("kind") != "quadunitary-checkpoint":
@@ -599,29 +641,38 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, l
             raise ValueError(f"config {json.dumps(c)} is not a search's")
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path} lacks a usable checkpoint header: {exc}") from exc
-    units = []
-    for i, line in enumerate(lines[1:], start=2):
+    return cfg
+
+
+def _read_unit(cfg: SearchConfig, text: str, where: str, seen: set, keys: set | None) -> tuple[list, list, list]:
+    """A unit line's (task, lines, hits); CheckpointError unless it is a task of cfg's search not in seen.
+
+    An elements-mode unit [lo, hi] is a window: lo - 2 a multiple of
+    _WINDOW, 2 <= lo <= max_norm and hi = min(lo + _WINDOW - 1, max_norm).
+    A signatures unit's key is one of keys, the keys of _signature_tasks.
+    """
+    end = len(text) - text.endswith("\n")
+    if keys is None:
+        start = re.compile(_UNIT_START).match(text)
+        if start is None or not text.endswith("]}", 0, end):
+            raise CheckpointError(f"corrupt checkpoint entry at {where}: the line is not a unit as the search writes it")
+        lo, hi = int(start[1]), int(start[2])
+        task, key = [lo, hi], f"[{lo},{hi}]"
+        is_task = (lo - 2) % _WINDOW == 0 and 2 <= lo <= cfg.max_norm and hi == min(lo + _WINDOW - 1, cfg.max_norm)
+    else:
         try:
-            entry = json.loads(line)
-            units.append((entry["task"], entry["results"]))
+            entry = json.loads(text)
+            task, rows = entry["task"], entry["results"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CheckpointError(f"corrupt checkpoint entry at {path}:{i}: {exc}") from exc
-    if torn:
-        _truncate(path, len(data))
-    del data, lines  # so the file's text and the lines made below are not held at once
-    tasks = _element_tasks(cfg) if cfg.mode == "elements" else _signature_tasks(cfg, (cfg.t,))
-    keys = {_dumps(key) for key, _ in tasks}
-    seen = set()
-    for i, (task, rows) in enumerate(units):
-        where, key = f"{path}:{i + 2}", _dumps(task)
-        if key in seen or key not in keys:
-            raise CheckpointError(f"corrupt checkpoint entry at {where}: {key} is repeated or not a task of this search")
-        seen.add(key)
-        units[i] = (task, *_check_rows(cfg, task, rows, where))
-    return cfg, units
-
-
-_ROW_KEYS = {"z", "norm", "istar", "hit"}
+            raise CheckpointError(f"corrupt checkpoint entry at {where}: {exc}") from exc
+        key = _dumps(task)
+        is_task = key in keys
+    if key in seen or not is_task:
+        raise CheckpointError(f"corrupt checkpoint entry at {where}: {key} is repeated or not a task of this search")
+    seen.add(key)
+    if keys is None:
+        return task, *_check_rows(cfg, lo, hi, text, start.end(), end - 2, where)
+    return task, *_check_signatures(cfg, task, rows, where)
 
 
 def _check_signature(cfg: SearchConfig, row: dict) -> tuple[Signature, dict]:
@@ -652,75 +703,104 @@ def _check_signature(cfg: SearchConfig, row: dict) -> tuple[Signature, dict]:
     return sig, want
 
 
-def _check_rows(cfg: SearchConfig, task, rows, where: str) -> tuple[list[str], list]:
-    """A unit's lines and hits, in one pass; CheckpointError unless rows are cfg's search's.
+def _check_signatures(cfg: SearchConfig, task, rows, where: str) -> tuple[list[str], list[Signature]]:
+    """A signatures unit's lines and hits, in one pass; CheckpointError unless rows are cfg's search's.
 
-    Each row is held to the form and the one target of cfg's search, then
-    made into its line by the formatter a worker uses: re-encoded as
-    checked, not recomputed.  An elements-mode unit [lo, hi] holds sector
-    elements in strictly increasing (norm, a, b) with lo <= norm <= hi: only
-    hits, or with verbose every point of the window; its hits are the
-    elements parsed from its hit rows.  A signatures unit holds signatures
-    of norm at most max_norm in strictly increasing entries, the DFS's
-    order, whose first prime is in its table slots [j0, j1), or for the
-    ["above", limit] unit is one prime above the table; its hits are its
+    The unit holds signatures of norm at most max_norm in strictly
+    increasing entries, the DFS's order, whose first prime is in its table
+    slots [j0, j1), or for the ["above", limit] unit is one prime above the
+    table.  Each row must be the record _check_signature recomputes from its
+    entries, and its line is that record's text; its hits are its
     Signatures.
     """
     lines, hits = [], []
     try:
-        if cfg.mode == "signatures":
-            above = task[0] == "above"
-            first = () if above else small_primes(isqrt(cfg.max_norm))[task[0]:task[1]]
-            prev = []  # below every nonempty entries list
-            for row in rows:
-                sig, want = _check_signature(cfg, row)
-                entries = row["entries"]
-                p = entries[0][0]
-                in_unit = len(entries) == 1 and p > task[1] if above else p in first
-                if not (in_unit and prev < entries and want["norm"] <= cfg.max_norm):
-                    raise ValueError(f"{entries} is not the next hit of unit {task} after {prev} with norm <= {cfg.max_norm}")
-                prev = entries
-                lines.append(_dumps(want))
-                hits.append(sig)
-            return lines, hits
-        # compiled here, not at import, which every command pays for
-        radicand, coeff = re.compile(r"[1-9][0-9]*"), re.compile(r"-?([1-9][0-9]*)(?:/([1-9][0-9]*))?")
-        target = {"1": str(cfg.t)}
-        lo, hi = task
-        prev: tuple = (lo,)  # below every point of the window
+        above = task[0] == "above"
+        first = () if above else small_primes(isqrt(cfg.max_norm))[task[0]:task[1]]
+        prev = []  # below every nonempty entries list
         for row in rows:
-            if row.keys() != _ROW_KEYS:
-                raise ValueError(f"a record must have exactly the keys {sorted(_ROW_KEYS)}")
-            text, norm, istar, hit = row["z"], row["norm"], row["istar"], row["hit"]
-            if type(hit) is not bool:
-                raise ValueError(f"hit {hit!r} is not a boolean")
-            last = 0
-            for m, c in istar.items():
-                fraction = coeff.fullmatch(c)
-                if not (radicand.fullmatch(m) and fraction):
-                    raise ValueError(f"istar term {m!r}: {c!r} is not a radicand and a fraction")
-                num, den = fraction.groups()
-                if den is not None and (den == "1" or gcd(int(num), int(den)) != 1):
-                    raise ValueError(f"istar coefficient {c!r} is not in lowest terms")
-                if int(m) <= last:
-                    raise ValueError(f"istar radicand {m} does not follow {last}")
-                last = int(m)
-            if hit != (istar == target):
-                raise ValueError(f"hit {hit} disagrees with istar {istar!r} at target {cfg.t}")
+            sig, want = _check_signature(cfg, row)
+            entries = row["entries"]
+            p = entries[0][0]
+            in_unit = len(entries) == 1 and p > task[1] if above else p in first
+            if not (in_unit and prev < entries and want["norm"] <= cfg.max_norm):
+                raise ValueError(f"{entries} is not the next hit of unit {task} after {prev} with norm <= {cfg.max_norm}")
+            prev = entries
+            lines.append(_dumps(want))
+            hits.append(sig)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
+    return lines, hits
+
+
+def _istar_is_target(istar: str, target: str) -> bool:
+    """Whether an istar text is target; ValueError unless it is a value as RadicalValue.to_json_terms writes it.
+
+    That is decimal radicands in increasing order, each with a nonzero
+    coefficient written as a fraction writes it: "a" or "a/b" with no
+    leading zero and b > 1 in lowest terms.
+    """
+    last = 0
+    for term in istar[1:-1].split(","):
+        m = re.fullmatch(_TERM, term)
+        if m is None:
+            raise ValueError(f"istar term {term} is not a radicand and a fraction")
+        radicand, num, den = m.groups()
+        if den is not None and (den == "1" or gcd(int(num), int(den)) != 1):
+            raise ValueError(f"istar coefficient in {term} is not in lowest terms")
+        if int(radicand) <= last:
+            raise ValueError(f"istar radicand {radicand} does not follow {last}")
+        last = int(radicand)
+    return istar == target
+
+
+def _check_rows(cfg: SearchConfig, lo: int, hi: int, text: str, pos: int, stop: int, where: str) -> tuple[list[str], list[QInt]]:
+    """The lines and hits of unit [lo, hi], whose rows are text[pos:stop]; CheckpointError unless they are cfg's search's.
+
+    The rows are read in one pass, each as the text _row_line makes, joined
+    by commas.  A row's z is read by Ring.parse and must have the row's
+    norm; the rows are sector elements in strictly increasing (norm, a, b)
+    with lo <= norm <= hi: only hits, or with verbose every point of the
+    window.  Each distinct istar text of the unit is held once to the form
+    _istar_is_target reads, and a row is a hit exactly when its istar is the
+    target's text.  A row that passes is kept as read: its line is its own
+    text, not re-encoded and not recomputed, and the unit's hits are the
+    elements parsed from its hit rows.
+    """
+    row = re.compile(_ROW).match
+    parse = cfg.ring.parse
+    target = _terms_json([(1, cfg.t)])
+    istars: dict[str, bool] = {}  # each istar text checked, and whether it is the target
+    lines, hits = [], []
+    prev: tuple = (lo,)  # below every point of the window
+    try:
+        while pos < stop:
+            m = row(text, pos, stop)
+            if m is None:
+                raise ValueError(f"the text from {text[pos:pos + 80]!r} on is not a record as the search writes it")
+            line, z_text, norm_text, istar, hit_text = m.groups()
+            pos = m.end()
+            hit = istars.get(istar)
+            if hit is None:
+                hit = istars[istar] = _istar_is_target(istar, target)
+            if hit != (hit_text == "true"):
+                raise ValueError(f"hit {hit_text} disagrees with istar {istar} at target {cfg.t}")
             if not (hit or cfg.verbose):
-                raise ValueError(f"{text} is not a hit, and the unit lists only hits")
-            z = cfg.ring.parse(text)
-            if type(norm) is not int or norm != z.norm():
-                raise ValueError(f"norm {norm!r} is not the norm of {text}")
-            if not (prev < (norm, z.a, z.b) and norm <= hi and in_sector(z)):
-                raise ValueError(f"{text} (norm {norm}) is not a sector element after the last row in [{lo}, {hi}]")
-            prev = (norm, z.a, z.b)
-            lines.append(_row_line(text, norm, _terms_json(istar.items()), hit))
+                raise ValueError(f"{z_text} is not a hit, and the unit lists only hits")
+            z = parse(z_text)
+            norm = int(norm_text)
+            if norm != z.norm():
+                raise ValueError(f"norm {norm} is not the norm of {z_text}")
+            point = (norm, z.a, z.b)
+            if not (prev < point and norm <= hi and in_sector(z)):
+                raise ValueError(f"{z_text} (norm {norm}) is not a sector element after the last row in [{lo}, {hi}]")
+            prev = point
+            lines.append(line)
             if hit:
                 hits.append(z)
-        if cfg.verbose and len(lines) != len(_interval_points(cfg.ring, lo, hi)):
+        if cfg.verbose and len(lines) != _interval_count(cfg.ring, lo, hi):
             raise ValueError(f"{len(lines)} rows are not every sector element of norm in [{lo}, {hi}]")
-    except (AttributeError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
     return lines, hits
 
@@ -914,8 +994,8 @@ def search_rows(cfg: SearchConfig) -> tuple[list[str], int]:
     """run_search's records as their JSON lines, in the same order, and how many are hits.
 
     Elements-mode lines are the ones the workers made, or for a resumed unit
-    the checkpoint's checked rows re-encoded (not recomputed) by the same
-    formatter; each hit among them was verified where it entered the program.
+    the checkpoint's rows, checked and kept as read (not recomputed); each
+    hit among them was verified where it entered the program.
     """
     if cfg.mode != "elements":
         lines = records_to_json_lines(run_search(cfg))

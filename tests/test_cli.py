@@ -12,6 +12,11 @@ from quadunitary.cli import main
 from quadunitary.search import Signature, _elements_task
 
 
+def compact(doc) -> str:
+    """JSON text with the separators the checkpoint writer uses, which a unit must have."""
+    return json.dumps(doc, separators=(",", ":"))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -180,6 +185,7 @@ def test_search_corrupt_checkpoint_record_exits_2(tmp_path, capsys):
     assert json.loads(unit)["results"][0] == {
         "z": "1+1*w", "norm": 2, "istar": {"1": "3/2"}, "hit": False,
     }
+    assert compact(json.loads(unit)) == unit  # so each case below differs only by its corruption
     cases = {
         "missing key": lambda rec: rec.pop("norm"),
         "extra key": lambda rec: rec.update(extra=1),
@@ -206,7 +212,7 @@ def test_search_corrupt_checkpoint_record_exits_2(tmp_path, capsys):
     for name, corrupt in cases.items():
         entry = json.loads(unit)
         corrupt(entry["results"][0])
-        path.write_text(header + "\n" + json.dumps(entry) + "\n")
+        path.write_text(header + "\n" + compact(entry) + "\n")
         for argv in (args, verify):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), (name, argv[0])
@@ -295,7 +301,7 @@ def test_resumed_hit_that_fails_the_oracle_exits_2(tmp_path, capsys):
     header, first = path.read_text().splitlines()
     unit = json.loads(first)
     unit["results"][0] = {"z": "3+4*w", "norm": 25, "istar": {"1": "2"}, "hit": True}
-    path.write_text(header + "\n" + json.dumps(unit) + "\n")
+    path.write_text(header + "\n" + compact(unit) + "\n")
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: corrupt checkpoint record at {path}:2: ")
@@ -326,7 +332,7 @@ def test_resumed_records_must_agree_with_the_target(tmp_path, capsys):
         header, first = path.read_text().splitlines()[:2]
         unit = json.loads(first)
         unit["results"] = [record]
-        path.write_text(header + "\n" + json.dumps(unit) + "\n")
+        path.write_text(header + "\n" + compact(unit) + "\n")
         verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
         for argv in (args, verify):
             code, out, err = run_cli(capsys, *argv)
@@ -344,24 +350,24 @@ def test_checkpoint_units_must_be_the_searchs_windows_once(tmp_path, capsys):
         def corrupt(lines):
             unit = json.loads(lines[1])
             unit["results"].append(make(unit["results"]))
-            return [lines[0], json.dumps(unit)], 2
+            return [lines[0], compact(unit)], 2
         return corrupt
 
     def rekeyed(lines):
         unit = json.loads(lines[1])
         unit["task"] = [5000, 6000]
-        return lines + [json.dumps(unit)], 3
+        return lines + [compact(unit)], 3
 
     def swapped(lines):
         unit = json.loads(lines[1])
         unit["results"][:2] = unit["results"][1::-1]
-        return [lines[0], json.dumps(unit)], 2
+        return [lines[0], compact(unit)], 2
 
     def rows_changed(change):
         def corrupt(lines):
             unit = json.loads(lines[1])
             change(unit["results"])
-            return [lines[0], json.dumps(unit)], 2
+            return [lines[0], compact(unit)], 2
         return corrupt
 
     def associate(rows):
@@ -390,7 +396,9 @@ def test_checkpoint_units_must_be_the_searchs_windows_once(tmp_path, capsys):
             "--max-norm", "1000", *mode, "--checkpoint", str(path),
         )
         assert run_cli(capsys, *args)[0] == 0
-        lines, line = corrupt(path.read_text().splitlines())
+        fresh = path.read_text().splitlines()
+        assert [compact(json.loads(unit)) for unit in fresh[1:]] == fresh[1:]
+        lines, line = corrupt(fresh)
         path.write_text("\n".join(lines) + "\n")
         verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
         for argv in (args, verify):
@@ -398,6 +406,38 @@ def test_checkpoint_units_must_be_the_searchs_windows_once(tmp_path, capsys):
             assert (code, out) == (2, ""), (name, argv[0])
             assert err.startswith("error: corrupt checkpoint "), (name, argv[0])
             assert f" at {path}:{line}: " in err, (name, argv[0])
+
+
+def test_elements_unit_must_be_the_writers_text(tmp_path, capsys):
+    # an elements-mode unit is read as the text the writer makes, byte for
+    # byte: JSON that is equal to it but spaced otherwise is refused, and so
+    # are bytes after its "]}"
+    path = tmp_path / "cp.jsonl"
+    args = (
+        "search", "--ring", "-1", "--power", "2", "--target", "2",
+        "--max-norm", "1000", "--verbose", "--checkpoint", str(path),
+    )
+    assert run_cli(capsys, *args)[0] == 0
+    header, unit = path.read_text().splitlines()
+    cases = {
+        "unit spaced as json.dumps spaces it": (json.dumps(json.loads(unit)), "entry"),
+        "space after the unit": (unit + " ", "entry"),
+        "bytes after the unit": (unit + "x", "entry"),
+        "one row spaced": (unit.replace('"norm":2,', '"norm": 2,', 1), "record"),
+        "comma after the last row": (unit[:-2] + ",]}", "record"),
+        "unit written twice on its line": (unit + unit, "record"),
+    }
+    verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
+    for name, (text, prefix) in cases.items():
+        assert text != unit
+        path.write_text(header + "\n" + text + "\n")
+        for argv in (args, verify):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (name, argv[0])
+            assert err.startswith(f"error: corrupt checkpoint {prefix} at {path}:2: "), (name, argv[0], err)
+    assert json.loads(cases["unit spaced as json.dumps spaces it"][0]) == json.loads(unit)
+    path.write_text(header + "\n" + unit + "\n")
+    assert run_cli(capsys, *args)[0] == 0
 
 
 def test_signatures_checkpoint_units_must_be_the_searchs_tasks(tmp_path, capsys):
@@ -562,7 +602,7 @@ def test_verify_fabricated_hits_fail(tmp_path, capsys):
         "results": [{"z": "3", "norm": 9, "istar": {"1": "2"}, "hit": True}],
     }
     with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n" + json.dumps(entry) + "\n")
+        fh.write(json.dumps(header) + "\n" + compact(entry) + "\n")
     code, out, _ = run_cli(
         capsys, "verify", "thm2.2", "--ring", "-1", "--hits", path, "--format", "json"
     )

@@ -2,10 +2,12 @@
 
 import json
 import random
+import re
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, isqrt, nextafter
@@ -24,6 +26,7 @@ from quadunitary.search import (
     _envelope_cached,
     _exact_root,
     _extension_bound,
+    _interval_count,
     _interval_points,
     iter_sector_elements,
     records_to_json_lines,
@@ -57,7 +60,7 @@ def test_interval_points_match_box_scan():
             got = _interval_points(r, lo, hi)
             assert set(got) == box_scan(r, lo, hi), (d, lo, hi)
             assert got == sorted(got)
-            assert len(got) == len(set(got))
+            assert len(got) == len(set(got)) == _interval_count(r, lo, hi)
 
 
 def test_interval_points_window_partition():
@@ -389,6 +392,63 @@ def test_read_checkpoint_returns_each_units_fresh_lines_and_hits(tmp_path, monke
     else:
         sigs = [hit for _, _, hits in units for hit in hits]
         assert sigs == search_signatures(SearchConfig(r, n, t, 3000, mode=mode)) != []
+
+
+def test_window_keys_are_read_by_arithmetic(tmp_path):
+    # a max-norm 10^10 search has 152,588 windows; its keys are checked by
+    # rule, with no list of the windows built: one unit reads in well under 1 MB
+    big = 10**10
+    header = search._dumps({
+        "schema_version": 1, "kind": "quadunitary-checkpoint",
+        "config": {"d": -1, "n": 2, "t": "2", "max_norm": big, "mode": "elements",
+                   "verbose": False, "interval_size": search._WINDOW},
+    })
+    rows = search._elements_task((-1, 2, "2", 2, search._WINDOW + 1, False))
+    path = tmp_path / "cp.jsonl"
+    path.write_text(header + '\n{"task":[2,%d],"results":[%s]}\n' % (search._WINDOW + 1, ",".join(rows)))
+    tracemalloc.start()
+    try:
+        cfg, units = search.read_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert cfg.max_norm == big and [(task, lines) for task, lines, _ in units] == [([2, search._WINDOW + 1], rows)]
+    assert [format_element(z) for z in units[0][2]] == [json.loads(row)["z"] for row in rows] != []
+    last = 2 + (big - 2) // search._WINDOW * search._WINDOW
+    for lo, hi, ok in (
+        (2 + search._WINDOW, 1 + 2 * search._WINDOW, True),
+        (last, big, True),
+        (last, last + search._WINDOW - 1, False),  # past max-norm
+        (3, 2 + search._WINDOW, False),  # not on the grid of windows
+        (2, search._WINDOW, False),  # short of its window's end
+        (last + search._WINDOW, big, False),  # past max-norm
+    ):
+        path.write_text(header + '\n{"task":[%d,%d],"results":[]}\n' % (lo, hi))
+        if ok:
+            assert search.read_checkpoint(str(path))[1] == [([lo, hi], [], [])]
+        else:
+            with pytest.raises(CheckpointError, match=re.escape(f"entry at {path}:2: [{lo},{hi}] is repeated or not a task")):
+                search.read_checkpoint(str(path))
+
+
+def test_reading_a_verbose_checkpoint_holds_one_unit_at_a_time(tmp_path, monkeypatch):
+    # the rows are kept as read, and each unit's text is dropped once they
+    # are taken: the peak is the lines returned (about 1.95 times the
+    # file's size here, with 16 units) and one unit; a reader that parses
+    # the whole file into row dicts first peaks near 9.6 times
+    monkeypatch.setattr(search, "_WINDOW", 4096)
+    path = tmp_path / "cp.jsonl"
+    search_rows(SearchConfig(ring(-163), 2, Fraction(3), 65536, verbose=True, checkpoint_path=str(path)))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        _, units = search.read_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(units) == 16 and sum(len(lines) for _, lines, _ in units) > 16_000
+    assert peak < 2.5 * size, peak / size
 
 
 def test_jobs_do_not_change_output(monkeypatch):
