@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from fractions import Fraction
@@ -20,12 +19,13 @@ from itertools import chain
 
 from .factoring import factor_element
 from .primes import prime_above
-from .radicals import RadicalValue
 from .rings import DomainError, K, format_element, parse_element, pretty_element, ring
 from .search import (
     CheckpointError,
     SearchConfig,
     _config_echo,
+    _dumps,
+    read_rows,
     search_rows,
 )
 from .theorems import CHECK_IDS, g_map, run_check
@@ -60,9 +60,6 @@ def _fraction_type(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-_JSON = json.JSONEncoder(separators=(",", ":"))
-
-
 def _emit(fmt: str, **render) -> None:
     """Print one command's output in the requested format, computing only that one.
 
@@ -72,7 +69,7 @@ def _emit(fmt: str, **render) -> None:
     """
     out = render[fmt]()
     if fmt == "json":
-        sys.stdout.writelines((doc if isinstance(doc, str) else _JSON.encode(doc)) + "\n" for doc in out)
+        sys.stdout.writelines((doc if isinstance(doc, str) else _dumps(doc)) + "\n" for doc in out)
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(out[0])
@@ -203,10 +200,6 @@ def _cmd_divisors(args) -> int:
     return 0
 
 
-def _istar_text(row: dict) -> str:
-    return str(RadicalValue.from_json_terms(row["istar"]))
-
-
 def _cmd_search(args) -> int:
     cfg = SearchConfig(
         ring=ring(args.ring),
@@ -225,19 +218,17 @@ def _cmd_search(args) -> int:
         "config": _config_echo(cfg),
         "hits": hits,
     }
-    rows = map(json.loads, lines)  # csv and text read each row back from its line
     _emit(
         args.format,
         json=lambda: chain([header], lines),
         csv=lambda: (
             ["z", "norm", "istar", "hit"],
-            ([row["z"], row["norm"], _istar_text(row), row["hit"]] for row in rows),
+            ([z, norm, str(value), hit] for z, norm, value, hit in read_rows(lines)),
         ),
         text=lambda: chain(
             (
-                f"{'hit ' if row['hit'] else '    '}{row['z']}  "
-                f"norm {row['norm']}  i_star = {_istar_text(row)}"
-                for row in rows
+                f"{'hit ' if hit else '    '}{z}  norm {norm}  i_star = {value}"
+                for z, norm, value, hit in read_rows(lines)
             ),
             [f"{hits} hits"],
         ),

@@ -31,14 +31,15 @@ unit is appended to a JSON-lines checkpoint as soon as it finishes, so a run
 that is stopped resumes into an identical run.  A row (an elements-mode
 record or a signature) is its JSON line, made once in the worker that finds
 it; the lines go through the pool, the checkpoint and search_rows to the
-command line.  read_checkpoint is the one reader, for a resume and for
-theorems.load_hits alike, and the one module that knows the row format: it
-decodes the header into the SearchConfig that wrote the file and reads the
-units one line at a time.  An elements-mode unit must be the writer's text
-byte for byte; its rows are read in one pass over that text, held to the
-search's format, target and unit, and kept as read (not re-encoded, not
-recomputed).  A signatures unit is decoded as JSON and each row made into
-its line again from its entries.  Each unit's lines and hits are returned.
+command line.  This is the one module that knows the row format.
+read_checkpoint reads a checkpoint, for a resume and for theorems.load_hits
+alike: it decodes the header into the SearchConfig that wrote the file and
+reads the units one line at a time.  An elements-mode unit must be the
+writer's text byte for byte; its rows are read in one pass over that text,
+held to the search's format, target and unit, and kept as read (not
+re-encoded, not recomputed).  A signatures unit is decoded as JSON and each
+row made into its line again from its entries.  read_rows decodes the
+lines of search_rows, for run_search and the command line's csv and text.
 
 A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
@@ -53,7 +54,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -125,11 +126,6 @@ class SearchRecord:
             "istar": self.value.to_json_terms(),
             "hit": self.is_hit,
         }
-
-    @classmethod
-    def from_json_dict(cls, r: Ring, data: dict) -> SearchRecord:
-        value = RadicalValue.from_json_terms(data["istar"])
-        return cls(r.parse(data["z"]), data["norm"], value, data["hit"])
 
 
 @dataclass(frozen=True)
@@ -482,9 +478,6 @@ def _terms_json(pairs) -> str:
     return "{" + ",".join(f'"{m}":"{c}"' for m, c in pairs) + "}"
 
 
-_HIT_END = ',"hit":true}'  # how a hit's line ends
-
-
 def _row_line(z: str, norm: int, istar: str, hit: bool) -> str:
     """An elements-mode record as its JSON line; z is the element's text, istar its terms' JSON."""
     return f'{{"z":"{z}","norm":{norm},"istar":{istar},"hit":{"true" if hit else "false"}}}'
@@ -806,18 +799,22 @@ def _check_rows(cfg: SearchConfig, lo: int, hi: int, text: str, pos: int, stop: 
 
 
 class _CheckpointWriter:
-    """Appends finished units to a checkpoint, each line fsynced; inert without a path."""
+    """Appends finished units to a checkpoint, each line fsynced; inert without a path.
+
+    An OSError on the file closes it and is raised as CheckpointError.
+    """
 
     def __init__(self, path: str | None, cfg: SearchConfig):
-        self.fh = None
+        self.path, self.fh = path, None
         if path is None:
             return
         try:
             self.fh = open(path, "a", encoding="utf-8")
+            empty = os.path.getsize(path) == 0
         except OSError as exc:
-            raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+            raise self._fail(exc) from exc
         # a file that already holds a header (even with no unit yet) keeps it
-        if os.path.getsize(path) == 0:
+        if empty:
             header = {
                 "schema_version": CHECKPOINT_SCHEMA,
                 "kind": "quadunitary-checkpoint",
@@ -825,11 +822,21 @@ class _CheckpointWriter:
             }
             self._write_line(_dumps(header))
 
+    def _fail(self, exc: OSError) -> CheckpointError:
+        fh, self.fh = self.fh, None
+        if fh is not None:
+            with suppress(OSError):
+                fh.close()
+        return CheckpointError(f"cannot write checkpoint {self.path}: {exc}")
+
     def _write_line(self, text: str) -> None:
         assert self.fh is not None
-        self.fh.write(text + "\n")
-        self.fh.flush()
-        os.fsync(self.fh.fileno())
+        try:
+            self.fh.write(text + "\n")
+            self.fh.flush()
+            os.fsync(self.fh.fileno())
+        except OSError as exc:
+            raise self._fail(exc) from exc
 
     def record(self, key: str, lines: list[str]) -> None:
         """Append one unit: key is the JSON text of its task key, lines its rows."""
@@ -837,9 +844,12 @@ class _CheckpointWriter:
             self._write_line('{"task":' + key + ',"results":[' + ",".join(lines) + "]}")
 
     def close(self) -> None:
-        if self.fh is not None:
-            self.fh.close()
-            self.fh = None
+        try:
+            if self.fh is not None:
+                self.fh.close()
+        except OSError as exc:
+            raise self._fail(exc) from exc
+        self.fh = None
 
 
 # ---------------------------------------------------------------------------
@@ -980,28 +990,43 @@ def witness_records(r: Ring, n: int, sigs) -> list[SearchRecord]:
 
 
 def run_search(cfg: SearchConfig) -> list[SearchRecord]:
-    """Dispatch on mode; always returns records ordered by (norm, a, b).
-
-    Signature hits are materialized to every witness element by witness_records.
-    """
-    if cfg.mode == "elements":
-        lines, _ = search_rows(cfg)
-        return [SearchRecord.from_json_dict(cfg.ring, json.loads(line)) for line in lines]
-    return witness_records(cfg.ring, cfg.n, search_signatures(cfg))
+    """The search's records, ordered by (norm, a, b): search_rows' lines, read back by read_rows."""
+    lines, _ = search_rows(cfg)
+    return [SearchRecord(cfg.ring.parse(z), norm, value, hit) for z, norm, value, hit in read_rows(lines)]
 
 
 def search_rows(cfg: SearchConfig) -> tuple[list[str], int]:
-    """run_search's records as their JSON lines, in the same order, and how many are hits.
+    """The search's rows as their JSON lines, ordered by (norm, a, b), and how many are hits.
 
     Elements-mode lines are the ones the workers made, or for a resumed unit
     the checkpoint's rows, checked and kept as read (not recomputed); each
-    hit among them was verified where it entered the program.
+    hit among them was verified where it entered the program.  In
+    signatures mode they are the hit rows of witness_records.
     """
     if cfg.mode != "elements":
-        lines = records_to_json_lines(run_search(cfg))
+        lines = records_to_json_lines(witness_records(cfg.ring, cfg.n, search_signatures(cfg)))
         return lines, len(lines)
     lines = [line for unit in _task_results(cfg, _element_tasks(cfg)) for line in unit]
-    return lines, sum(1 for line in lines if line.endswith(_HIT_END))
+    return lines, sum(line.endswith(',"hit":true}') for line in lines)
+
+
+def read_rows(lines):
+    """Yield (z text, norm, istar value, hit) for each row line of search_rows, read by _ROW.
+
+    Each distinct istar text is decoded once per norm, from a memo that is
+    cleared when the norm changes, as in _index_points.
+    """
+    row = re.compile(_ROW).match
+    memo: dict[str, RadicalValue] = {}
+    last = None
+    for line in lines:
+        _, z, norm, istar, hit = row(line).groups()
+        if norm != last:
+            memo.clear()
+            last = norm
+        if istar not in memo:
+            memo[istar] = RadicalValue.from_json_terms(json.loads(istar))
+        yield z, int(norm), memo[istar], hit == "true"
 
 
 def records_to_json_lines(records: list[SearchRecord]) -> list[str]:

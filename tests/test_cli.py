@@ -1,5 +1,8 @@
 """Command-line contract: output schemas, exit codes, determinism."""
 
+import csv
+import errno
+import io
 import json
 import os
 import subprocess
@@ -8,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from quadunitary import search
 from quadunitary.cli import main
+from quadunitary.radicals import RadicalValue
 from quadunitary.search import Signature, _elements_task
 
 
@@ -561,6 +566,54 @@ def test_search_stdout_identical_fresh_and_resumed(tmp_path, capsys):
             path.write_text("".join(lines[:2]))
             assert run_cli(capsys, *resume, "--jobs", jobs) == (0, want, ""), (fmt, jobs)
             assert path.read_text() == "".join(lines)
+
+
+def test_search_csv_and_text_render_the_json_rows(capsys):
+    # verbose rows with values of several radicands, which no golden pins:
+    # csv and text must be what the rows of --format json render to
+    for d in ("-7", "-2"):
+        for n in ("1", "3"):
+            args = ("search", "--ring", d, "--power", n, "--target", "2", "--max-norm", "2000", "--verbose", "--quiet")
+            code, out, _ = run_cli(capsys, *args, "--format", "json")
+            assert code == 0
+            header, *rows = map(json.loads, out.splitlines())
+            assert any(len(row["istar"]) > 2 for row in rows), (d, n)
+            values = [str(RadicalValue.from_json_terms(row["istar"])) for row in rows]
+            want_csv = io.StringIO()
+            writer = csv.writer(want_csv, lineterminator="\n")
+            writer.writerow(["z", "norm", "istar", "hit"])
+            writer.writerows([row["z"], row["norm"], value, row["hit"]] for row, value in zip(rows, values))
+            want_text = "".join(
+                f"{'hit ' if row['hit'] else '    '}{row['z']}  norm {row['norm']}  i_star = {value}\n"
+                for row, value in zip(rows, values)
+            ) + f"{header['hits']} hits\n"
+            assert run_cli(capsys, *args, "--format", "csv") == (0, want_csv.getvalue(), ""), (d, n)
+            assert run_cli(capsys, *args, "--format", "text") == (0, want_text, ""), (d, n)
+
+
+def test_checkpoint_write_failure_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cp.jsonl"
+    args = ("search", "--ring", "-1", "--power", "2", "--target", "2", "--max-norm", "2000", "--checkpoint", str(path))
+    fsync = search.os.fsync
+    calls = []
+
+    def failing_fsync(fd):  # the header's line syncs, the first unit's does not
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        fsync(fd)
+
+    monkeypatch.setattr(search.os, "fsync", failing_fsync)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write checkpoint {path}: ") and "No space left" in err
+    assert "Traceback" not in err
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["kind"] == "quadunitary-checkpoint" and header["config"]["max_norm"] == 2000
+    monkeypatch.setattr(search.os, "fsync", fsync)
+    fresh = run_cli(capsys, *args[:-2])
+    assert fresh[0] == 0
+    assert run_cli(capsys, *args) == fresh
 
 
 def test_verify_zeta(capsys):

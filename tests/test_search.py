@@ -29,6 +29,7 @@ from quadunitary.search import (
     _interval_count,
     _interval_points,
     iter_sector_elements,
+    read_rows,
     records_to_json_lines,
     run_search,
     search_rows,
@@ -215,7 +216,8 @@ def test_worker_lines_are_the_json_of_their_records():
     # every sector element to norm 3000 in every ring at n = 1..4: a worker's
     # line, and records_to_json_lines's line for the record, is the compact
     # JSON of the record, irrational multi-radicand istar, a = 0, b = 0,
-    # negative a and hits included
+    # negative a and hits included; read_rows decodes each line back into
+    # the record's element text, norm, exact value and hit
     t = Fraction(2)
     seen = set()
     for d in K:
@@ -240,6 +242,9 @@ def test_worker_lines_are_the_json_of_their_records():
                     ) if present
                 )
             assert records_to_json_lines(records) == lines, (d, n)
+            assert list(read_rows(lines)) == [
+                (format_element(rec.z), rec.norm, rec.value, rec.is_hit) for rec in records
+            ], (d, n)
     assert seen == {"multi-radicand", "a = 0", "b = 0", "negative a", "hit"}
 
 
