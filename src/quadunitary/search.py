@@ -22,7 +22,8 @@ Two complete strategies over the same hit set:
   the value it must add (Subbarao-Warren 1966, Wall 1975).  The prime table
   and the envelope therefore stop at isqrt(max_norm).  The bound is
   certified: its float products are rounded up and the target guard down,
-  and exact Fraction values decide every hit.
+  and exact integer pairs (numerator, denominator) in lowest terms decide
+  every hit.
 
 Both modes split the search into work units.  Each unit's results are held
 in memory and the units are merged in their fixed order, so records come out
@@ -61,7 +62,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, inf, isqrt, nextafter, prod
 
-from .factoring import index_rows
+from .factoring import NORM_CEILING, index_rows
 from .primes import is_prime, prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, Ring, canonical_product, format_coords, format_element, in_sector, ring
@@ -82,8 +83,9 @@ class SearchConfig:
     """Parameters of one search run.
 
     t is the exact rational target (> 1); n the positive power; max_norm the
-    inclusive norm ceiling.  jobs > 1 enables a process pool; identical output
-    is produced for any job count.  verbose additionally emits non-hits
+    inclusive norm ceiling, at most factoring.NORM_CEILING (no larger norm
+    can be factored).  jobs > 1 enables a process pool; identical output is
+    produced for any job count.  verbose additionally emits non-hits
     (elements mode only).
     """
 
@@ -106,6 +108,8 @@ class SearchConfig:
             raise DomainError("target t must exceed 1")
         if self.max_norm < 2:
             raise DomainError("max_norm must be at least 2")
+        if self.max_norm > NORM_CEILING:
+            raise DomainError(f"max_norm must be at most 2^64 = {NORM_CEILING}, the largest norm that can be factored")
         if self.jobs < 1:
             raise DomainError("jobs must be at least 1")
         if self.verbose and self.mode == "signatures":
@@ -352,12 +356,14 @@ def _exact_root(q: int, k: int) -> int | None:
 def _configs(p: int, kind: str, n: int, budget: int):
     """Admissible exponent shapes for prime p within the norm budget.
 
-    Yields (alphas, norm_cost, factor) in (a1, a2) order: (a1,) for inert and
-    ramified p, (a1, a2) with a1 >= a2 >= 0 for split p.  A prime power
+    Yields (alphas, norm_cost, num, den) in (a1, a2) order: (a1,) for inert
+    and ramified p, (a1, a2) with a1 >= a2 >= 0 for split p.  A prime power
     pi**alpha has norm p**(w * alpha), w = 2 for inert p and 1 otherwise, and
     adds the factor (q + 1) / q with q = |pi**alpha|**n = p**(w * alpha * n / 2).
     For rational targets that q must be an integer (the parity criterion), so
-    odd n restricts the alphas on non-inert primes to even values.
+    odd n restricts the alphas on non-inert primes to even values.  The
+    factor num / den is in lowest terms: each q is a power of p, and q + 1 is
+    prime to p.
     """
     w = 2 if kind == "inert" else 1
     step = 2 if n % 2 and w == 1 else 1
@@ -370,7 +376,7 @@ def _configs(p: int, kind: str, n: int, budget: int):
                 break
             q2 = p ** (w * a2 * n // 2)  # 1 for a2 = 0, which adds no factor
             num = (q1 + 1) * (q2 + 1 if a2 else 1)
-            yield ((a1, a2) if kind == "split" else (a1,)), cost, Fraction(num, q1 * q2)
+            yield ((a1, a2) if kind == "split" else (a1,)), cost, num, q1 * q2
         a1 += step
 
 
@@ -393,25 +399,31 @@ def _dfs_signatures(
     is where the walk over every prime would have found it.  j_end None also
     takes the first primes above the table, which only the solve at the root
     reaches.
+
+    A node's value is the integer pair (a, b) in lowest terms, value = a / b:
+    a child's pair is reduced by one gcd, compared with the largest target
+    by cross-multiplication and looked up among the targets' pairs.  Its
+    float a / b is the correctly rounded value, as float(Fraction(a, b)) is.
     """
     limit = isqrt(max_norm)
     primes = small_primes(limit)
     costs, env = _envelope_cached(n, limit)
-    target_set = set(targets)
+    pairs = [(t.numerator, t.denominator) for t in targets]
+    target_set = set(pairs)
     max_t = max(targets)
+    t_num, t_den = max_t.numerator, max_t.denominator
     guard = _prune_guard(targets)
     half = 0 if n % 2 else n // 2
     out: list[tuple[tuple, ...]] = []
 
-    def solve(value: Fraction, budget: int, last: int, entries: tuple) -> None:
-        # the primes last < p, sqrt(budget) < p <= budget with value * (q + 1) / q = t
-        a, b = value.numerator, value.denominator
+    def solve(a: int, b: int, budget: int, last: int, entries: tuple) -> None:
+        # the primes last < p, sqrt(budget) < p <= budget with (a / b) * (q + 1) / q = t
         leaves = []
-        for t in targets:
-            gap = t.numerator * b - a * t.denominator  # (t - value) * b * t.denominator
+        for tn, td in pairs:
+            gap = tn * b - a * td  # (t - a / b) * b * td
             if gap <= 0:
                 continue
-            q, rem = divmod(a * t.denominator, gap)  # q = value / (t - value)
+            q, rem = divmod(a * td, gap)  # q = value / (t - value)
             p = None if rem else _exact_root(q, half)
             if p is not None and last < p <= budget < p * p and is_prime(p):
                 kind = prime_kind(d, p)
@@ -419,10 +431,10 @@ def _dfs_signatures(
                     leaves.append((p, kind, (1, 0) if kind == "split" else (1,)))
         out.extend(entries + (leaf,) for leaf in sorted(leaves))
 
-    def walk(j: int, j_cap: int, budget: int, value: Fraction, entries: tuple, last: int | None) -> None:
+    def walk(j: int, j_cap: int, budget: int, a: int, b: int, entries: tuple, last: int | None) -> None:
         # the table primes from slot j with p^2 <= budget, then (unless last is
         # None) the solve for one prime above last and sqrt(budget)
-        fv = _up(float(value))
+        fv = _up(a / b)
         while j < j_cap:
             p = primes[j]
             if p * p > budget:
@@ -430,24 +442,27 @@ def _dfs_signatures(
             if _up(fv * _extension_bound(costs, env, j, budget)) < guard:
                 return  # the bound covers the primes the solve would find
             kind = prime_kind(d, p)
-            for alphas, cost, factor in _configs(p, kind, n, budget):
-                child = value * factor
-                if child > max_t:
+            for alphas, cost, num, den in _configs(p, kind, n, budget):
+                ca, cb = a * num, b * den
+                g = gcd(ca, cb)
+                ca //= g
+                cb //= g
+                if ca * t_den > t_num * cb:
                     continue
                 ents = entries + ((p, kind, alphas),)
-                if child in target_set:
+                if (ca, cb) in target_set:
                     out.append(ents)
                 child_budget = budget // cost
                 if child_budget > p:
                     bound = _extension_bound(costs, env, j + 1, child_budget)
-                    if _up(_up(float(child)) * bound) >= guard:
-                        walk(j + 1, len(primes), child_budget, child, ents, p)
+                    if _up(_up(ca / cb) * bound) >= guard:
+                        walk(j + 1, len(primes), child_budget, ca, cb, ents, p)
             j += 1
         if half and last is not None:
-            solve(value, budget, last, entries)
+            solve(a, b, budget, last, entries)
 
     j_cap = len(primes) if j_end is None else min(j_end, len(primes))
-    walk(j_start, j_cap, max_norm, Fraction(1), (), 0 if j_end is None else None)
+    walk(j_start, j_cap, max_norm, 1, 1, (), 0 if j_end is None else None)
     return out
 
 

@@ -513,6 +513,22 @@ def test_checkpoint_header_must_be_a_search_config(tmp_path, capsys):
             assert err.startswith("error: "), (name, argv[0])
 
 
+def test_max_norm_above_the_factoring_ceiling_exits_2(capsys):
+    # refused before any table is built: at 10^26 the signatures table alone
+    # would be a sieve to 10^13
+    for bound in (2**64 + 1, 10**26):
+        for argv in (
+            ("search", "--ring", "-1", "--power", "2", "--target", "2", "--mode", "signatures"),
+            ("search", "--ring", "-1", "--power", "2", "--target", "2"),
+            ("verify", "thm2.2", "--ring", "-1"),
+            ("verify", "thm2.3", "--ring", "-1"),
+            ("verify", "thm2.5", "--ring", "-1"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--max-norm", str(bound))
+            assert (code, out) == (2, ""), (argv, bound)
+            assert err == f"error: max_norm must be at most 2^64 = {2**64}, the largest norm that can be factored\n"
+
+
 def test_closed_stdout_exits_without_traceback():
     # stdout block-buffered, as in a shell without PYTHONUNBUFFERED
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

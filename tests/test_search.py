@@ -10,11 +10,12 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, isqrt, nextafter
+from math import gcd, inf, isqrt, nextafter
 
 import pytest
 
 from quadunitary import primes, search
+from quadunitary.factoring import NORM_CEILING
 from quadunitary.primes import prime_kind, primes_up_to, small_primes
 from quadunitary.rings import K, DomainError, QInt, format_element, in_sector, ring
 from quadunitary.search import (
@@ -125,6 +126,12 @@ def test_search_config_validation():
         SearchConfig(r, 1, Fraction(2), 100, jobs=0)
     with pytest.raises(DomainError):
         SearchConfig(r, 1, Fraction(2), 100, mode="signatures", verbose=True)
+    # no norm above 2^64 can be factored, so no search may ask for one; the
+    # bound itself is accepted (the configuration is only built, not run)
+    for mode in ("elements", "signatures"):
+        assert SearchConfig(r, 2, Fraction(2), NORM_CEILING, mode=mode).max_norm == NORM_CEILING
+        with pytest.raises(DomainError, match="at most 2\\^64"):
+            SearchConfig(r, 2, Fraction(2), NORM_CEILING + 1, mode=mode)
     cfg = SearchConfig(r, 1, 2, 100)
     assert cfg.t == Fraction(2)
 
@@ -326,7 +333,9 @@ def test_configs_are_the_parity_admissible_shapes(d):
                         terms, den = _index_numerators(rows, -n)
                         assert list(terms) == [1]
                         expected.append((alphas, cost, Fraction(terms[1], den)))
-                assert list(search._configs(p, kind, n, budget)) == expected, (p, n, budget)
+                got = list(search._configs(p, kind, n, budget))
+                assert [(alphas, cost, Fraction(num, den)) for alphas, cost, num, den in got] == expected, (p, n, budget)
+                assert all(gcd(num, den) == 1 for _, _, num, den in got), (p, n, budget)
 
 
 def test_signature_witnesses_split_asymmetry():
@@ -805,6 +814,33 @@ def test_last_prime_solve_ramified():
     sg = run_search(cfg("signatures"))
     assert len(sg) == 2
     assert records_to_json_lines(sg) == records_to_json_lines(run_search(cfg("elements")))
+
+
+# the targets of the signature grid that hit lists are compared on
+_GRID_TARGETS = tuple(Fraction(t) for t in "2 3 4 5 6 5/2 7/2 14/13 6/5 3/2 4/3 9/8".split())
+
+
+@pytest.mark.parametrize("d", sorted(K))
+def test_dfs_hits_have_a_target_value(d):
+    # the whole tree (first primes from slot 0, the root solve included): each
+    # hit's value, from the index kernel, is one of the targets
+    found = 0
+    for n in range(1, 5):
+        hits = search._dfs_signatures(d, n, _GRID_TARGETS, 10**5, 0, None)
+        found += len(hits)
+        for entries in hits:
+            sig = Signature.from_entries(d, n, entries)
+            assert sig.value() in _GRID_TARGETS and sig.norm() <= 10**5, (d, n, entries)
+    assert found, d
+
+
+def test_dfs_reports_a_hit_at_the_largest_target():
+    # 30 in d = -1 at n = 2: (5/4) * (10/9) * (6/5)^2 = 2, reached by the walk
+    # (a split pair (1, 1) is never solved for), so a value equal to the
+    # largest target must pass the comparison that prunes values above it
+    thirty = ((2, "ramified", (2,)), (3, "inert", (1,)), (5, "split", (1, 1)))
+    for targets in ((Fraction(2),), (Fraction(3, 2), Fraction(2))):
+        assert thirty in search._dfs_signatures(-1, 2, targets, 900, 0, None), targets
 
 
 def test_signatures_mode_sieves_only_to_the_root(monkeypatch):
