@@ -24,6 +24,7 @@ from .rings import DomainError, QInt, Ring, exact_div, index_of_unit
 
 # Norms above this need an explicit opt-in; factoring them may be slow.
 NORM_CEILING = 1 << 64
+CEILING_TEXT = f"2^64 = {NORM_CEILING}, the largest norm that can be factored"
 
 
 def _pollard_brent(n: int) -> int:
@@ -148,9 +149,7 @@ def factor_element(z: QInt, allow_large: bool = False) -> Factorization:
         raise DomainError("cannot factor zero")
     n = z.norm()
     if n > NORM_CEILING and not allow_large:
-        raise DomainError(
-            f"norm {n} exceeds the desk-scale ceiling; pass allow_large to override"
-        )
+        raise DomainError(f"norm {n} is above {CEILING_TEXT}")
     entries: list[FactorEntry] = []
     rest = z
     for p, e in factor_int(n):

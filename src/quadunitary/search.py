@@ -25,11 +25,13 @@ Two complete strategies over the same hit set:
   and exact integer pairs (numerator, denominator) in lowest terms decide
   every hit.
 
-Both modes split the search into work units.  Each unit's results are held
-in memory and the units are merged in their fixed order, so records come out
-in (norm, coordinates) order and are byte-identical for any job count.  Each
-unit is appended to a JSON-lines checkpoint as soon as it finishes, so a run
-that is stopped resumes into an identical run.  A row (an elements-mode
+Elements mode splits the search into work units, one per window of norms,
+which a process pool can share; a signature search is one unit, walked in
+one process from the first table prime to the root's solve.  Each unit's
+results are held in memory and the units are merged in their fixed order,
+so records come out in (norm, coordinates) order and are byte-identical for
+any job count.  Each unit is appended to a JSON-lines checkpoint as soon as
+it finishes, so a run that is stopped resumes into an identical run.  A row (an elements-mode
 record or a signature) is its JSON line, made once in the worker that finds
 it; the lines go through the pool, the checkpoint and search_rows to the
 command line.  This is the one module that knows the row format.
@@ -38,9 +40,10 @@ alike: it decodes the header into the SearchConfig that wrote the file and
 reads the units one line at a time.  An elements-mode unit must be the
 writer's text byte for byte; its rows are read in one pass over that text,
 held to the search's format, target and unit, and kept as read (not
-re-encoded, not recomputed).  A signatures unit is decoded as JSON and each
-row made into its line again from its entries.  read_rows decodes the
-lines of search_rows, for run_search and the command line's csv and text.
+re-encoded, not recomputed).  The signatures unit is decoded as JSON and
+each row made into its line again from its entries; its constant key needs
+no prime table to check.  read_rows decodes the lines of search_rows, for
+run_search and the command line's csv and text.
 
 A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
@@ -62,7 +65,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, inf, isqrt, nextafter, prod
 
-from .factoring import NORM_CEILING, index_rows
+from .factoring import CEILING_TEXT, NORM_CEILING, index_rows
 from .primes import is_prime, prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, Ring, canonical_product, format_coords, format_element, in_sector, ring
@@ -84,9 +87,10 @@ class SearchConfig:
 
     t is the exact rational target (> 1); n the positive power; max_norm the
     inclusive norm ceiling, at most factoring.NORM_CEILING (no larger norm
-    can be factored).  jobs > 1 enables a process pool; identical output is
-    produced for any job count.  verbose additionally emits non-hits
-    (elements mode only).
+    can be factored).  jobs > 1 enables a process pool for an elements-mode
+    search; a signature search is one unit and runs in one process.
+    Identical output is produced for any job count.  verbose additionally
+    emits non-hits (elements mode only).
     """
 
     ring: Ring
@@ -109,7 +113,7 @@ class SearchConfig:
         if self.max_norm < 2:
             raise DomainError("max_norm must be at least 2")
         if self.max_norm > NORM_CEILING:
-            raise DomainError(f"max_norm must be at most 2^64 = {NORM_CEILING}, the largest norm that can be factored")
+            raise DomainError(f"max_norm must be at most {CEILING_TEXT}")
         if self.jobs < 1:
             raise DomainError("jobs must be at least 1")
         if self.verbose and self.mode == "signatures":
@@ -279,7 +283,7 @@ def _index_points(r: Ring, lo: int, hi: int, n: int, derive):
 
 
 # ---------------------------------------------------------------------------
-# shared caches (populated in the parent so forked workers inherit them)
+# the signature DFS's certified bound and its cached envelope
 
 def _up(x: float) -> float:
     """The next float above x: an upper bound on a correctly rounded result."""
@@ -385,10 +389,8 @@ def _dfs_signatures(
     n: int,
     targets: tuple[Fraction, ...],
     max_norm: int,
-    j_start: int,
-    j_end: int | None,
 ) -> list[tuple[tuple, ...]]:
-    """Hit signatures whose first prime is in table slots [j_start, j_end), DFS order.
+    """Hit signatures for any of the targets, in DFS order.
 
     The table holds the primes up to isqrt(max_norm).  At a node with budget
     B the loop walks the primes with p^2 <= B.  A larger prime costs at least
@@ -396,9 +398,8 @@ def _dfs_signatures(
     primes cost p^2 > B, and for odd n the parity criterion forces even
     exponents.  For even n, value * (q + 1) / q = t fixes q = p^(n/2), so
     `solve` computes each such prime, after the loop, in increasing p, which
-    is where the walk over every prime would have found it.  j_end None also
-    takes the first primes above the table, which only the solve at the root
-    reaches.
+    is where the walk over every prime would have found it.  The root's solve
+    finds the one-prime signatures above the table.
 
     A node's value is the integer pair (a, b) in lowest terms, value = a / b:
     a child's pair is reduced by one gcd, compared with the largest target
@@ -407,6 +408,7 @@ def _dfs_signatures(
     """
     limit = isqrt(max_norm)
     primes = small_primes(limit)
+    size = len(primes)
     costs, env = _envelope_cached(n, limit)
     pairs = [(t.numerator, t.denominator) for t in targets]
     target_set = set(pairs)
@@ -431,11 +433,11 @@ def _dfs_signatures(
                     leaves.append((p, kind, (1, 0) if kind == "split" else (1,)))
         out.extend(entries + (leaf,) for leaf in sorted(leaves))
 
-    def walk(j: int, j_cap: int, budget: int, a: int, b: int, entries: tuple, last: int | None) -> None:
-        # the table primes from slot j with p^2 <= budget, then (unless last is
-        # None) the solve for one prime above last and sqrt(budget)
+    def walk(j: int, budget: int, a: int, b: int, entries: tuple, last: int) -> None:
+        # the table primes from slot j with p^2 <= budget, then the solve for
+        # one prime above last and sqrt(budget)
         fv = _up(a / b)
-        while j < j_cap:
+        while j < size:
             p = primes[j]
             if p * p > budget:
                 break
@@ -456,25 +458,13 @@ def _dfs_signatures(
                 if child_budget > p:
                     bound = _extension_bound(costs, env, j + 1, child_budget)
                     if _up(_up(ca / cb) * bound) >= guard:
-                        walk(j + 1, len(primes), child_budget, ca, cb, ents, p)
+                        walk(j + 1, child_budget, ca, cb, ents, p)
             j += 1
-        if half and last is not None:
+        if half:
             solve(a, b, budget, last, entries)
 
-    j_cap = len(primes) if j_end is None else min(j_end, len(primes))
-    walk(j_start, j_cap, max_norm, 1, 1, (), 0 if j_end is None else None)
+    walk(0, max_norm, 1, 1, (), 0)
     return out
-
-
-def _root_limit(n: int, targets: tuple[Fraction, ...], max_norm: int) -> int:
-    """First table slot whose whole subtree is below every target; root units stop there."""
-    limit = isqrt(max_norm)
-    costs, env = _envelope_cached(n, limit)
-    guard = _prune_guard(targets)
-    for j in range(len(costs) - 1):
-        if _extension_bound(costs, env, j, max_norm) < guard:
-            return j
-    return len(costs) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +512,9 @@ def _elements_task(payload: tuple) -> list[str]:
 
 
 def _signatures_task(payload: tuple) -> list[str]:
-    d, n, target_texts, max_norm, j0, j1 = payload
+    d, n, target_texts, max_norm = payload
     targets = tuple(Fraction(s) for s in target_texts)
-    hits = _dfs_signatures(d, n, targets, max_norm, j0, j1)
+    hits = _dfs_signatures(d, n, targets, max_norm)
     return [_dumps(Signature.from_entries(d, n, ents).to_json_dict()) for ents in hits]
 
 
@@ -547,6 +537,9 @@ def _config_echo(cfg: SearchConfig) -> dict:
         "interval_size": _WINDOW,  # the norms per elements-mode unit
     }
 
+
+# the key of a signature search's one unit
+_SIGNATURES_KEY = ["dfs"]
 
 # every header the writer emits starts with this text
 _HEADER_START = '{"schema_version":%d,"kind":"quadunitary-checkpoint",' % CHECKPOINT_SCHEMA
@@ -605,15 +598,12 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, l
                 torn = header
             elif header:
                 cfg = _read_header(path, header)
-                keys = None
-                if cfg.mode == "signatures":
-                    keys = {_dumps(key) for key, _ in _signature_tasks(cfg, (cfg.t,))}
                 loaded, seen = (cfg, []), set()
                 for line, text in enumerate(iter(fh.readline, ""), start=2):
                     if drop_torn and not text.endswith("\n"):
                         torn = text
                         break
-                    loaded[1].append(_read_unit(cfg, text, f"{path}:{line}", seen, keys))
+                    loaded[1].append(_read_unit(cfg, text, f"{path}:{line}", seen))
                     del text  # one unit's text at a time
             size = os.fstat(fh.fileno()).st_size
     except UnicodeDecodeError as exc:
@@ -652,15 +642,16 @@ def _read_header(path: str, line: str) -> SearchConfig:
     return cfg
 
 
-def _read_unit(cfg: SearchConfig, text: str, where: str, seen: set, keys: set | None) -> tuple[list, list, list]:
+def _read_unit(cfg: SearchConfig, text: str, where: str, seen: set) -> tuple[list, list, list]:
     """A unit line's (task, lines, hits); CheckpointError unless it is a task of cfg's search not in seen.
 
     An elements-mode unit [lo, hi] is a window: lo - 2 a multiple of
     _WINDOW, 2 <= lo <= max_norm and hi = min(lo + _WINDOW - 1, max_norm).
-    A signatures unit's key is one of keys, the keys of _signature_tasks.
+    A signature search has the one unit _SIGNATURES_KEY.
     """
     end = len(text) - text.endswith("\n")
-    if keys is None:
+    elements = cfg.mode == "elements"
+    if elements:
         start = re.compile(_UNIT_START).match(text)
         if start is None or not text.endswith("]}", 0, end):
             raise CheckpointError(f"corrupt checkpoint entry at {where}: the line is not a unit as the search writes it")
@@ -674,13 +665,13 @@ def _read_unit(cfg: SearchConfig, text: str, where: str, seen: set, keys: set | 
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise CheckpointError(f"corrupt checkpoint entry at {where}: {exc}") from exc
         key = _dumps(task)
-        is_task = key in keys
+        is_task = task == _SIGNATURES_KEY
     if key in seen or not is_task:
         raise CheckpointError(f"corrupt checkpoint entry at {where}: {key} is repeated or not a task of this search")
     seen.add(key)
-    if keys is None:
+    if elements:
         return task, *_check_rows(cfg, lo, hi, text, start.end(), end - 2, where)
-    return task, *_check_signatures(cfg, task, rows, where)
+    return task, *_check_signatures(cfg, rows, where)
 
 
 def _check_signature(cfg: SearchConfig, row: dict) -> tuple[Signature, dict]:
@@ -711,28 +702,22 @@ def _check_signature(cfg: SearchConfig, row: dict) -> tuple[Signature, dict]:
     return sig, want
 
 
-def _check_signatures(cfg: SearchConfig, task, rows, where: str) -> tuple[list[str], list[Signature]]:
+def _check_signatures(cfg: SearchConfig, rows, where: str) -> tuple[list[str], list[Signature]]:
     """A signatures unit's lines and hits, in one pass; CheckpointError unless rows are cfg's search's.
 
     The unit holds signatures of norm at most max_norm in strictly
-    increasing entries, the DFS's order, whose first prime is in its table
-    slots [j0, j1), or for the ["above", limit] unit is one prime above the
-    table.  Each row must be the record _check_signature recomputes from its
-    entries, and its line is that record's text; its hits are its
-    Signatures.
+    increasing entries, the DFS's order.  Each row must be the record
+    _check_signature recomputes from its entries, and its line is that
+    record's text; its hits are its Signatures.
     """
     lines, hits = [], []
     try:
-        above = task[0] == "above"
-        first = () if above else small_primes(isqrt(cfg.max_norm))[task[0]:task[1]]
         prev = []  # below every nonempty entries list
         for row in rows:
             sig, want = _check_signature(cfg, row)
             entries = row["entries"]
-            p = entries[0][0]
-            in_unit = len(entries) == 1 and p > task[1] if above else p in first
-            if not (in_unit and prev < entries and want["norm"] <= cfg.max_norm):
-                raise ValueError(f"{entries} is not the next hit of unit {task} after {prev} with norm <= {cfg.max_norm}")
+            if not (prev < entries and want["norm"] <= cfg.max_norm):
+                raise ValueError(f"{entries} is not the next hit after {prev} with norm <= {cfg.max_norm}")
             prev = entries
             lines.append(_dumps(want))
             hits.append(sig)
@@ -871,7 +856,7 @@ class _CheckpointWriter:
 # orchestration
 
 def _fork_pool(jobs: int):
-    # forked workers inherit the caches the parent filled (prime table, envelope);
+    # forked workers start from the parent's memory, with no re-import;
     # imported here because multiprocessing is slow to import and rarely used
     import multiprocessing
 
@@ -884,8 +869,8 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
 
     Results arrive in task order (imap keeps it for a pool) and each unit is
     checkpointed as it arrives, so a stopped run keeps the units it delivered.
-    A pool is forked only for two or more pending units other than the
-    ["above", ...] solve, which is too small to run apart.
+    A pool is forked only for two or more pending units, which only an
+    elements-mode search has.
     """
     done: dict[str, list[str]] = {}
     loaded = read_checkpoint(cfg.checkpoint_path, drop_torn=True) if cfg.checkpoint_path else None
@@ -904,10 +889,9 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
             done[_dumps(task)] = lines
     pending = [(key, payload) for key, payload in tasks if _dumps(key) not in done]
     args = [(cfg.mode, payload) for _, payload in pending]
-    splittable = sum(1 for key, _ in pending if key[0] != "above")
     writer = _CheckpointWriter(cfg.checkpoint_path, cfg)
     try:
-        with _fork_pool(cfg.jobs) if cfg.jobs > 1 and splittable > 1 else nullcontext() as pool:
+        with _fork_pool(cfg.jobs) if cfg.jobs > 1 and len(pending) > 1 else nullcontext() as pool:
             if pool is None:
                 results = map(_run_task, args)
             else:
@@ -932,33 +916,11 @@ def _element_tasks(cfg: SearchConfig) -> list[tuple[list, tuple]]:
     return tasks
 
 
-def _signature_tasks(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[tuple[list, tuple]]:
-    """The (task_key, payload) units of a signature search, for running it and for reading its checkpoint.
-
-    One unit per 256 table slots of first primes, then one unit, keyed
-    ["above", isqrt(max_norm)], for the first primes above the table.
-    """
-    limit = isqrt(cfg.max_norm)
-    # fill the caches (prime table, envelope) before any worker forks
-    table_size = len(small_primes(limit))
-    j_limit = _root_limit(cfg.n, targets, cfg.max_norm)
-    chunk = 256
-    head = (cfg.ring.d, cfg.n, tuple(str(t) for t in sorted(targets)), cfg.max_norm)
-    tasks = []
-    for j in range(0, j_limit, chunk):
-        j1 = min(j + chunk, j_limit)
-        tasks.append(([j, j1], (*head, j, j1)))
-    tasks.append((["above", limit], (*head, table_size, None)))
-    return tasks
-
-
 def _signature_search(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[Signature]:
-    """Hit signatures for any of the targets (all > 1), in deterministic DFS order."""
-    return [
-        Signature.from_entries(cfg.ring.d, cfg.n, json.loads(line)["entries"])
-        for lines in _task_results(cfg, _signature_tasks(cfg, targets))
-        for line in lines
-    ]
+    """Hit signatures for any of the targets (all > 1), in deterministic DFS order: one unit."""
+    payload = (cfg.ring.d, cfg.n, tuple(str(t) for t in sorted(targets)), cfg.max_norm)
+    (lines,) = _task_results(cfg, [(_SIGNATURES_KEY, payload)])
+    return [Signature.from_entries(cfg.ring.d, cfg.n, json.loads(line)["entries"]) for line in lines]
 
 
 def signature_hits_multi(

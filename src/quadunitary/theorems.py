@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .factoring import FactorEntry, factor_element, factor_int
+from .factoring import CEILING_TEXT, NORM_CEILING, FactorEntry, factor_element, factor_int
 from .primes import prime_above
 from .rings import DomainError, K, QInt, Ring, canonical_product, format_coords, format_element, ring
 from .search import (
@@ -260,6 +260,8 @@ def check_thm_2_4(max_norm: int = 10_000) -> TheoremReport:
     )
     if max_norm < 1:
         raise DomainError("max_norm must be at least 1")
+    if max_norm > NORM_CEILING:
+        raise DomainError(f"max_norm must be at most {CEILING_TEXT}")
     sample_every = max(1, max_norm // 4)
 
     def value(terms: dict[int, int], den: int) -> Fraction | None:
@@ -395,6 +397,8 @@ def check_thm_2_6(b: Fraction = Fraction(2), bound: int = 100_000) -> TheoremRep
         raise DomainError("the perfectness ratio b must exceed 1")
     if bound < 1:
         raise DomainError("bound must be at least 1")
+    if bound > 1 << 32:
+        raise DomainError(f"bound must be at most 2^32 = {1 << 32}: an image g(n) has norm n^2, at most {CEILING_TEXT}")
     report = TheoremReport(
         "thm2.6",
         "each integer n <= bound with sigma_star(n) = b*n maps to a sector element "

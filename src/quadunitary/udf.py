@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .factoring import Factorization, factor_element
+from .factoring import Factorization, factor_element, factor_int
 from .primes import small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, canonical_product
@@ -151,8 +151,6 @@ def sigma_star_int(n: int, k: int = 1) -> int | Fraction:
     """
     if n < 1:
         raise DomainError("sigma_star_int needs n >= 1")
-    from .factoring import factor_int
-
     result = 1
     for p, e in factor_int(n):
         result *= 1 + p ** (e * abs(k))

@@ -446,30 +446,28 @@ def test_elements_unit_must_be_the_writers_text(tmp_path, capsys):
 
 
 def test_signatures_checkpoint_units_must_be_the_searchs_tasks(tmp_path, capsys):
-    # a signatures unit is one of the search's tasks; its rows come in the
-    # DFS's order (strictly increasing entries), start at a prime of the
-    # unit's table slots (one prime above the table for the "above" unit)
-    # and have norm <= max-norm
+    # a signatures unit is the search's one task, ["dfs"]; its rows come in
+    # the DFS's order (strictly increasing entries) and have norm <= max-norm
     def rekeyed(lines):
         unit = json.loads(lines[1])
-        assert unit["task"] == [0, 3]
-        unit["task"] = [0, 2]
-        return lines + [json.dumps(unit)], 4
+        assert unit["task"] == ["dfs"]
+        unit["task"] = [0, 3]  # a table-slot key, as the root split wrote it
+        return lines[:1] + [json.dumps(unit)], 2
 
-    def with_rows(change, at=1):
+    def with_rows(change):
         def corrupt(lines):
-            unit = json.loads(lines[at])
-            change(unit["results"], json.loads(lines[1])["results"])
-            return lines[:at] + [json.dumps(unit)] + lines[at + 1:], at + 1
+            unit = json.loads(lines[1])
+            change(unit["results"])
+            return lines[:1] + [json.dumps(unit)] + lines[2:], 2
         return corrupt
 
     # 2^2 * 3^2 * 5 at d = -7, n = 1: 3/2 * 10/9 * 6/5 = 2, but its norm is 8100
     far = {"entries": [[2, "split", [2, 0]], [3, "inert", [2]], [5, "inert", [1]]], "norm": 8100, "value": "2"}
     cases = {
-        "unit re-keyed [0, 2]": (-1, 2, 2000, rekeyed),
-        "copy of the unit's first row": (-1, 2, 2000, with_rows(lambda rows, _: rows.append(rows[0]))),
-        "row copied into the above unit": (-1, 2, 2000, with_rows(lambda rows, table: rows.append(table[0]), at=2)),
-        "row of norm 8100 > 1000": (-7, 1, 1000, with_rows(lambda rows, _: rows.append(far))),
+        "unit re-keyed [0, 3]": (-1, 2, 2000, rekeyed),
+        "copy of the unit's first row": (-1, 2, 2000, with_rows(lambda rows: rows.append(rows[0]))),
+        "two rows swapped": (-1, 2, 2000, with_rows(lambda rows: rows.reverse())),
+        "row of norm 8100 > 1000": (-7, 1, 1000, with_rows(lambda rows: rows.append(far))),
     }
     for i, (name, (d, n, max_norm, corrupt)) in enumerate(cases.items()):
         path = tmp_path / f"cp{i}.jsonl"
@@ -523,10 +521,35 @@ def test_max_norm_above_the_factoring_ceiling_exits_2(capsys):
             ("verify", "thm2.2", "--ring", "-1"),
             ("verify", "thm2.3", "--ring", "-1"),
             ("verify", "thm2.5", "--ring", "-1"),
+            ("verify", "thm2.4"),
         ):
             code, out, err = run_cli(capsys, *argv, "--max-norm", str(bound))
             assert (code, out) == (2, ""), (argv, bound)
             assert err == f"error: max_norm must be at most 2^64 = {2**64}, the largest norm that can be factored\n"
+
+
+def test_thm2_6_bound_above_the_root_of_the_factoring_ceiling_exits_2(capsys):
+    # an image g(n) has norm n^2, so no bound above 2^32 can be checked; at
+    # 10^26 the sieve alone would run to 10^13
+    for bound in (2**32 + 1, 10**26):
+        code, out, err = run_cli(capsys, "verify", "thm2.6", "--max-norm", str(bound))
+        assert (code, out) == (2, ""), bound
+        assert err == (
+            f"error: bound must be at most 2^32 = {2**32}: an image g(n) has norm n^2, "
+            f"at most 2^64 = {2**64}, the largest norm that can be factored\n"
+        )
+
+
+def test_a_norm_above_the_factoring_ceiling_is_refused_in_the_commands_terms(capsys):
+    # the refusal names the ceiling, not the library's allow_large
+    for argv, norm in (
+        (("factor", "--ring", "-1", "--element", str(10**20)), 10**40),
+        (("istar", "--ring", "-1", "--element", str(10**20), "--power", "2"), 10**40),
+        (("gmap", "--ring", "-1", "--integer", str(10**40)), 10**80),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert err == f"error: norm {norm} is above 2^64 = {2**64}, the largest norm that can be factored\n", argv[0]
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -15,6 +15,7 @@ from math import gcd, inf, isqrt, nextafter
 import pytest
 
 from quadunitary import primes, search
+from quadunitary.cli import main
 from quadunitary.factoring import NORM_CEILING
 from quadunitary.primes import prime_kind, primes_up_to, small_primes
 from quadunitary.rings import K, DomainError, QInt, format_element, in_sector, ring
@@ -37,6 +38,7 @@ from quadunitary.search import (
     search_signatures,
     signature_hits_multi,
 )
+from quadunitary.theorems import load_hits
 from quadunitary.udf import _index_numerators, i_star
 
 
@@ -260,7 +262,7 @@ def test_checkpoint_unit_line_is_the_json_of_its_rows(tmp_path):
     units = [
         ([2, 3000], search._elements_task((-7, 1, "5/2", 2, 3000, True))),
         ([3001, 4000], search._elements_task((-1, 2, "2", 3001, 4000, False))),  # no hits
-        (["above", 54], search._signatures_task((-1, 2, ("2",), 3000, 0, None))),
+        (["dfs"], search._signatures_task((-1, 2, ("2",), 3000))),
     ]
     assert [bool(lines) for _, lines in units] == [True, False, True]
     writer = search._CheckpointWriter(str(path), SearchConfig(ring(-1), 2, Fraction(2), 4000))
@@ -444,6 +446,31 @@ def test_window_keys_are_read_by_arithmetic(tmp_path):
         else:
             with pytest.raises(CheckpointError, match=re.escape(f"entry at {path}:2: [{lo},{hi}] is repeated or not a task")):
                 search.read_checkpoint(str(path))
+
+
+def test_reading_a_signatures_checkpoint_builds_no_prime_table(tmp_path):
+    # the one key ["dfs"] is checked as it is: at max-norm 10^16 a table of
+    # the primes to 10^8 would take hundreds of MB
+    header = search._dumps({
+        "schema_version": 1, "kind": "quadunitary-checkpoint",
+        "config": {"d": -1, "n": 2, "t": "2", "max_norm": 10**16, "mode": "signatures",
+                   "verbose": False, "interval_size": search._WINDOW},
+    })
+    row = '{"entries":[[2,"ramified",[1]],[3,"inert",[1]],[5,"split",[1,0]]],"norm":90,"value":"2"}'
+    path = tmp_path / "sig.jsonl"
+    path.write_text(header + '\n{"task":["dfs"],"results":[%s]}\n' % row)
+    primes.small_primes.cache_clear()
+    tracemalloc.start()
+    try:
+        _, units = search.read_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert [(task, lines) for task, lines, _ in units] == [(["dfs"], [row])]
+    cfg, hits = load_hits(str(path), ring(-1))
+    assert cfg.max_norm == 10**16
+    assert [(h.z.norm(), h.t) for h in hits] == [(90, 2), (90, 2)]  # a split (1, 0) has two witnesses
 
 
 def test_reading_a_verbose_checkpoint_holds_one_unit_at_a_time(tmp_path, monkeypatch):
@@ -826,7 +853,7 @@ def test_dfs_hits_have_a_target_value(d):
     # hit's value, from the index kernel, is one of the targets
     found = 0
     for n in range(1, 5):
-        hits = search._dfs_signatures(d, n, _GRID_TARGETS, 10**5, 0, None)
+        hits = search._dfs_signatures(d, n, _GRID_TARGETS, 10**5)
         found += len(hits)
         for entries in hits:
             sig = Signature.from_entries(d, n, entries)
@@ -840,7 +867,7 @@ def test_dfs_reports_a_hit_at_the_largest_target():
     # largest target must pass the comparison that prunes values above it
     thirty = ((2, "ramified", (2,)), (3, "inert", (1,)), (5, "split", (1, 1)))
     for targets in ((Fraction(2),), (Fraction(3, 2), Fraction(2))):
-        assert thirty in search._dfs_signatures(-1, 2, targets, 900, 0, None), targets
+        assert thirty in search._dfs_signatures(-1, 2, targets, 900), targets
 
 
 def test_signatures_mode_sieves_only_to_the_root(monkeypatch):
@@ -875,30 +902,24 @@ def _signature_cfg(**kwargs):
     return SearchConfig(ring(-1), 2, Fraction(2), 2000, mode="signatures", **kwargs)
 
 
-@pytest.mark.parametrize("crash_at", [1, 2])
-def test_signatures_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch, crash_at):
+def test_signatures_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch):
+    # a crash in the search's one unit leaves the header only
     path = str(tmp_path / "run.jsonl")
-    real_run_task = search._run_task
-    calls = []
 
     def crashing_run_task(args):
-        calls.append(args)
-        if len(calls) == crash_at:
-            raise RuntimeError("simulated crash")
-        return real_run_task(args)
+        raise RuntimeError("simulated crash")
 
     monkeypatch.setattr(search, "_run_task", crashing_run_task)
     with pytest.raises(RuntimeError, match="simulated crash"):
         run_search(_signature_cfg(checkpoint_path=path))
     monkeypatch.undo()
     lines = open(path).read().splitlines()
-    assert len(lines) == crash_at
-    assert [json.loads(ln)["task"] for ln in lines[1:]] == [[0, 3]][: crash_at - 1]
+    assert len(lines) == 1
 
     resumed = run_search(_signature_cfg(checkpoint_path=path))
     assert records_to_json_lines(resumed) == records_to_json_lines(run_search(_signature_cfg()))
     lines = open(path).read().splitlines()
-    assert [json.loads(ln)["task"] for ln in lines[1:]] == [[0, 3], ["above", 44]]
+    assert [json.loads(ln)["task"] for ln in lines[1:]] == [["dfs"]]
     again = run_search(_signature_cfg(checkpoint_path=path))
     assert records_to_json_lines(again) == records_to_json_lines(resumed)
 
@@ -913,17 +934,17 @@ def test_signatures_checkpoint_resume_with_jobs(tmp_path):
     assert len(base) == 2
     run_search(cfg(checkpoint_path=path))
     lines = open(path).read().splitlines()
-    assert len(lines) == 3
-    for keep in (lines[:2], lines[:1] + lines[2:]):
+    assert len(lines) == 2
+    for keep in (lines[:1], lines):  # the header only, and the whole file
         with open(path, "w") as fh:
             fh.write("\n".join(keep) + "\n")
         resumed = run_search(cfg(checkpoint_path=path, jobs=2))
         assert records_to_json_lines(resumed) == records_to_json_lines(base)
-        assert sorted(open(path).read().splitlines()) == sorted(lines)
+        assert open(path).read().splitlines() == lines
 
 
 def test_no_pool_for_work_that_cannot_be_split(monkeypatch):
-    # at 1e6 signatures mode has one [j, j1] unit and the ["above", 1000] solve
+    # a signature search is one unit, at 1e6 as at any max-norm
     def cfg(**kwargs):
         return SearchConfig(ring(-1), 2, Fraction(2), 10**6, mode="signatures", **kwargs)
 
@@ -941,9 +962,10 @@ def test_no_pool_for_work_that_cannot_be_split(monkeypatch):
         run_search(SearchConfig(ring(-1), 2, Fraction(2), 1000, jobs=2))
 
 
-def test_signatures_checkpoint_without_the_solve_unit_resumes(tmp_path):
-    # a checkpoint whose only unit is the table unit [0, 3], as written before
-    # the solve had a unit of its own: that unit is reused, the solve unit added
+def test_signatures_checkpoint_with_table_slot_units_is_refused(tmp_path, capsys):
+    # the units of a signature search split at the root into table slots, as
+    # written before the search became one unit: the [0, 3] unit alone, and
+    # with the ["above", 44] solve unit, are refused and left as they are
     path = tmp_path / "run.jsonl"
     header = (
         '{"schema_version":1,"kind":"quadunitary-checkpoint","config":{"d":-1,"n":2,"t":"2",'
@@ -954,7 +976,16 @@ def test_signatures_checkpoint_without_the_solve_unit_resumes(tmp_path):
         '[5,"split",[1,0]]],"norm":90,"value":"2"},{"entries":[[2,"ramified",[2]],'
         '[3,"inert",[1]],[5,"split",[1,1]]],"norm":900,"value":"2"}]}\n'
     )
-    path.write_text(header + unit)
-    resumed = run_search(_signature_cfg(checkpoint_path=str(path)))
-    assert records_to_json_lines(resumed) == records_to_json_lines(run_search(_signature_cfg()))
-    assert path.read_text() == header + unit + '{"task":["above",44],"results":[]}\n'
+    search_args = (
+        "search", "--ring", "-1", "--power", "2", "--target", "2", "--max-norm", "2000",
+        "--mode", "signatures", "--checkpoint", str(path),
+    )
+    verify_args = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
+    for text in (header + unit, header + unit + '{"task":["above",44],"results":[]}\n'):
+        path.write_text(text)
+        for argv in (search_args, verify_args):
+            assert main(list(argv)) == 2, argv[0]
+            out, err = capsys.readouterr()
+            assert out == "", argv[0]
+            assert err == f"error: corrupt checkpoint entry at {path}:2: [0,3] is repeated or not a task of this search\n"
+            assert path.read_text() == text, argv[0]
