@@ -10,7 +10,9 @@ The index i_star reads only (p, kind, exponent) per prime power, and those
 rows follow from the norm and the content gcd(a, b) alone (index_rows).
 The search and the d = -3 sweep use index_rows and never build the primes;
 factor_element is for callers that need them, the divisor-sum oracle among
-them.
+them.  factor_int keeps an LRU cache for the callers that revisit a norm;
+index_rows walks a window of norms and meets nearly every norm once, so it
+factors through the uncached core and leaves that cache to the others.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 
 @lru_cache(maxsize=1 << 15)
 def factor_int(n: int) -> tuple[tuple[int, int], ...]:
-    """Sorted prime factorization ((p, e), ...) of n >= 1."""
+    """Sorted prime factorization ((p, e), ...) of n >= 1, from a cache of recent n."""
     if n < 1:
         raise DomainError("factor_int needs n >= 1")
     out: dict[int, int] = {}
@@ -87,6 +89,9 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     else:
         _factor_into(n, out)
     return tuple(sorted(out.items()))
+
+
+_factor_int = factor_int.__wrapped__  # the uncached core, for index_rows
 
 
 @dataclass(frozen=True)
@@ -199,9 +204,13 @@ def index_rows(d: int, norm: int, content: int) -> list[tuple[int, str, int]]:
       exponents are {g, e - g}.  The two primes above p have the same
       absolute value, so which of them takes which exponent does not
       matter to the index; rows with exponent 0 are left out.
+
+    The norm is factored by the uncached core of factor_int: a window walk
+    asks for nearly every norm once, and caching them would only push out
+    the norms that other callers revisit.
     """
     rows = []
-    for p, e in factor_int(norm):
+    for p, e in _factor_int(norm):
         kind = prime_kind(d, p)
         if kind == "inert":
             rows.append((p, kind, e // 2))

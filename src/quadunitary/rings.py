@@ -294,9 +294,10 @@ def format_element(z: QInt) -> str:
     return format_coords(z.a, z.b)
 
 
-# format_coords's "a", "b*w" and, for a != 0, "a+b*w" or "a-b*w"; re caches
-# the compiled pattern on first use, so no command pays for it at import
+# format_coords's "a", "b*w" and, for a != 0, "a+b*w" or "a-b*w"; compiled
+# on first use, so no command pays for it at import
 _FORMATTED = r"(0|-?[1-9][0-9]*)|(-?[1-9][0-9]*)?((?(2)[+-]|-?)[1-9][0-9]*)\*w"
+_formatted_match = None  # re.compile(_FORMATTED).fullmatch, once bound
 
 
 def parse_formatted(r: Ring, text: str) -> QInt:
@@ -306,7 +307,10 @@ def parse_formatted(r: Ring, text: str) -> QInt:
     format_element would not have produced, spacing and signs included, is a
     DomainError.  User input goes through parse_element.
     """
-    m = re.fullmatch(_FORMATTED, text) if isinstance(text, str) else None
+    global _formatted_match
+    if _formatted_match is None:
+        _formatted_match = re.compile(_FORMATTED).fullmatch
+    m = _formatted_match(text) if isinstance(text, str) else None
     if m is None:
         raise DomainError(f"not an element in canonical coordinate syntax: {text!r}")
     if m[1] is not None:

@@ -31,7 +31,8 @@ one process from the first table prime to the root's solve.  Each unit's
 results are held in memory and the units are merged in their fixed order,
 so records come out in (norm, coordinates) order and are byte-identical for
 any job count.  Each unit is appended to a JSON-lines checkpoint as soon as
-it finishes, so a run that is stopped resumes into an identical run.  A row (an elements-mode
+it finishes, so a run that is stopped resumes into an identical run; its
+line is written a piece of rows at a time and never held whole.  A row (an elements-mode
 record or a signature) is its JSON line, made once in the worker that finds
 it; the lines go through the pool, the checkpoint and search_rows to the
 command line.  This is the one module that knows the row format.
@@ -552,6 +553,7 @@ _HEADER_START = '{"schema_version":%d,"kind":"quadunitary-checkpoint",' % CHECKP
 _UNIT_START = r'\{"task":\[([1-9][0-9]*),([1-9][0-9]*)\],"results":\['
 _ROW = r'(\{"z":"([^"]*)","norm":([1-9][0-9]*),"istar":(\{[^}]*\}),"hit":(true|false)\})(?:,(?=\{)|\Z)'
 _TERM = r'"([1-9][0-9]*)":"-?([1-9][0-9]*)(?:/([1-9][0-9]*))?"'
+_term_match = None  # re.compile(_TERM).fullmatch, once bound
 
 
 def _truncate(path: str, size: int) -> None:
@@ -733,9 +735,12 @@ def _istar_is_target(istar: str, target: str) -> bool:
     coefficient written as a fraction writes it: "a" or "a/b" with no
     leading zero and b > 1 in lowest terms.
     """
+    global _term_match
+    if _term_match is None:
+        _term_match = re.compile(_TERM).fullmatch
     last = 0
     for term in istar[1:-1].split(","):
-        m = re.fullmatch(_TERM, term)
+        m = _term_match(term)
         if m is None:
             raise ValueError(f"istar term {term} is not a radicand and a fraction")
         radicand, num, den = m.groups()
@@ -798,6 +803,9 @@ def _check_rows(cfg: SearchConfig, lo: int, hi: int, text: str, pos: int, stop: 
     return lines, hits
 
 
+_RECORD_ROWS = 1024  # rows per piece of a unit's line as _CheckpointWriter writes it
+
+
 class _CheckpointWriter:
     """Appends finished units to a checkpoint, each line fsynced; inert without a path.
 
@@ -820,7 +828,7 @@ class _CheckpointWriter:
                 "kind": "quadunitary-checkpoint",
                 "config": _config_echo(cfg),
             }
-            self._write_line(_dumps(header))
+            self._write_line([_dumps(header) + "\n"])
 
     def _fail(self, exc: OSError) -> CheckpointError:
         fh, self.fh = self.fh, None
@@ -829,19 +837,34 @@ class _CheckpointWriter:
                 fh.close()
         return CheckpointError(f"cannot write checkpoint {self.path}: {exc}")
 
-    def _write_line(self, text: str) -> None:
+    def _write_line(self, pieces) -> None:
+        """Write the pieces of one line, then flush and fsync it once."""
         assert self.fh is not None
         try:
-            self.fh.write(text + "\n")
+            for piece in pieces:
+                self.fh.write(piece)
             self.fh.flush()
             os.fsync(self.fh.fileno())
         except OSError as exc:
             raise self._fail(exc) from exc
 
     def record(self, key: str, lines: list[str]) -> None:
-        """Append one unit: key is the JSON text of its task key, lines its rows."""
+        """Append one unit: key is the JSON text of its task key, lines its rows.
+
+        The line is '{"task":' + key + ',"results":[', the rows joined by
+        commas and "]}" with its newline.  It is written in pieces of
+        _RECORD_ROWS rows, so no string holds the whole line: a verbose unit
+        costs its rows and one piece.
+        """
         if self.fh is not None:
-            self._write_line('{"task":' + key + ',"results":[' + ",".join(lines) + "]}")
+            self._write_line(self._pieces(key, lines))
+
+    @staticmethod
+    def _pieces(key: str, lines: list[str]):
+        yield '{"task":' + key + ',"results":['
+        for i in range(0, len(lines), _RECORD_ROWS):
+            yield ("," if i else "") + ",".join(lines[i : i + _RECORD_ROWS])
+        yield "]}\n"
 
     def close(self) -> None:
         try:

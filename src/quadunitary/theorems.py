@@ -406,10 +406,8 @@ def check_thm_2_6(b: Fraction = Fraction(2), bound: int = 100_000) -> TheoremRep
         None,
         {"b": str(b), "bound": bound, "rings": sorted(K)},
     )
-    members = [
-        n for n, sigma in sigma_star_range(bound)
-        if sigma * b.denominator == b.numerator * n
-    ]
+    num, den = b.numerator, b.denominator
+    members = [n for n, sigma in sigma_star_range(bound) if sigma * den == num * n]
     report.witnesses.append({"members": members})
     for d in sorted(K):
         r = ring(d)

@@ -655,6 +655,46 @@ def test_checkpoint_write_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, *args) == fresh
 
 
+def test_a_unit_torn_by_a_failed_write_is_dropped_on_resume(tmp_path, capsys, monkeypatch):
+    # the one unit has over two pieces of rows; the file's write fails on
+    # the second piece, after the unit's head and first piece were written
+    path = tmp_path / "cp.jsonl"
+    args = ("search", "--ring", "-1", "--power", "2", "--target", "2", "--max-norm", "3000", "--verbose")
+    fresh = run_cli(capsys, *args)
+    assert fresh[0] == 0 and fresh[1].count("\n") > 2 * search._RECORD_ROWS
+
+    class SecondPieceFails:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 4:  # the header, the unit's head, its first piece, its second
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(text)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    def failing_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        return SecondPieceFails(fh) if mode == "a" else fh
+
+    monkeypatch.setattr(search, "open", failing_open, raising=False)
+    code, out, err = run_cli(capsys, *args, "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write checkpoint {path}: ") and "No space left" in err
+    assert "Traceback" not in err
+    header, torn = path.read_text().split("\n")
+    rows = _elements_task((-1, 2, "2", 2, 3000, True))
+    assert torn == '{"task":[2,3000],"results":[' + ",".join(rows[: search._RECORD_ROWS])
+    monkeypatch.undo()
+    assert run_cli(capsys, *args, "--checkpoint", str(path)) == fresh
+    whole = tmp_path / "whole.jsonl"
+    assert run_cli(capsys, *args, "--checkpoint", str(whole)) == fresh
+    assert path.read_text() == whole.read_text()
+
+
 def test_verify_zeta(capsys):
     code, out, _ = run_cli(capsys, "verify", "zeta", "--format", "json")
     assert code == 0

@@ -16,7 +16,7 @@ import pytest
 
 from quadunitary import primes, search
 from quadunitary.cli import main
-from quadunitary.factoring import NORM_CEILING
+from quadunitary.factoring import NORM_CEILING, factor_int
 from quadunitary.primes import prime_kind, primes_up_to, small_primes
 from quadunitary.rings import K, DomainError, QInt, format_element, in_sector, ring
 from quadunitary.search import (
@@ -38,7 +38,7 @@ from quadunitary.search import (
     search_signatures,
     signature_hits_multi,
 )
-from quadunitary.theorems import load_hits
+from quadunitary.theorems import check_thm_2_4, load_hits
 from quadunitary.udf import _index_numerators, i_star
 
 
@@ -274,6 +274,38 @@ def test_checkpoint_unit_line_is_the_json_of_its_rows(tmp_path):
         json.dumps({"task": key, "results": [json.loads(line) for line in lines]}, separators=(",", ":"))
         for key, lines in units
     ]
+
+
+def test_record_streams_a_verbose_unit_in_pieces(tmp_path):
+    # the line's bytes, written a piece of rows at a time: no string holds
+    # the whole line, so the peak is a small part of the line's size
+    lines = search._elements_task((-1, 2, "2", 2, 30000, True))
+    assert len(lines) >= 20_000
+    key = "[2,30000]"
+    want = '{"task":' + key + ',"results":[' + ",".join(lines) + "]}\n"
+    path = tmp_path / "cp.jsonl"
+    writer = search._CheckpointWriter(str(path), SearchConfig(ring(-1), 2, Fraction(2), 30000))
+    header = path.read_text()
+    tracemalloc.start()
+    try:
+        writer.record(key, lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    writer.close()
+    assert path.read_text() == header + want
+    assert peak < len(want) / 4, peak / len(want)
+
+
+def test_the_window_walk_leaves_the_factor_cache_alone():
+    # the walk meets nearly every norm once, so it factors them uncached;
+    # a hit-free search, since the oracle on a hit does use the cache
+    factor_int.cache_clear()
+    lines, hits = search_rows(SearchConfig(ring(-163), 2, Fraction(3), 20000, verbose=True))
+    assert hits == 0 and len(lines) > 1000
+    assert factor_int.cache_info().currsize == 0
+    assert check_thm_2_4(max_norm=3000).passed
+    assert factor_int.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("mode, verbose", [("elements", True), ("elements", False), ("signatures", False)])
