@@ -337,7 +337,7 @@ def pretty_element(z: QInt) -> str:
 
 
 _TERM_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?"
+    r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/0*[1-9]\d*)?)?"  # a denominator is not zero
     r"(?:\*?(?P<sym>w|i|sqrt\(-?\d+\)))?$"
 )
 

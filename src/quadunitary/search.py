@@ -25,26 +25,27 @@ Two complete strategies over the same hit set:
   and exact integer pairs (numerator, denominator) in lowest terms decide
   every hit.
 
-Elements mode splits the search into work units, one per window of norms,
-which a process pool can share; a signature search is one unit, walked in
-one process from the first table prime to the root's solve.  Each unit's
-results are held in memory and the units are merged in their fixed order,
-so records come out in (norm, coordinates) order and are byte-identical for
-any job count.  Each unit is appended to a JSON-lines checkpoint as soon as
-it finishes, so a run that is stopped resumes into an identical run; its
-line is written a piece of rows at a time and never held whole.  A row (an elements-mode
-record or a signature) is its JSON line, made once in the worker that finds
-it; the lines go through the pool, the checkpoint and search_rows to the
-command line.  This is the one module that knows the row format.
-read_checkpoint reads a checkpoint, for a resume and for theorems.load_hits
-alike: it decodes the header into the SearchConfig that wrote the file and
-reads the units one line at a time.  An elements-mode unit must be the
-writer's text byte for byte; its rows are read in one pass over that text,
-held to the search's format, target and unit, and kept as read (not
-re-encoded, not recomputed).  The signatures unit is decoded as JSON and
-each row made into its line again from its entries; its constant key needs
-no prime table to check.  read_rows decodes the lines of search_rows, for
-run_search and the command line's csv and text.
+A work unit is its checkpoint key: a window [lo, hi] of norms in elements
+mode, which a process pool can share, and _SIGNATURES_KEY for a signature
+search, one unit walked in one process from the first table prime to the
+root's solve.  Its task reads everything else from the SearchConfig.  Each
+unit's results are held in memory and the units are merged in key order, so
+records come out in (norm, coordinates) order and are byte-identical for any
+job count.  Each unit is appended to a JSON-lines checkpoint as soon as it
+finishes, so a run that is stopped resumes into an identical run; its line
+is written a piece of rows at a time and never held whole.  A row (an
+elements-mode record or a signature) is its JSON line, made once in the
+worker that finds it; the lines go through the pool, the checkpoint and
+search_rows to the command line.  This is the one module that knows the row
+format.  read_checkpoint reads a checkpoint, for a resume and for
+theorems.load_hits alike: it decodes the header into the SearchConfig that
+wrote the file and reads the units one line at a time.  An elements-mode
+unit must be the writer's text byte for byte; its rows are read in one pass
+over that text, held to the search's format, target and unit, and kept as
+read (not re-encoded, not recomputed).  The signatures unit is decoded as
+JSON and each row made into its line again from its entries; its constant
+key needs no prime table to check.  read_rows decodes the lines of
+search_rows, for run_search and the command line's csv and text.
 
 A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
@@ -62,7 +63,7 @@ import re
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import gcd, inf, isqrt, nextafter, prod
 
@@ -70,7 +71,7 @@ from .factoring import CEILING_TEXT, NORM_CEILING, index_rows
 from .primes import is_prime, prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, Ring, canonical_product, format_coords, format_element, in_sector, ring
-from .udf import _WINDOW, _index_numerators, delta_star_oracle, i_star
+from .udf import _WINDOW, _index_numerators, _windows, delta_star_oracle, i_star
 
 CHECKPOINT_SCHEMA = 1
 
@@ -247,11 +248,8 @@ def _sector_points(r: Ring, lo: int, hi: int):
 
     Built one window of _WINDOW norms at a time, so memory stays bounded.
     """
-    start = max(lo, 1)
-    while start <= hi:
-        end = min(start + _WINDOW - 1, hi)
+    for start, end in _windows(max(lo, 1), hi, _WINDOW):
         yield from _interval_points(r, start, end)
-        start = end + 1
 
 
 def iter_sector_elements(r: Ring, lo: int, hi: int):
@@ -489,10 +487,9 @@ def _row_line(z: str, norm: int, istar: str, hit: bool) -> str:
     return f'{{"z":"{z}","norm":{norm},"istar":{istar},"hit":{"true" if hit else "false"}}}'
 
 
-def _elements_task(payload: tuple) -> list[str]:
-    d, n, t_text, lo, hi, verbose = payload
-    r = ring(d)
-    t = Fraction(t_text)
+def _elements_task(cfg: SearchConfig, key) -> list[str]:
+    """The row lines of the window key = [lo, hi]: its hits, or with cfg.verbose every point."""
+    r, n, t, verbose = cfg.ring, cfg.n, cfg.t, cfg.verbose
     t_num, t_den = t.numerator, t.denominator
 
     def derive(terms: dict[int, int], den: int) -> tuple[bool, str | None]:
@@ -504,7 +501,7 @@ def _elements_task(payload: tuple) -> list[str]:
         return hit, _terms_json(RadicalValue.from_numerators(terms, den).to_json_terms().items())
 
     out = []
-    for norm, a, b, (hit, istar) in _index_points(r, lo, hi, n, derive):
+    for norm, a, b, (hit, istar) in _index_points(r, *key, n, derive):
         if hit:
             _verify_hit(QInt(r, a, b), n, t)
         if istar is not None:
@@ -512,16 +509,11 @@ def _elements_task(payload: tuple) -> list[str]:
     return out
 
 
-def _signatures_task(payload: tuple) -> list[str]:
-    d, n, target_texts, max_norm = payload
-    targets = tuple(Fraction(s) for s in target_texts)
-    hits = _dfs_signatures(d, n, targets, max_norm)
+def _signatures_task(cfg: SearchConfig, targets: tuple[Fraction, ...], key) -> list[str]:
+    """The row lines of the search's one unit, key = _SIGNATURES_KEY: its hit signatures for any target."""
+    d, n = cfg.ring.d, cfg.n
+    hits = _dfs_signatures(d, n, targets, cfg.max_norm)
     return [_dumps(Signature.from_entries(d, n, ents).to_json_dict()) for ents in hits]
-
-
-def _run_task(args: tuple) -> list[str]:
-    kind, payload = args
-    return _elements_task(payload) if kind == "elements" else _signatures_task(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +613,7 @@ def _read_header(path: str, line: str) -> SearchConfig:
     """The SearchConfig a header line names; CheckpointError unless it is a search's header of this schema."""
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}") from exc
     if not isinstance(header, dict) or header.get("kind") != "quadunitary-checkpoint":
         raise CheckpointError(f"{path} is not a search checkpoint")
@@ -657,14 +649,17 @@ def _read_unit(cfg: SearchConfig, text: str, where: str, seen: set) -> tuple[lis
         start = re.compile(_UNIT_START).match(text)
         if start is None or not text.endswith("]}", 0, end):
             raise CheckpointError(f"corrupt checkpoint entry at {where}: the line is not a unit as the search writes it")
-        lo, hi = int(start[1]), int(start[2])
+        try:
+            lo, hi = int(start[1]), int(start[2])
+        except ValueError as exc:  # past Python's digit limit
+            raise CheckpointError(f"corrupt checkpoint entry at {where}: {exc}") from exc
         task, key = [lo, hi], f"[{lo},{hi}]"
         is_task = (lo - 2) % _WINDOW == 0 and 2 <= lo <= cfg.max_norm and hi == min(lo + _WINDOW - 1, cfg.max_norm)
     else:
         try:
             entry = json.loads(text)
             task, rows = entry["task"], entry["results"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint entry at {where}: {exc}") from exc
         key = _dumps(task)
         is_task = task == _SIGNATURES_KEY
@@ -677,20 +672,25 @@ def _read_unit(cfg: SearchConfig, text: str, where: str, seen: set) -> tuple[lis
 
 
 def _check_signature(cfg: SearchConfig, row: dict) -> tuple[Signature, dict]:
-    """The Signature of a record and its JSON dict; ValueError unless the record is that dict, at cfg.t."""
-    d = cfg.ring.d
+    """The Signature of a record and its JSON dict; ValueError unless the record is that dict, at cfg.t.
+
+    Each prime must be at most max_norm and each exponent at most
+    max_norm.bit_length(), as in every hit, before any power is taken: a
+    huge exponent would otherwise cost its power's time before the norm check.
+    """
+    d, bits = cfg.ring.d, cfg.max_norm.bit_length()
     last = 1
     for p, kind, alphas in row.get("entries", ()):
-        if not (type(p) is int and p > last and is_prime(p) and kind == prime_kind(d, p)):
+        if not (type(p) is int and last < p <= cfg.max_norm and is_prime(p) and kind == prime_kind(d, p)):
             raise ValueError(
                 f"entry {[p, kind, alphas]!r} is not a prime of d={d} with its kind, "
-                f"above the one before"
+                f"above the one before and at most {cfg.max_norm}"
             )
         last = p
         if not (
             len(alphas) == 1 + (kind == "split")
             and all(type(a) is int for a in alphas)
-            and alphas[0] >= 1
+            and bits >= alphas[0] >= 1
             and alphas[-1] >= 0
             and alphas[0] >= alphas[-1]
         ):
@@ -776,13 +776,13 @@ def _check_rows(cfg: SearchConfig, lo: int, hi: int, text: str, pos: int, stop: 
             m = row(text, pos, stop)
             if m is None:
                 raise ValueError(f"the text from {text[pos:pos + 80]!r} on is not a record as the search writes it")
-            line, z_text, norm_text, istar, hit_text = m.groups()
+            line, z_text, norm_text, istar, flag = m.groups()
             pos = m.end()
             hit = istars.get(istar)
             if hit is None:
                 hit = istars[istar] = _istar_is_target(istar, target)
-            if hit != (hit_text == "true"):
-                raise ValueError(f"hit {hit_text} disagrees with istar {istar} at target {cfg.t}")
+            if hit != (flag == "true"):
+                raise ValueError(f"hit {flag} disagrees with istar {istar} at target {cfg.t}")
             if not (hit or cfg.verbose):
                 raise ValueError(f"{z_text} is not a hit, and the unit lists only hits")
             z = parse(z_text)
@@ -887,12 +887,14 @@ def _fork_pool(jobs: int):
     return multiprocessing.get_context("fork" if "fork" in methods else None).Pool(jobs)
 
 
-def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[list[str]]:
-    """Run (task_key, payload) units, honoring checkpoint and jobs; each unit's lines, in order.
+def _task_results(cfg: SearchConfig, keys: list, task) -> list[list[str]]:
+    """Each unit's lines, in the order of keys, honoring checkpoint and jobs.
 
-    Results arrive in task order (imap keeps it for a pool) and each unit is
+    A unit is its checkpoint key, and task(key) computes its lines from the
+    key alone; the task is bound to cfg (and any targets) by the caller.
+    Results arrive in key order (imap keeps it for a pool) and each unit is
     checkpointed as it arrives, so a stopped run keeps the units it delivered.
-    A pool is forked only for two or more pending units, which only an
+    A pool is forked only for two or more pending keys, which only an
     elements-mode search has.
     """
     done: dict[str, list[str]] = {}
@@ -903,46 +905,31 @@ def _task_results(cfg: SearchConfig, tasks: list[tuple[list, tuple]]) -> list[li
             raise CheckpointError(
                 f"{cfg.checkpoint_path} was written by a different search configuration"
             )
-        for line, (task, lines, hits) in enumerate(units, start=2):
+        for line, (key, lines, hits) in enumerate(units, start=2):
             try:  # a resumed elements-mode hit enters here; signatures are verified by witness_records
                 for z in hits if cfg.mode == "elements" else ():
                     _verify_hit(z, cfg.n, cfg.t)
             except AssertionError as exc:
                 raise CheckpointError(f"corrupt checkpoint record at {cfg.checkpoint_path}:{line}: {exc}") from exc
-            done[_dumps(task)] = lines
-    pending = [(key, payload) for key, payload in tasks if _dumps(key) not in done]
-    args = [(cfg.mode, payload) for _, payload in pending]
+            done[_dumps(key)] = lines
+    pending = [key for key in keys if _dumps(key) not in done]
     writer = _CheckpointWriter(cfg.checkpoint_path, cfg)
     try:
         with _fork_pool(cfg.jobs) if cfg.jobs > 1 and len(pending) > 1 else nullcontext() as pool:
-            if pool is None:
-                results = map(_run_task, args)
-            else:
-                results = pool.imap(_run_task, args, chunksize=1)
-            for (key, _), lines in zip(pending, results):
+            results = map(task, pending) if pool is None else pool.imap(task, pending, chunksize=1)
+            for key, lines in zip(pending, results):
                 text = _dumps(key)
                 writer.record(text, lines)
                 done[text] = lines
     finally:
         writer.close()
-    return [done[_dumps(key)] for key, _ in tasks]
+    return [done[_dumps(key)] for key in keys]
 
 
-def _element_tasks(cfg: SearchConfig) -> list[tuple[list, tuple]]:
-    tasks = []
-    lo = 2
-    while lo <= cfg.max_norm:
-        hi = min(lo + _WINDOW - 1, cfg.max_norm)
-        payload = (cfg.ring.d, cfg.n, str(cfg.t), lo, hi, cfg.verbose)
-        tasks.append(([lo, hi], payload))
-        lo = hi + 1
-    return tasks
-
-
-def _signature_search(cfg: SearchConfig, targets: tuple[Fraction, ...]) -> list[Signature]:
-    """Hit signatures for any of the targets (all > 1), in deterministic DFS order: one unit."""
-    payload = (cfg.ring.d, cfg.n, tuple(str(t) for t in sorted(targets)), cfg.max_norm)
-    (lines,) = _task_results(cfg, [(_SIGNATURES_KEY, payload)])
+def search_signatures(cfg: SearchConfig, targets: tuple[Fraction, ...] | None = None) -> list[Signature]:
+    """Hit signatures for any of the targets (all > 1; cfg.t by default), in deterministic DFS order: one unit."""
+    targets = targets or (cfg.t,)
+    (lines,) = _task_results(cfg, [_SIGNATURES_KEY], partial(_signatures_task, cfg, targets))
     return [Signature.from_entries(cfg.ring.d, cfg.n, json.loads(line)["entries"]) for line in lines]
 
 
@@ -962,12 +949,7 @@ def signature_hits_multi(
     if not targets or min(targets) <= 1:
         raise DomainError("targets must all exceed 1")
     cfg = SearchConfig(r, n, targets[0], max_norm, mode="signatures", jobs=jobs)
-    return _signature_search(cfg, targets)
-
-
-def search_signatures(cfg: SearchConfig) -> list[Signature]:
-    """Hit signatures for cfg.t, deterministic DFS order."""
-    return _signature_search(cfg, (cfg.t,))
+    return search_signatures(cfg, targets)
 
 
 def witness_records(r: Ring, n: int, sigs) -> list[SearchRecord]:
@@ -1006,7 +988,8 @@ def search_rows(cfg: SearchConfig) -> tuple[list[str], int]:
     if cfg.mode != "elements":
         lines = records_to_json_lines(witness_records(cfg.ring, cfg.n, search_signatures(cfg)))
         return lines, len(lines)
-    lines = [line for unit in _task_results(cfg, _element_tasks(cfg)) for line in unit]
+    keys = list(_windows(2, cfg.max_norm, _WINDOW))
+    lines = [line for unit in _task_results(cfg, keys, partial(_elements_task, cfg)) for line in unit]
     return lines, sum(line.endswith(',"hit":true}') for line in lines)
 
 

@@ -160,6 +160,12 @@ def sigma_star_int(n: int, k: int = 1) -> int | Fraction:
 _WINDOW = 1 << 16  # integers per sieve window here, norms per unit in search
 
 
+def _windows(lo: int, hi: int, width: int):
+    """Yield the windows (start, end) of width integers from lo that cover [lo, hi]; each caller passes its _WINDOW."""
+    for start in range(lo, hi + 1, width):
+        yield start, min(start + width - 1, hi)
+
+
 def sigma_star_range(bound: int):
     """Yield (n, sigma_star_int(n)) for n = 1 .. bound in increasing n, by sieving.
 
@@ -169,8 +175,7 @@ def sigma_star_range(bound: int):
     1 + p**e; a cofactor left above 1 is then a single prime q, giving 1 + q.
     """
     primes = small_primes(isqrt(bound)) if bound > 0 else ()
-    for lo in range(1, bound + 1, _WINDOW):
-        hi = min(lo + _WINDOW - 1, bound)
+    for lo, hi in _windows(1, bound, _WINDOW):
         rem = list(range(lo, hi + 1))
         sig = [1] * len(rem)
         for p in primes:

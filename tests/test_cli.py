@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ import pytest
 from quadunitary import search
 from quadunitary.cli import main
 from quadunitary.radicals import RadicalValue
-from quadunitary.search import Signature, _elements_task
+from quadunitary.rings import ring
+from quadunitary.search import SearchConfig, Signature, _elements_task
 
 
 def compact(doc) -> str:
@@ -26,6 +29,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def timed_run_cli(capsys, *argv):
+    """run_cli for a refused checkpoint, which must be refused well within a second."""
+    start = time.perf_counter()
+    result = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1, argv
+    return result
+
+
+# an integer of 5,000 digits, past the 4,300 that Python converts from text
+HUGE = "9" * 5000
 
 
 def test_istar_json_golden(capsys):
@@ -348,7 +363,7 @@ def test_resumed_records_must_agree_with_the_target(tmp_path, capsys):
 def test_checkpoint_units_must_be_the_searchs_windows_once(tmp_path, capsys):
     # a unit is one of the search's units, written once, with its rows in
     # strictly increasing (norm, a, b) inside its window [2, 1000]
-    stray = json.loads(_elements_task((-1, 2, "2", 5200, 5200, True))[0])
+    stray = json.loads(_elements_task(SearchConfig(ring(-1), 2, Fraction(2), 5200, verbose=True), [5200, 5200])[0])
     assert stray["norm"] == 5200
 
     def with_row(make):
@@ -392,6 +407,8 @@ def test_checkpoint_units_must_be_the_searchs_windows_once(tmp_path, capsys):
         "non-hit row in a non-verbose unit": ("--quiet", rows_changed(lambda rows: rows.insert(0, non_hit))),
         "associate outside the sector": ("--verbose", rows_changed(associate)),
         "verbose unit missing a row": ("--verbose", rows_changed(lambda rows: rows.pop(5))),
+        "unit keyed by a lo of 5,000 digits": ("--quiet", lambda lines: (
+            [lines[0], lines[1].replace('{"task":[2,', '{"task":[' + HUGE + ",", 1)], 2)),
     }
     for i, (name, (option, corrupt)) in enumerate(cases.items()):
         path = tmp_path / f"cp{i}.jsonl"
@@ -404,10 +421,11 @@ def test_checkpoint_units_must_be_the_searchs_windows_once(tmp_path, capsys):
         fresh = path.read_text().splitlines()
         assert [compact(json.loads(unit)) for unit in fresh[1:]] == fresh[1:]
         lines, line = corrupt(fresh)
+        assert lines != fresh, name
         path.write_text("\n".join(lines) + "\n")
         verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
         for argv in (args, verify):
-            code, out, err = run_cli(capsys, *argv)
+            code, out, err = timed_run_cli(capsys, *argv)
             assert (code, out) == (2, ""), (name, argv[0])
             assert err.startswith("error: corrupt checkpoint "), (name, argv[0])
             assert f" at {path}:{line}: " in err, (name, argv[0])
@@ -463,11 +481,19 @@ def test_signatures_checkpoint_units_must_be_the_searchs_tasks(tmp_path, capsys)
 
     # 2^2 * 3^2 * 5 at d = -7, n = 1: 3/2 * 10/9 * 6/5 = 2, but its norm is 8100
     far = {"entries": [[2, "split", [2, 0]], [3, "inert", [2]], [5, "inert", [1]]], "norm": 8100, "value": "2"}
+    # 3^(2 * 10^7) takes seconds to compute, so this exponent must be refused before any power is taken
+    vast = {"entries": [[3, "inert", [10**7]]], "norm": 9, "value": "2"}
+
+    def huge_prime(lines):
+        return lines[:1] + [lines[1].replace('"entries":[[2,', '"entries":[[' + HUGE + ",", 1)] + lines[2:], 2
+
     cases = {
         "unit re-keyed [0, 3]": (-1, 2, 2000, rekeyed),
         "copy of the unit's first row": (-1, 2, 2000, with_rows(lambda rows: rows.append(rows[0]))),
         "two rows swapped": (-1, 2, 2000, with_rows(lambda rows: rows.reverse())),
         "row of norm 8100 > 1000": (-7, 1, 1000, with_rows(lambda rows: rows.append(far))),
+        "inert exponent 10^7 at max-norm 100": (-1, 2, 100, with_rows(lambda rows: rows.insert(0, vast))),
+        "prime of 5,000 digits": (-1, 2, 2000, huge_prime),
     }
     for i, (name, (d, n, max_norm, corrupt)) in enumerate(cases.items()):
         path = tmp_path / f"cp{i}.jsonl"
@@ -476,11 +502,13 @@ def test_signatures_checkpoint_units_must_be_the_searchs_tasks(tmp_path, capsys)
             "--mode", "signatures", "--quiet", "--checkpoint", str(path),
         )
         assert run_cli(capsys, *args)[0] == 0
-        lines, line = corrupt(path.read_text().splitlines())
+        fresh = path.read_text().splitlines()
+        lines, line = corrupt(fresh)
+        assert lines != fresh, name
         path.write_text("\n".join(lines) + "\n")
         verify = ("verify", "thm2.2", "--ring", str(d), "--hits", str(path))
         for argv in (args, verify):
-            code, out, err = run_cli(capsys, *argv)
+            code, out, err = timed_run_cli(capsys, *argv)
             assert (code, out) == (2, ""), (name, argv[0])
             assert err.startswith("error: corrupt checkpoint "), (name, argv[0])
             assert f" at {path}:{line}: " in err, (name, argv[0])
@@ -496,19 +524,29 @@ def test_checkpoint_header_must_be_a_search_config(tmp_path, capsys):
     )
     assert run_cli(capsys, *args)[0] == 0
     header, *units = path.read_text().splitlines()
+
+    def config_changed(change):
+        def corrupt(text):
+            doc = json.loads(text)
+            change(doc["config"])
+            return json.dumps(doc)
+        return corrupt
+
     cases = {
-        "non-canonical target": lambda config: config.update(t="4/2"),
-        "missing interval size": lambda config: config.pop("interval_size"),
+        "non-canonical target": config_changed(lambda config: config.update(t="4/2")),
+        "missing interval size": config_changed(lambda config: config.pop("interval_size")),
+        # past the 4,300 digits Python converts from text: refused at once, with no traceback
+        "max_norm of 5,000 digits": lambda text: text.replace('"max_norm":1000,', '"max_norm":' + HUGE + ",", 1),
     }
     verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
     for name, corrupt in cases.items():
-        doc = json.loads(header)
-        corrupt(doc["config"])
-        path.write_text("\n".join([json.dumps(doc), *units]) + "\n")
+        text = corrupt(header)
+        assert text != header, name
+        path.write_text("\n".join([text, *units]) + "\n")
         for argv in (args, verify):
-            code, out, err = run_cli(capsys, *argv)
+            code, out, err = timed_run_cli(capsys, *argv)
             assert (code, out) == (2, ""), (name, argv[0])
-            assert err.startswith("error: "), (name, argv[0])
+            assert err.startswith("error: ") and "Traceback" not in err, (name, argv[0])
 
 
 def test_max_norm_above_the_factoring_ceiling_exits_2(capsys):
@@ -686,7 +724,7 @@ def test_a_unit_torn_by_a_failed_write_is_dropped_on_resume(tmp_path, capsys, mo
     assert err.startswith(f"error: cannot write checkpoint {path}: ") and "No space left" in err
     assert "Traceback" not in err
     header, torn = path.read_text().split("\n")
-    rows = _elements_task((-1, 2, "2", 2, 3000, True))
+    rows = _elements_task(SearchConfig(ring(-1), 2, Fraction(2), 3000, verbose=True), [2, 3000])
     assert torn == '{"task":[2,3000],"results":[' + ",".join(rows[: search._RECORD_ROWS])
     monkeypatch.undo()
     assert run_cli(capsys, *args, "--checkpoint", str(path)) == fresh
@@ -806,6 +844,14 @@ def test_usage_errors_exit_1(capsys):
             main(argv)
         assert exc.value.code == 1, argv
         capsys.readouterr()
+
+
+def test_zero_denominator_in_an_element_exits_2(capsys):
+    for element in ("3/0", "0/0", "3/0*w", "1/0+sqrt(-1)", "5/0i"):
+        for command in (("istar", "--power", "2"), ("delta", "--power", "2"), ("factor",), ("divisors",)):
+            code, out, err = run_cli(capsys, command[0], "--ring", "-1", "--element", element, *command[1:])
+            assert (code, out) == (2, ""), (element, command)
+            assert err.startswith("error: cannot parse element term") and "Traceback" not in err, (element, command)
 
 
 def test_domain_errors_exit_2(tmp_path, capsys):

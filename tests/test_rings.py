@@ -219,7 +219,10 @@ def test_parse_accepts_documented_forms():
 
 def test_parse_rejects_bad_input():
     r = ring(-1)
-    for text in ("", "bogus(", "1+2*q", "sqrt(-5)", "1/3", "1/2+1/2*w", "++2"):
+    for text in (
+        "", "bogus(", "1+2*q", "sqrt(-5)", "1/3", "1/2+1/2*w", "++2",
+        "3/0", "0/0", "3/00", "3/0*w", "1/0+sqrt(-1)", "5/0i",  # zero denominators
+    ):
         with pytest.raises(DomainError):
             parse_element(r, text)
     with pytest.raises(DomainError):

@@ -233,7 +233,7 @@ def test_worker_lines_are_the_json_of_their_records():
         r = ring(d)
         points = list(iter_sector_elements(r, 1, 3000))
         for n in range(1, 5):
-            lines = search._elements_task((d, n, str(t), 1, 3000, True))
+            lines = search._elements_task(SearchConfig(r, n, t, 3000, verbose=True), [1, 3000])
             assert len(lines) == len(points), (d, n)
             records = []
             for line, (norm, z) in zip(lines, points):
@@ -260,9 +260,9 @@ def test_worker_lines_are_the_json_of_their_records():
 def test_checkpoint_unit_line_is_the_json_of_its_rows(tmp_path):
     path = tmp_path / "cp.jsonl"
     units = [
-        ([2, 3000], search._elements_task((-7, 1, "5/2", 2, 3000, True))),
-        ([3001, 4000], search._elements_task((-1, 2, "2", 3001, 4000, False))),  # no hits
-        (["dfs"], search._signatures_task((-1, 2, ("2",), 3000))),
+        ([2, 3000], search._elements_task(SearchConfig(ring(-7), 1, Fraction(5, 2), 3000, verbose=True), [2, 3000])),
+        ([3001, 4000], search._elements_task(SearchConfig(ring(-1), 2, Fraction(2), 4000), [3001, 4000])),  # no hits
+        (["dfs"], search._signatures_task(SearchConfig(ring(-1), 2, Fraction(2), 3000, mode="signatures"), (Fraction(2),), ["dfs"])),
     ]
     assert [bool(lines) for _, lines in units] == [True, False, True]
     writer = search._CheckpointWriter(str(path), SearchConfig(ring(-1), 2, Fraction(2), 4000))
@@ -279,7 +279,7 @@ def test_checkpoint_unit_line_is_the_json_of_its_rows(tmp_path):
 def test_record_streams_a_verbose_unit_in_pieces(tmp_path):
     # the line's bytes, written a piece of rows at a time: no string holds
     # the whole line, so the peak is a small part of the line's size
-    lines = search._elements_task((-1, 2, "2", 2, 30000, True))
+    lines = search._elements_task(SearchConfig(ring(-1), 2, Fraction(2), 30000, verbose=True), [2, 30000])
     assert len(lines) >= 20_000
     key = "[2,30000]"
     want = '{"task":' + key + ',"results":[' + ",".join(lines) + "]}\n"
@@ -451,7 +451,7 @@ def test_window_keys_are_read_by_arithmetic(tmp_path):
         "config": {"d": -1, "n": 2, "t": "2", "max_norm": big, "mode": "elements",
                    "verbose": False, "interval_size": search._WINDOW},
     })
-    rows = search._elements_task((-1, 2, "2", 2, search._WINDOW + 1, False))
+    rows = search._elements_task(SearchConfig(ring(-1), 2, Fraction(2), big), [2, search._WINDOW + 1])
     path = tmp_path / "cp.jsonl"
     path.write_text(header + '\n{"task":[2,%d],"results":[%s]}\n' % (search._WINDOW + 1, ",".join(rows)))
     tracemalloc.start()
@@ -609,19 +609,19 @@ def test_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch, c
     def cfg(**kwargs):
         return SearchConfig(r, 2, Fraction(2), 2000, jobs=1, **kwargs)
 
-    real_run_task = search._run_task
+    real_task = search._elements_task
     calls = []
 
-    def crashing_run_task(args):
-        calls.append(args)
+    def crashing_task(config, key):
+        calls.append(key)
         if len(calls) == crash_at:
             raise RuntimeError("simulated crash")
-        return real_run_task(args)
+        return real_task(config, key)
 
-    monkeypatch.setattr(search, "_run_task", crashing_run_task)
+    monkeypatch.setattr(search, "_elements_task", crashing_task)
     with pytest.raises(RuntimeError, match="simulated crash"):
         run_search(cfg(checkpoint_path=path))
-    monkeypatch.setattr(search, "_run_task", real_run_task)
+    monkeypatch.setattr(search, "_elements_task", real_task)
     lines = open(path).read().splitlines()
     assert len(lines) == crash_at  # the header plus every unit finished before the crash
     assert json.loads(lines[0])["kind"] == "quadunitary-checkpoint"
@@ -707,7 +707,7 @@ def test_checkpoint_resumes_after_the_process_is_killed(tmp_path, monkeypatch):
             proc.kill()
             proc.wait()
     # killed before the last unit was written
-    assert path.read_bytes().count(b"\n") < 1 + len(search._element_tasks(cfg()))
+    assert path.read_bytes().count(b"\n") < 1 + len(range(2, 20_001, 512))
 
     resumed = run_search(cfg(checkpoint_path=str(path)))
     whole = run_search(cfg(checkpoint_path=str(whole_path)))
@@ -938,10 +938,10 @@ def test_signatures_checkpoint_keeps_units_finished_before_a_crash(tmp_path, mon
     # a crash in the search's one unit leaves the header only
     path = str(tmp_path / "run.jsonl")
 
-    def crashing_run_task(args):
+    def crashing_task(config, targets, key):
         raise RuntimeError("simulated crash")
 
-    monkeypatch.setattr(search, "_run_task", crashing_run_task)
+    monkeypatch.setattr(search, "_signatures_task", crashing_task)
     with pytest.raises(RuntimeError, match="simulated crash"):
         run_search(_signature_cfg(checkpoint_path=path))
     monkeypatch.undo()
