@@ -60,7 +60,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -534,13 +534,13 @@ def _config_echo(cfg: SearchConfig) -> dict:
 # the key of a signature search's one unit
 _SIGNATURES_KEY = ["dfs"]
 
-# every header the writer emits starts with this text
+# every header _task_results writes starts with this text, and so must a torn one
 _HEADER_START = '{"schema_version":%d,"kind":"quadunitary-checkpoint",' % CHECKPOINT_SCHEMA
 
-# An elements-mode unit is read as the text _CheckpointWriter.record writes,
-# by patterns that re compiles on first use, so no command pays for them at
-# import: the unit's start with its [lo, hi] key, then each row as _row_line
-# writes it with the comma before the next row, then "]}".  An istar term is
+# An elements-mode unit is read as the text _unit_pieces makes, by patterns
+# that re compiles on first use, so no command pays for them at import: the
+# unit's start with its [lo, hi] key, then each row as _row_line writes it
+# with the comma before the next row, then "]}".  An istar term is
 # read as RadicalValue.to_json_terms writes it: "radicand":"a" or "a/b".
 _UNIT_START = r'\{"task":\[([1-9][0-9]*),([1-9][0-9]*)\],"results":\['
 _ROW = r'(\{"z":"([^"]*)","norm":([1-9][0-9]*),"istar":(\{[^}]*\}),"hit":(true|false)\})(?:,(?=\{)|\Z)'
@@ -674,28 +674,37 @@ def _read_unit(cfg: SearchConfig, text: str, where: str, seen: set) -> tuple[lis
 def _check_signature(cfg: SearchConfig, row: dict) -> tuple[Signature, dict]:
     """The Signature of a record and its JSON dict; ValueError unless the record is that dict, at cfg.t.
 
-    Each prime must be at most max_norm and each exponent at most
-    max_norm.bit_length(), as in every hit, before any power is taken: a
-    huge exponent would otherwise cost its power's time before the norm check.
+    No value is computed before the row is known to be small.  Each
+    exponent must be at most max_norm.bit_length(), as in every hit, and the
+    norm of the entries so far at most max_norm, before the next entry's
+    power is taken, so a huge exponent or a long row costs no more than a
+    hit would.  A row of k prime powers with 2^floor(n/2) > 2*k*b, b the
+    target's denominator, is refused by bit lengths: each factor is
+    1 + N^(-n/2) with N >= 2, so its value is below 1 + 1/b <= t.
     """
     d, bits = cfg.ring.d, cfg.max_norm.bit_length()
-    last = 1
+    last = norm = 1
     for p, kind, alphas in row.get("entries", ()):
-        if not (type(p) is int and last < p <= cfg.max_norm and is_prime(p) and kind == prime_kind(d, p)):
-            raise ValueError(
-                f"entry {[p, kind, alphas]!r} is not a prime of d={d} with its kind, "
-                f"above the one before and at most {cfg.max_norm}"
-            )
-        last = p
         if not (
-            len(alphas) == 1 + (kind == "split")
+            type(p) is int
+            and p > last
+            and len(alphas) == 1 + (kind == "split")
             and all(type(a) is int for a in alphas)
             and bits >= alphas[0] >= 1
             and alphas[-1] >= 0
             and alphas[0] >= alphas[-1]
         ):
-            raise ValueError(f"entry {[p, kind, alphas]!r} does not have its kind's exponents")
+            raise ValueError(f"entry {[p, kind, alphas]!r} is not above the one before with its kind's exponents")
+        norm *= p ** ((2 if kind == "inert" else 1) * sum(alphas))
+        if norm > cfg.max_norm:
+            raise ValueError(f"the entries up to {[p, kind, alphas]!r} have a norm above {cfg.max_norm}")
+        if not (is_prime(p) and kind == prime_kind(d, p)):
+            raise ValueError(f"entry {[p, kind, alphas]!r} is not a prime of d={d} with its kind")
+        last = p
     sig = Signature.from_entries(d, cfg.n, row.get("entries", ()))
+    k = len(sig.rows())
+    if cfg.n // 2 >= (2 * k * cfg.t.denominator).bit_length():
+        raise ValueError(f"{k} prime powers at n = {cfg.n} have a value below the target {cfg.t}")
     want = sig.to_json_dict()
     if row != want or type(row["norm"]) is not int:
         raise ValueError(f"record {row!r} is not {want!r}, the record of its entries")
@@ -707,10 +716,9 @@ def _check_signature(cfg: SearchConfig, row: dict) -> tuple[Signature, dict]:
 def _check_signatures(cfg: SearchConfig, rows, where: str) -> tuple[list[str], list[Signature]]:
     """A signatures unit's lines and hits, in one pass; CheckpointError unless rows are cfg's search's.
 
-    The unit holds signatures of norm at most max_norm in strictly
-    increasing entries, the DFS's order.  Each row must be the record
-    _check_signature recomputes from its entries, and its line is that
-    record's text; its hits are its Signatures.
+    The unit holds signatures in strictly increasing entries, the DFS's
+    order.  Each row must be the record _check_signature recomputes from its
+    entries, and its line is that record's text; its hits are its Signatures.
     """
     lines, hits = [], []
     try:
@@ -718,8 +726,8 @@ def _check_signatures(cfg: SearchConfig, rows, where: str) -> tuple[list[str], l
         for row in rows:
             sig, want = _check_signature(cfg, row)
             entries = row["entries"]
-            if not (prev < entries and want["norm"] <= cfg.max_norm):
-                raise ValueError(f"{entries} is not the next hit after {prev} with norm <= {cfg.max_norm}")
+            if not prev < entries:
+                raise ValueError(f"{entries} is not the next hit after {prev}")
             prev = entries
             lines.append(_dumps(want))
             hits.append(sig)
@@ -803,76 +811,37 @@ def _check_rows(cfg: SearchConfig, lo: int, hi: int, text: str, pos: int, stop: 
     return lines, hits
 
 
-_RECORD_ROWS = 1024  # rows per piece of a unit's line as _CheckpointWriter writes it
+_RECORD_ROWS = 1024  # rows per piece of a unit's line as _unit_pieces yields it
 
 
-class _CheckpointWriter:
-    """Appends finished units to a checkpoint, each line fsynced; inert without a path.
+def _append(path: str, pieces) -> None:
+    """Append the pieces of one line to the checkpoint at path, then flush, fsync and close it.
 
-    An OSError on the file closes it and is raised as CheckpointError.
+    The file is opened for this line alone, so no handle outlives a write
+    and no pool worker inherits one.  An OSError is raised as CheckpointError.
     """
-
-    def __init__(self, path: str | None, cfg: SearchConfig):
-        self.path, self.fh = path, None
-        if path is None:
-            return
-        try:
-            self.fh = open(path, "a", encoding="utf-8")
-            empty = os.path.getsize(path) == 0
-        except OSError as exc:
-            raise self._fail(exc) from exc
-        # a file that already holds a header (even with no unit yet) keeps it
-        if empty:
-            header = {
-                "schema_version": CHECKPOINT_SCHEMA,
-                "kind": "quadunitary-checkpoint",
-                "config": _config_echo(cfg),
-            }
-            self._write_line([_dumps(header) + "\n"])
-
-    def _fail(self, exc: OSError) -> CheckpointError:
-        fh, self.fh = self.fh, None
-        if fh is not None:
-            with suppress(OSError):
-                fh.close()
-        return CheckpointError(f"cannot write checkpoint {self.path}: {exc}")
-
-    def _write_line(self, pieces) -> None:
-        """Write the pieces of one line, then flush and fsync it once."""
-        assert self.fh is not None
-        try:
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
             for piece in pieces:
-                self.fh.write(piece)
-            self.fh.flush()
-            os.fsync(self.fh.fileno())
-        except OSError as exc:
-            raise self._fail(exc) from exc
+                fh.write(piece)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
-    def record(self, key: str, lines: list[str]) -> None:
-        """Append one unit: key is the JSON text of its task key, lines its rows.
 
-        The line is '{"task":' + key + ',"results":[', the rows joined by
-        commas and "]}" with its newline.  It is written in pieces of
-        _RECORD_ROWS rows, so no string holds the whole line: a verbose unit
-        costs its rows and one piece.
-        """
-        if self.fh is not None:
-            self._write_line(self._pieces(key, lines))
+def _unit_pieces(key: str, lines: list[str]):
+    """The line of one unit, in pieces: key is the JSON text of its task key, lines its rows.
 
-    @staticmethod
-    def _pieces(key: str, lines: list[str]):
-        yield '{"task":' + key + ',"results":['
-        for i in range(0, len(lines), _RECORD_ROWS):
-            yield ("," if i else "") + ",".join(lines[i : i + _RECORD_ROWS])
-        yield "]}\n"
-
-    def close(self) -> None:
-        try:
-            if self.fh is not None:
-                self.fh.close()
-        except OSError as exc:
-            raise self._fail(exc) from exc
-        self.fh = None
+    The line is '{"task":' + key + ',"results":[', the rows joined by
+    commas and "]}" with its newline.  It comes in pieces of _RECORD_ROWS
+    rows, so no string holds the whole line: a verbose unit costs its rows
+    and one piece.
+    """
+    yield '{"task":' + key + ',"results":['
+    for i in range(0, len(lines), _RECORD_ROWS):
+        yield ("," if i else "") + ",".join(lines[i : i + _RECORD_ROWS])
+    yield "]}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -893,9 +862,10 @@ def _task_results(cfg: SearchConfig, keys: list, task) -> list[list[str]]:
     A unit is its checkpoint key, and task(key) computes its lines from the
     key alone; the task is bound to cfg (and any targets) by the caller.
     Results arrive in key order (imap keeps it for a pool) and each unit is
-    checkpointed as it arrives, so a stopped run keeps the units it delivered.
-    A pool is forked only for two or more pending keys, which only an
-    elements-mode search has.
+    appended to the checkpoint as it arrives, so a stopped run keeps the
+    units it delivered.  A pool is forked only for two or more pending keys,
+    which only an elements-mode search has, with one worker per pending key
+    up to cfg.jobs.
     """
     done: dict[str, list[str]] = {}
     loaded = read_checkpoint(cfg.checkpoint_path, drop_torn=True) if cfg.checkpoint_path else None
@@ -913,16 +883,17 @@ def _task_results(cfg: SearchConfig, keys: list, task) -> list[list[str]]:
                 raise CheckpointError(f"corrupt checkpoint record at {cfg.checkpoint_path}:{line}: {exc}") from exc
             done[_dumps(key)] = lines
     pending = [key for key in keys if _dumps(key) not in done]
-    writer = _CheckpointWriter(cfg.checkpoint_path, cfg)
-    try:
-        with _fork_pool(cfg.jobs) if cfg.jobs > 1 and len(pending) > 1 else nullcontext() as pool:
-            results = map(task, pending) if pool is None else pool.imap(task, pending, chunksize=1)
-            for key, lines in zip(pending, results):
-                text = _dumps(key)
-                writer.record(text, lines)
-                done[text] = lines
-    finally:
-        writer.close()
+    path = cfg.checkpoint_path
+    if path is not None:
+        # the header, or nothing if the file has one: a file that cannot be written fails before any unit runs
+        _append(path, () if loaded else (_HEADER_START + '"config":' + _dumps(_config_echo(cfg)) + "}\n",))
+    with _fork_pool(min(cfg.jobs, len(pending))) if cfg.jobs > 1 and len(pending) > 1 else nullcontext() as pool:
+        results = map(task, pending) if pool is None else pool.imap(task, pending, chunksize=1)
+        for key, lines in zip(pending, results):
+            text = _dumps(key)
+            if path is not None:
+                _append(path, _unit_pieces(text, lines))
+            done[text] = lines
     return [done[_dumps(key)] for key in keys]
 
 

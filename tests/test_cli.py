@@ -15,6 +15,7 @@ import pytest
 
 from quadunitary import search
 from quadunitary.cli import main
+from quadunitary.primes import prime_kind, small_primes
 from quadunitary.radicals import RadicalValue
 from quadunitary.rings import ring
 from quadunitary.search import SearchConfig, Signature, _elements_task
@@ -487,6 +488,25 @@ def test_signatures_checkpoint_units_must_be_the_searchs_tasks(tmp_path, capsys)
     def huge_prime(lines):
         return lines[:1] + [lines[1].replace('"entries":[[2,', '"entries":[[' + HUGE + ",", 1)] + lines[2:], 2
 
+    # a row of 50,000 odd primes under a 2^64 header: its norm passes max-norm
+    # at its 16th prime, and multiplying every entry's norm and index factor
+    # first costs seconds, growing with the square of the row's length
+    odd = small_primes(700_000)[1:50_001]
+    assert len(odd) == 50_000
+    long_row = {
+        "entries": [[p, prime_kind(-1, p), [1, 0] if prime_kind(-1, p) == "split" else [1]] for p in odd],
+        "norm": 1,
+        "value": "2",
+    }
+
+    def long_row_at_2_64(lines):
+        lines = with_rows(lambda rows: rows.insert(0, long_row))(lines)[0]
+        return [lines[0].replace('"max_norm":2000,', '"max_norm":%d,' % 2**64, 1)] + lines[1:], 2
+
+    def power_of_10_7(lines):
+        # every row's value is below 1 + 1/2^(5 * 10^6) at n = 10^7: refused with no power p^(alpha * n) taken
+        return [lines[0].replace('"n":2,', '"n":10000000,', 1)] + lines[1:], 2
+
     cases = {
         "unit re-keyed [0, 3]": (-1, 2, 2000, rekeyed),
         "copy of the unit's first row": (-1, 2, 2000, with_rows(lambda rows: rows.append(rows[0]))),
@@ -494,6 +514,8 @@ def test_signatures_checkpoint_units_must_be_the_searchs_tasks(tmp_path, capsys)
         "row of norm 8100 > 1000": (-7, 1, 1000, with_rows(lambda rows: rows.append(far))),
         "inert exponent 10^7 at max-norm 100": (-1, 2, 100, with_rows(lambda rows: rows.insert(0, vast))),
         "prime of 5,000 digits": (-1, 2, 2000, huge_prime),
+        "row of 50,000 primes under a 2^64 header": (-1, 2, 2000, long_row_at_2_64),
+        "header n of 10^7": (-1, 2, 2000, power_of_10_7),
     }
     for i, (name, (d, n, max_norm, corrupt)) in enumerate(cases.items()):
         path = tmp_path / f"cp{i}.jsonl"
@@ -693,6 +715,35 @@ def test_checkpoint_write_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, *args) == fresh
 
 
+def test_a_checkpoint_that_cannot_be_appended_to_fails_before_any_unit_runs(tmp_path, capsys, monkeypatch):
+    # the file is opened for append before any unit runs, even when it holds
+    # every unit; a unit task that ran would be recorded
+    path = tmp_path / "cp.jsonl"
+    args = ("search", "--ring", "-1", "--power", "2", "--target", "2", "--max-norm", "70000", "--checkpoint", str(path))
+    assert run_cli(capsys, *args)[0] == 0
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 3
+    ran = []
+
+    def task(cfg, key):
+        ran.append(key)
+        return []
+
+    def failing_open(file, mode="r", **kwargs):
+        if mode == "a":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return open(file, mode, **kwargs)
+
+    monkeypatch.setattr(search, "_elements_task", task)
+    monkeypatch.setattr(search, "open", failing_open, raising=False)
+    for keep in (lines, lines[:1]):  # every unit, and the header alone
+        path.write_text("".join(keep))
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write checkpoint {path}: ") and "No space left" in err
+        assert ran == [] and path.read_text() == "".join(keep)
+
+
 def test_a_unit_torn_by_a_failed_write_is_dropped_on_resume(tmp_path, capsys, monkeypatch):
     # the one unit has over two pieces of rows; the file's write fails on
     # the second piece, after the unit's head and first piece were written
@@ -701,13 +752,22 @@ def test_a_unit_torn_by_a_failed_write_is_dropped_on_resume(tmp_path, capsys, mo
     fresh = run_cli(capsys, *args)
     assert fresh[0] == 0 and fresh[1].count("\n") > 2 * search._RECORD_ROWS
 
+    writes = 0  # on every handle the search opens
+
     class SecondPieceFails:
         def __init__(self, fh):
-            self.fh, self.writes = fh, 0
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
 
         def write(self, text):
-            self.writes += 1
-            if self.writes == 4:  # the header, the unit's head, its first piece, its second
+            nonlocal writes
+            writes += 1
+            if writes == 4:  # the header, the unit's head, its first piece, its second
                 raise OSError(errno.ENOSPC, "No space left on device")
             return self.fh.write(text)
 

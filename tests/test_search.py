@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, isqrt, nextafter
@@ -265,11 +266,9 @@ def test_checkpoint_unit_line_is_the_json_of_its_rows(tmp_path):
         (["dfs"], search._signatures_task(SearchConfig(ring(-1), 2, Fraction(2), 3000, mode="signatures"), (Fraction(2),), ["dfs"])),
     ]
     assert [bool(lines) for _, lines in units] == [True, False, True]
-    writer = search._CheckpointWriter(str(path), SearchConfig(ring(-1), 2, Fraction(2), 4000))
     for key, lines in units:
-        writer.record(search._dumps(key), lines)
-    writer.close()
-    written = path.read_text().splitlines()[1:]
+        search._append(str(path), search._unit_pieces(search._dumps(key), lines))
+    written = path.read_text().splitlines()
     assert written == [
         json.dumps({"task": key, "results": [json.loads(line) for line in lines]}, separators=(",", ":"))
         for key, lines in units
@@ -284,16 +283,13 @@ def test_record_streams_a_verbose_unit_in_pieces(tmp_path):
     key = "[2,30000]"
     want = '{"task":' + key + ',"results":[' + ",".join(lines) + "]}\n"
     path = tmp_path / "cp.jsonl"
-    writer = search._CheckpointWriter(str(path), SearchConfig(ring(-1), 2, Fraction(2), 30000))
-    header = path.read_text()
     tracemalloc.start()
     try:
-        writer.record(key, lines)
+        search._append(str(path), search._unit_pieces(key, lines))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    writer.close()
-    assert path.read_text() == header + want
+    assert path.read_text() == want
     assert peak < len(want) / 4, peak / len(want)
 
 
@@ -416,15 +412,15 @@ def test_read_checkpoint_returns_each_units_fresh_lines_and_hits(tmp_path, monke
     path = str(tmp_path / "cp.jsonl")
     cfg = SearchConfig(r, n, t, 3000, mode=mode, verbose=verbose, checkpoint_path=path)
     written = {}  # each unit's lines as the fresh run writes them
-    record = search._CheckpointWriter.record
+    pieces = search._unit_pieces
 
-    def spy(writer, key, lines):
+    def spy(key, lines):
         written[key] = lines
-        record(writer, key, lines)
+        return pieces(key, lines)
 
-    monkeypatch.setattr(search._CheckpointWriter, "record", spy)
+    monkeypatch.setattr(search, "_unit_pieces", spy)
     search_rows(cfg)
-    monkeypatch.setattr(search._CheckpointWriter, "record", record)
+    monkeypatch.setattr(search, "_unit_pieces", pieces)
     saved, units = search.read_checkpoint(path)
     assert search._config_echo(saved) == search._config_echo(cfg)
     assert [search._dumps(task) for task, _, _ in units] == list(written)
@@ -992,6 +988,24 @@ def test_no_pool_for_work_that_cannot_be_split(monkeypatch):
     monkeypatch.setattr(search, "_WINDOW", 500)
     with pytest.raises(AssertionError, match="forked a pool"):
         run_search(SearchConfig(ring(-1), 2, Fraction(2), 1000, jobs=2))
+
+
+def test_the_pool_has_one_worker_per_pending_unit_at_most(monkeypatch):
+    # max-norm 70,000 is two windows, so a pool asked for 64 jobs has two
+    # workers; the recorder returns no pool, so the units run in process
+    def cfg(**kwargs):
+        return SearchConfig(ring(-1), 2, Fraction(2), 70_000, **kwargs)
+
+    base = search_rows(cfg())
+    sizes = []
+
+    def recorder(jobs):
+        sizes.append(jobs)
+        return nullcontext()
+
+    monkeypatch.setattr(search, "_fork_pool", recorder)
+    assert search_rows(cfg(jobs=64)) == base
+    assert sizes == [2]
 
 
 def test_signatures_checkpoint_with_table_slot_units_is_refused(tmp_path, capsys):
