@@ -1,7 +1,9 @@
 """Command-line interface: one binary, one subcommand per operation.
 
 Exit codes: 0 success, 1 usage error or stdout closed early, 2 domain error
-(bad ring, bad element, corrupt checkpoint), 3 verification failure (a check
+(bad ring, bad element, corrupt checkpoint, a number in an argument or a
+result past Python's limit on the digits it converts between integer and
+text), 3 verification failure (a check
 ran and found violations).  JSON output is schema-stable and versioned; identical
 invocations produce byte-identical JSON.  Text output is for humans and is
 not parsed by the test suite.
@@ -407,6 +409,12 @@ def main(argv=None) -> int:
         return code
     except (DomainError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # the digit limit stays: the checkpoint readers rely on it to refuse huge integers at once
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: {str(exc).split(';')[0]}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout (`| head`); point it at devnull so the

@@ -25,34 +25,35 @@ Two complete strategies over the same hit set:
   and exact integer pairs (numerator, denominator) in lowest terms decide
   every hit.
 
-A work unit is its checkpoint key: a window [lo, hi] of norms in elements
-mode, which a process pool can share, and _SIGNATURES_KEY for a signature
-search, one unit walked in one process from the first table prime to the
-root's solve.  Its task reads everything else from the SearchConfig.  Each
-unit's results are held in memory and the units are merged in key order, so
-records come out in (norm, coordinates) order and are byte-identical for any
-job count.  Each unit is appended to a JSON-lines checkpoint as soon as it
-finishes, so a run that is stopped resumes into an identical run; its line
-is written a piece of rows at a time and never held whole.  A row (an
-elements-mode record or a signature) is its JSON line, made once in the
-worker that finds it; the lines go through the pool, the checkpoint and
-search_rows to the command line.  This is the one module that knows the row
-format.  read_checkpoint reads a checkpoint, for a resume and for
-theorems.load_hits alike: it decodes the header into the SearchConfig that
-wrote the file and reads the units one line at a time.  An elements-mode
-unit must be the writer's text byte for byte; its rows are read in one pass
-over that text, held to the search's format, target and unit, and kept as
-read (not re-encoded, not recomputed).  The signatures unit is decoded as
-JSON and each row made into its line again from its entries; its constant
-key needs no prime table to check.  read_rows decodes the lines of
-search_rows, for run_search and the command line's csv and text.
+A work unit is its checkpoint key, a range [lo, hi] of norms, and its rows
+are the search's row lines for the elements of norm in that range.  In
+elements mode a unit is a window of _WINDOW norms, which a process pool can
+share; a signature search is the one unit [2, max_norm], walked in one
+process from the first table prime to the root's solve, whose rows are the
+hits of witness_records.  Its task reads everything else from the
+SearchConfig.  Each unit's results are held in memory and the units are
+merged in key order, so records come out in (norm, coordinates) order and
+are byte-identical for any job count.  Each unit is appended to a JSON-lines
+checkpoint as soon as it finishes, so a run that is stopped resumes into an
+identical run; its line is written a piece of rows at a time and never held
+whole.  A row is its JSON line, made once in the worker that finds it; the
+lines go through the pool, the checkpoint and search_rows to the command
+line.  This is the one module that knows the row format.  read_checkpoint
+reads a checkpoint, for a resume and for theorems.load_hits alike: it
+decodes the header into the SearchConfig that wrote the file and reads the
+units one line at a time, in either mode by one reader.  A unit must be the
+writer's text byte for byte; its rows are read in one pass over that text,
+held to the search's format, target and unit, and kept as read (not
+re-encoded, not recomputed).  read_rows decodes the lines of search_rows,
+for run_search and the command line's csv and text.
 
 A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
 through the literal divisor-sum oracle, where it enters the program: an
-elements-mode hit in the worker that finds it or as a resumed search reads
-its record back, a signature's witnesses in witness_records, which the
-theorem checks share.
+elements-mode hit in the worker that finds it, a signature's witnesses in
+witness_records, which the theorem checks share, and a hit row of either
+mode as read_checkpoint reads it back.  No hit is sought, and a checkpoint's
+hit row is refused, where _cannot_reach shows the target out of reach.
 """
 
 from __future__ import annotations
@@ -284,6 +285,17 @@ def _index_points(r: Ring, lo: int, hi: int, n: int, derive):
 # ---------------------------------------------------------------------------
 # the signature DFS's certified bound and its cached envelope
 
+def _cannot_reach(max_norm: int, n: int, t: Fraction) -> bool:
+    """Whether no element of norm <= max_norm has i_star = t at the power n, by bit lengths alone.
+
+    An element of norm N has k <= log2(N) prime powers, each of norm at
+    least 2, so each adds a factor 1 + N_i^(-n/2) <= 1 + 2^(-n/2).  When
+    2^floor(n/2) > 2*k*b, b the denominator of t, the index is below
+    1 + 2k * 2^(-n/2) < 1 + 1/b <= t.  No power of n is taken.
+    """
+    return n // 2 >= (2 * max_norm.bit_length() * t.denominator).bit_length()
+
+
 def _up(x: float) -> float:
     """The next float above x: an upper bound on a correctly rounded result."""
     return nextafter(x, inf)
@@ -405,6 +417,8 @@ def _dfs_signatures(
     by cross-multiplication and looked up among the targets' pairs.  Its
     float a / b is the correctly rounded value, as float(Fraction(a, b)) is.
     """
+    if all(_cannot_reach(max_norm, n, t) for t in targets):
+        return []
     limit = isqrt(max_norm)
     primes = small_primes(limit)
     size = len(primes)
@@ -483,13 +497,15 @@ def _terms_json(pairs) -> str:
 
 
 def _row_line(z: str, norm: int, istar: str, hit: bool) -> str:
-    """An elements-mode record as its JSON line; z is the element's text, istar its terms' JSON."""
+    """A search record as its JSON line, in either mode; z is the element's text, istar its terms' JSON."""
     return f'{{"z":"{z}","norm":{norm},"istar":{istar},"hit":{"true" if hit else "false"}}}'
 
 
 def _elements_task(cfg: SearchConfig, key) -> list[str]:
     """The row lines of the window key = [lo, hi]: its hits, or with cfg.verbose every point."""
     r, n, t, verbose = cfg.ring, cfg.n, cfg.t, cfg.verbose
+    if not verbose and _cannot_reach(cfg.max_norm, n, t):
+        return []
     t_num, t_den = t.numerator, t.denominator
 
     def derive(terms: dict[int, int], den: int) -> tuple[bool, str | None]:
@@ -509,11 +525,9 @@ def _elements_task(cfg: SearchConfig, key) -> list[str]:
     return out
 
 
-def _signatures_task(cfg: SearchConfig, targets: tuple[Fraction, ...], key) -> list[str]:
-    """The row lines of the search's one unit, key = _SIGNATURES_KEY: its hit signatures for any target."""
-    d, n = cfg.ring.d, cfg.n
-    hits = _dfs_signatures(d, n, targets, cfg.max_norm)
-    return [_dumps(Signature.from_entries(d, n, ents).to_json_dict()) for ents in hits]
+def _signatures_task(cfg: SearchConfig, key) -> list[str]:
+    """The row lines of the search's one unit, key = [2, max_norm]: the witnesses of its hit signatures."""
+    return records_to_json_lines(witness_records(cfg.ring, cfg.n, search_signatures(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +545,10 @@ def _config_echo(cfg: SearchConfig) -> dict:
     }
 
 
-# the key of a signature search's one unit
-_SIGNATURES_KEY = ["dfs"]
-
 # every header _task_results writes starts with this text, and so must a torn one
 _HEADER_START = '{"schema_version":%d,"kind":"quadunitary-checkpoint",' % CHECKPOINT_SCHEMA
 
-# An elements-mode unit is read as the text _unit_pieces makes, by patterns
+# A unit is read as the text _unit_pieces makes, by patterns
 # that re compiles on first use, so no command pays for them at import: the
 # unit's start with its [lo, hi] key, then each row as _row_line writes it
 # with the comma before the next row, then "]}".  An istar term is
@@ -563,9 +574,10 @@ def read_checkpoint(path: str, drop_torn: bool = False) -> tuple[SearchConfig, l
     the file cannot be read, when the header does not name a search
     checkpoint of this schema version whose config encodes back to itself,
     or when a unit is not one that search writes: a task seen twice, a task
-    that is not one of its units, an elements-mode unit that is not the
-    writer's text byte for byte, or rows that _check_rows or
-    _check_signatures refuses.  Whether that search is the caller's is the
+    that is not one of its units, a unit that is not the writer's text byte
+    for byte, or rows that _check_rows refuses.  A unit's hits are the
+    elements of its hit rows, each verified by the oracle; both modes'
+    units are read alike.  Whether that search is the caller's is the
     caller's call.
 
     The file is read one line at a time, and each unit's text is dropped
@@ -639,101 +651,28 @@ def _read_header(path: str, line: str) -> SearchConfig:
 def _read_unit(cfg: SearchConfig, text: str, where: str, seen: set) -> tuple[list, list, list]:
     """A unit line's (task, lines, hits); CheckpointError unless it is a task of cfg's search not in seen.
 
-    An elements-mode unit [lo, hi] is a window: lo - 2 a multiple of
-    _WINDOW, 2 <= lo <= max_norm and hi = min(lo + _WINDOW - 1, max_norm).
-    A signature search has the one unit _SIGNATURES_KEY.
+    A unit is keyed by its range [lo, hi] of norms.  In elements mode it is
+    a window: lo - 2 a multiple of _WINDOW, 2 <= lo <= max_norm and
+    hi = min(lo + _WINDOW - 1, max_norm).  A signature search has the one
+    unit [2, max_norm].
     """
     end = len(text) - text.endswith("\n")
-    elements = cfg.mode == "elements"
-    if elements:
-        start = re.compile(_UNIT_START).match(text)
-        if start is None or not text.endswith("]}", 0, end):
-            raise CheckpointError(f"corrupt checkpoint entry at {where}: the line is not a unit as the search writes it")
-        try:
-            lo, hi = int(start[1]), int(start[2])
-        except ValueError as exc:  # past Python's digit limit
-            raise CheckpointError(f"corrupt checkpoint entry at {where}: {exc}") from exc
-        task, key = [lo, hi], f"[{lo},{hi}]"
+    start = re.compile(_UNIT_START).match(text)
+    if start is None or not text.endswith("]}", 0, end):
+        raise CheckpointError(f"corrupt checkpoint entry at {where}: the line is not a unit as the search writes it")
+    try:
+        lo, hi = int(start[1]), int(start[2])
+    except ValueError as exc:  # past Python's digit limit
+        raise CheckpointError(f"corrupt checkpoint entry at {where}: {exc}") from exc
+    key = f"[{lo},{hi}]"
+    if cfg.mode == "elements":
         is_task = (lo - 2) % _WINDOW == 0 and 2 <= lo <= cfg.max_norm and hi == min(lo + _WINDOW - 1, cfg.max_norm)
     else:
-        try:
-            entry = json.loads(text)
-            task, rows = entry["task"], entry["results"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"corrupt checkpoint entry at {where}: {exc}") from exc
-        key = _dumps(task)
-        is_task = task == _SIGNATURES_KEY
+        is_task = lo == 2 and hi == cfg.max_norm
     if key in seen or not is_task:
         raise CheckpointError(f"corrupt checkpoint entry at {where}: {key} is repeated or not a task of this search")
     seen.add(key)
-    if elements:
-        return task, *_check_rows(cfg, lo, hi, text, start.end(), end - 2, where)
-    return task, *_check_signatures(cfg, rows, where)
-
-
-def _check_signature(cfg: SearchConfig, row: dict) -> tuple[Signature, dict]:
-    """The Signature of a record and its JSON dict; ValueError unless the record is that dict, at cfg.t.
-
-    No value is computed before the row is known to be small.  Each
-    exponent must be at most max_norm.bit_length(), as in every hit, and the
-    norm of the entries so far at most max_norm, before the next entry's
-    power is taken, so a huge exponent or a long row costs no more than a
-    hit would.  A row of k prime powers with 2^floor(n/2) > 2*k*b, b the
-    target's denominator, is refused by bit lengths: each factor is
-    1 + N^(-n/2) with N >= 2, so its value is below 1 + 1/b <= t.
-    """
-    d, bits = cfg.ring.d, cfg.max_norm.bit_length()
-    last = norm = 1
-    for p, kind, alphas in row.get("entries", ()):
-        if not (
-            type(p) is int
-            and p > last
-            and len(alphas) == 1 + (kind == "split")
-            and all(type(a) is int for a in alphas)
-            and bits >= alphas[0] >= 1
-            and alphas[-1] >= 0
-            and alphas[0] >= alphas[-1]
-        ):
-            raise ValueError(f"entry {[p, kind, alphas]!r} is not above the one before with its kind's exponents")
-        norm *= p ** ((2 if kind == "inert" else 1) * sum(alphas))
-        if norm > cfg.max_norm:
-            raise ValueError(f"the entries up to {[p, kind, alphas]!r} have a norm above {cfg.max_norm}")
-        if not (is_prime(p) and kind == prime_kind(d, p)):
-            raise ValueError(f"entry {[p, kind, alphas]!r} is not a prime of d={d} with its kind")
-        last = p
-    sig = Signature.from_entries(d, cfg.n, row.get("entries", ()))
-    k = len(sig.rows())
-    if cfg.n // 2 >= (2 * k * cfg.t.denominator).bit_length():
-        raise ValueError(f"{k} prime powers at n = {cfg.n} have a value below the target {cfg.t}")
-    want = sig.to_json_dict()
-    if row != want or type(row["norm"]) is not int:
-        raise ValueError(f"record {row!r} is not {want!r}, the record of its entries")
-    if want["value"] != str(cfg.t):
-        raise ValueError(f"value {row['value']!r} is not the target {cfg.t}")
-    return sig, want
-
-
-def _check_signatures(cfg: SearchConfig, rows, where: str) -> tuple[list[str], list[Signature]]:
-    """A signatures unit's lines and hits, in one pass; CheckpointError unless rows are cfg's search's.
-
-    The unit holds signatures in strictly increasing entries, the DFS's
-    order.  Each row must be the record _check_signature recomputes from its
-    entries, and its line is that record's text; its hits are its Signatures.
-    """
-    lines, hits = [], []
-    try:
-        prev = []  # below every nonempty entries list
-        for row in rows:
-            sig, want = _check_signature(cfg, row)
-            entries = row["entries"]
-            if not prev < entries:
-                raise ValueError(f"{entries} is not the next hit after {prev}")
-            prev = entries
-            lines.append(_dumps(want))
-            hits.append(sig)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
-    return lines, hits
+    return [lo, hi], *_check_rows(cfg, lo, hi, text, start.end(), end - 2, where)
 
 
 def _istar_is_target(istar: str, target: str) -> bool:
@@ -769,13 +708,15 @@ def _check_rows(cfg: SearchConfig, lo: int, hi: int, text: str, pos: int, stop: 
     with lo <= norm <= hi: only hits, or with verbose every point of the
     window.  Each distinct istar text of the unit is held once to the form
     _istar_is_target reads, and a row is a hit exactly when its istar is the
-    target's text.  A row that passes is kept as read: its line is its own
-    text, not re-encoded and not recomputed, and the unit's hits are the
-    elements parsed from its hit rows.
+    target's text; its element then goes through the oracle, unless
+    _cannot_reach refuses every hit of the header's search.  A row that
+    passes is kept as read: its line is its own text, not re-encoded and not
+    recomputed, and the unit's hits are the elements parsed from its hit rows.
     """
     row = re.compile(_ROW).match
     parse = cfg.ring.parse
     target = _terms_json([(1, cfg.t)])
+    out_of_reach = _cannot_reach(cfg.max_norm, cfg.n, cfg.t)
     istars: dict[str, bool] = {}  # each istar text checked, and whether it is the target
     lines, hits = [], []
     prev: tuple = (lo,)  # below every point of the window
@@ -793,6 +734,8 @@ def _check_rows(cfg: SearchConfig, lo: int, hi: int, text: str, pos: int, stop: 
                 raise ValueError(f"hit {flag} disagrees with istar {istar} at target {cfg.t}")
             if not (hit or cfg.verbose):
                 raise ValueError(f"{z_text} is not a hit, and the unit lists only hits")
+            if hit and out_of_reach:
+                raise ValueError(f"no element of norm at most {cfg.max_norm} has the index {cfg.t} at n = {cfg.n}")
             z = parse(z_text)
             norm = int(norm_text)
             if norm != z.norm():
@@ -803,10 +746,11 @@ def _check_rows(cfg: SearchConfig, lo: int, hi: int, text: str, pos: int, stop: 
             prev = point
             lines.append(line)
             if hit:
+                _verify_hit(z, cfg.n, cfg.t)
                 hits.append(z)
         if cfg.verbose and len(lines) != _interval_count(cfg.ring, lo, hi):
             raise ValueError(f"{len(lines)} rows are not every sector element of norm in [{lo}, {hi}]")
-    except ValueError as exc:
+    except (AssertionError, ValueError) as exc:  # an AssertionError from the oracle
         raise CheckpointError(f"corrupt checkpoint record at {where}: {exc}") from exc
     return lines, hits
 
@@ -860,12 +804,12 @@ def _task_results(cfg: SearchConfig, keys: list, task) -> list[list[str]]:
     """Each unit's lines, in the order of keys, honoring checkpoint and jobs.
 
     A unit is its checkpoint key, and task(key) computes its lines from the
-    key alone; the task is bound to cfg (and any targets) by the caller.
-    Results arrive in key order (imap keeps it for a pool) and each unit is
-    appended to the checkpoint as it arrives, so a stopped run keeps the
-    units it delivered.  A pool is forked only for two or more pending keys,
-    which only an elements-mode search has, with one worker per pending key
-    up to cfg.jobs.
+    key alone; the task is bound to cfg by the caller.  Results arrive in
+    key order (imap keeps it for a pool) and each unit is appended to the
+    checkpoint as it arrives, so a stopped run keeps the units it delivered.
+    A pool is forked only for two or more pending keys, which only an
+    elements-mode search has, with one worker per pending key up to
+    cfg.jobs.
     """
     done: dict[str, list[str]] = {}
     loaded = read_checkpoint(cfg.checkpoint_path, drop_torn=True) if cfg.checkpoint_path else None
@@ -875,13 +819,7 @@ def _task_results(cfg: SearchConfig, keys: list, task) -> list[list[str]]:
             raise CheckpointError(
                 f"{cfg.checkpoint_path} was written by a different search configuration"
             )
-        for line, (key, lines, hits) in enumerate(units, start=2):
-            try:  # a resumed elements-mode hit enters here; signatures are verified by witness_records
-                for z in hits if cfg.mode == "elements" else ():
-                    _verify_hit(z, cfg.n, cfg.t)
-            except AssertionError as exc:
-                raise CheckpointError(f"corrupt checkpoint record at {cfg.checkpoint_path}:{line}: {exc}") from exc
-            done[_dumps(key)] = lines
+        done = {_dumps(key): lines for key, lines, _ in units}
     pending = [key for key in keys if _dumps(key) not in done]
     path = cfg.checkpoint_path
     if path is not None:
@@ -898,10 +836,9 @@ def _task_results(cfg: SearchConfig, keys: list, task) -> list[list[str]]:
 
 
 def search_signatures(cfg: SearchConfig, targets: tuple[Fraction, ...] | None = None) -> list[Signature]:
-    """Hit signatures for any of the targets (all > 1; cfg.t by default), in deterministic DFS order: one unit."""
-    targets = targets or (cfg.t,)
-    (lines,) = _task_results(cfg, [_SIGNATURES_KEY], partial(_signatures_task, cfg, targets))
-    return [Signature.from_entries(cfg.ring.d, cfg.n, json.loads(line)["entries"]) for line in lines]
+    """Hit signatures for any of the targets (all > 1; cfg.t by default), in DFS order, walked in this process."""
+    d, n = cfg.ring.d, cfg.n
+    return [Signature.from_entries(d, n, ents) for ents in _dfs_signatures(d, n, targets or (cfg.t,), cfg.max_norm)]
 
 
 def signature_hits_multi(
@@ -951,16 +888,16 @@ def run_search(cfg: SearchConfig) -> list[SearchRecord]:
 def search_rows(cfg: SearchConfig) -> tuple[list[str], int]:
     """The search's rows as their JSON lines, ordered by (norm, a, b), and how many are hits.
 
-    Elements-mode lines are the ones the workers made, or for a resumed unit
-    the checkpoint's rows, checked and kept as read (not recomputed); each
-    hit among them was verified where it entered the program.  In
-    signatures mode they are the hit rows of witness_records.
+    The lines are the ones the tasks made (an elements-mode window's rows,
+    or a signature search's hit rows of witness_records), or for a resumed
+    unit the checkpoint's rows, checked and kept as read (not recomputed);
+    each hit among them was verified where it entered the program.
     """
-    if cfg.mode != "elements":
-        lines = records_to_json_lines(witness_records(cfg.ring, cfg.n, search_signatures(cfg)))
-        return lines, len(lines)
-    keys = list(_windows(2, cfg.max_norm, _WINDOW))
-    lines = [line for unit in _task_results(cfg, keys, partial(_elements_task, cfg)) for line in unit]
+    if cfg.mode == "elements":
+        keys, task = list(_windows(2, cfg.max_norm, _WINDOW)), _elements_task
+    else:
+        keys, task = [(2, cfg.max_norm)], _signatures_task
+    lines = [line for unit in _task_results(cfg, keys, partial(task, cfg)) for line in unit]
     return lines, sum(line.endswith(',"hit":true}') for line in lines)
 
 

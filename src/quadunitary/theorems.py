@@ -7,10 +7,10 @@ are exercised against fabricated bad inputs in the test suite.  Checks can
 consume persisted search checkpoints so that expensive discovery and cheap
 verification stay separate, or discover their own hit population through the
 signature search.  search.read_checkpoint holds a checkpoint's records to the
-search that wrote it, target included, and returns its hits.  Signatures
-become hits through search.witness_records, which checks each witness with
-the oracle; elements-mode hits read back are trusted: they are not run
-through the oracle again.
+search that wrote it, target included, and returns its hits: the elements of
+its hit rows, in either search mode, each run through the divisor-sum oracle
+as it is read.  A hit row that fails the oracle makes the file corrupt (a
+CheckpointError), not a theorem violation.
 
 Check ids (CLI surface):
 
@@ -135,8 +135,7 @@ def load_hits(path: str, r: Ring) -> tuple[SearchConfig, list[Hit]]:
     """The search that wrote a checkpoint (either mode), and its hits sorted by (norm, a, b).
 
     search.read_checkpoint holds every record to that search, its target
-    included, and returns each unit's hits.  Signatures become hits through
-    witness_records; elements-mode hits are taken as read.
+    included, and returns each unit's hits, each verified by the oracle.
     """
     loaded = read_checkpoint(path)
     if loaded is None:
@@ -145,8 +144,6 @@ def load_hits(path: str, r: Ring) -> tuple[SearchConfig, list[Hit]]:
     if cfg.ring != r:
         raise DomainError(f"checkpoint was searched in d={cfg.ring.d}, not d={r.d}")
     hits = [hit for _, _, unit_hits in units for hit in unit_hits]
-    if cfg.mode == "signatures":
-        hits = [rec.z for rec in witness_records(r, cfg.n, hits)]
     hits.sort(key=lambda z: (z.norm(), z.a, z.b))
     return cfg, [Hit(cfg.n, cfg.t, z) for z in hits]
 

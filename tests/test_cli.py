@@ -15,10 +15,9 @@ import pytest
 
 from quadunitary import search
 from quadunitary.cli import main
-from quadunitary.primes import prime_kind, small_primes
 from quadunitary.radicals import RadicalValue
 from quadunitary.rings import ring
-from quadunitary.search import SearchConfig, Signature, _elements_task
+from quadunitary.search import SearchConfig, _elements_task
 
 
 def compact(doc) -> str:
@@ -33,7 +32,7 @@ def run_cli(capsys, *argv):
 
 
 def timed_run_cli(capsys, *argv):
-    """run_cli for a refused checkpoint, which must be refused well within a second."""
+    """run_cli for a command that must answer well within a second, such as a refused checkpoint."""
     start = time.perf_counter()
     result = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1, argv
@@ -195,42 +194,38 @@ def test_search_checkpoint_flow(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_search_corrupt_checkpoint_record_exits_2(tmp_path, capsys):
-    path = tmp_path / "cp.jsonl"
-    args = (
-        "search", "--ring", "-1", "--power", "2", "--target", "2",
-        "--max-norm", "500", "--verbose", "--checkpoint", str(path),
-    )
-    assert run_cli(capsys, *args)[0] == 0
+# corruptions of a checkpoint unit's first row; each must be refused, in either search mode
+_ROW_CORRUPTIONS = {
+    "missing key": lambda rec: rec.pop("norm"),
+    "extra key": lambda rec: rec.update(extra=1),
+    "bad coefficient": lambda rec: rec.update(istar={"1": "x"}),
+    "non-integer radicand": lambda rec: rec.update(istar={"2.5": "3/2"}),
+    "non-boolean hit": lambda rec: rec.update(hit=0),
+    "non-canonical z": lambda rec: rec.update(z="1 + 1*w"),
+    "norm that disagrees with z": lambda rec: rec.update(norm=3),
+    "hit with an irrational istar": lambda rec: rec.update(hit=True, istar={"2": "1"}),
+    "coefficient not in lowest terms": lambda rec: rec.update(istar={"1": "4/2"}),
+    "coefficient over 1": lambda rec: rec.update(istar={"1": "3/1"}),
+    "coefficient with a leading zero": lambda rec: rec.update(istar={"1": "03/2"}),
+    "zero coefficient": lambda rec: rec.update(istar={"1": "3/2", "2": "0"}),
+    "radicands out of order": lambda rec: rec.update(istar={"3": "1", "1": "3/2"}),
+    "zero radicand": lambda rec: rec.update(istar={"0": "3/2"}),
+    "negative radicand": lambda rec: rec.update(istar={"-1": "3/2"}),
+    "radicand with a leading zero": lambda rec: rec.update(istar={"01": "3/2"}),
+    "zero denominator": lambda rec: rec.update(istar={"1": "3/0"}),
+    "coefficient with a space": lambda rec: rec.update(istar={"1": " 3/2"}),
+    "decimal coefficient": lambda rec: rec.update(istar={"1": "1.5"}),
+    "number coefficient": lambda rec: rec.update(istar={"1": 1.5}),
+}
+
+
+def _refuses_each_corrupt_first_row(capsys, path, args, first):
+    # the search's checkpoint is a header and one unit whose first row is first
     header, unit = path.read_text().splitlines()
-    assert json.loads(unit)["results"][0] == {
-        "z": "1+1*w", "norm": 2, "istar": {"1": "3/2"}, "hit": False,
-    }
+    assert json.loads(unit)["results"][0] == first
     assert compact(json.loads(unit)) == unit  # so each case below differs only by its corruption
-    cases = {
-        "missing key": lambda rec: rec.pop("norm"),
-        "extra key": lambda rec: rec.update(extra=1),
-        "bad coefficient": lambda rec: rec.update(istar={"1": "x"}),
-        "non-integer radicand": lambda rec: rec.update(istar={"2.5": "3/2"}),
-        "non-boolean hit": lambda rec: rec.update(hit=0),
-        "non-canonical z": lambda rec: rec.update(z="1 + 1*w"),
-        "norm that disagrees with z": lambda rec: rec.update(norm=3),
-        "hit with an irrational istar": lambda rec: rec.update(hit=True, istar={"2": "1"}),
-        "coefficient not in lowest terms": lambda rec: rec.update(istar={"1": "4/2"}),
-        "coefficient over 1": lambda rec: rec.update(istar={"1": "3/1"}),
-        "coefficient with a leading zero": lambda rec: rec.update(istar={"1": "03/2"}),
-        "zero coefficient": lambda rec: rec.update(istar={"1": "3/2", "2": "0"}),
-        "radicands out of order": lambda rec: rec.update(istar={"3": "1", "1": "3/2"}),
-        "zero radicand": lambda rec: rec.update(istar={"0": "3/2"}),
-        "negative radicand": lambda rec: rec.update(istar={"-1": "3/2"}),
-        "radicand with a leading zero": lambda rec: rec.update(istar={"01": "3/2"}),
-        "zero denominator": lambda rec: rec.update(istar={"1": "3/0"}),
-        "coefficient with a space": lambda rec: rec.update(istar={"1": " 3/2"}),
-        "decimal coefficient": lambda rec: rec.update(istar={"1": "1.5"}),
-        "number coefficient": lambda rec: rec.update(istar={"1": 1.5}),
-    }
     verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
-    for name, corrupt in cases.items():
+    for name, corrupt in _ROW_CORRUPTIONS.items():
         entry = json.loads(unit)
         corrupt(entry["results"][0])
         path.write_text(header + "\n" + compact(entry) + "\n")
@@ -240,95 +235,76 @@ def test_search_corrupt_checkpoint_record_exits_2(tmp_path, capsys):
             assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), (name, argv[0])
 
 
-def test_corrupt_signature_record_exits_2(tmp_path, capsys):
+def test_search_corrupt_checkpoint_record_exits_2(tmp_path, capsys):
     path = tmp_path / "cp.jsonl"
     args = (
         "search", "--ring", "-1", "--power", "2", "--target", "2",
-        "--max-norm", "2000", "--mode", "signatures", "--quiet", "--checkpoint", str(path),
+        "--max-norm", "500", "--verbose", "--checkpoint", str(path),
     )
     assert run_cli(capsys, *args)[0] == 0
-    lines = path.read_text().splitlines()
-    # the one unit with records; the first is the shape of 3+9i = (1+i) * 3 * (2+i)
-    (line,) = [i for i, text in enumerate(lines) if json.loads(text).get("results")]
-    assert json.loads(lines[line])["results"][0] == {
-        "entries": [[2, "ramified", [1]], [3, "inert", [1]], [5, "split", [1, 0]]],
-        "norm": 90, "value": "2",
-    }
+    first = {"z": "1+1*w", "norm": 2, "istar": {"1": "3/2"}, "hit": False}
+    _refuses_each_corrupt_first_row(capsys, path, args, first)
 
-    def recomputed(rec):
-        # a record whose norm and value agree with its entries, as a writer would make
-        sig = Signature.from_entries(-1, 2, rec["entries"])
-        rec.update(norm=sig.norm(), value=str(sig.value()))
 
-    def entry(i, new):
-        return lambda rec: (rec["entries"].__setitem__(i, new), recomputed(rec))
-
-    cases = {
-        "missing entries": lambda rec: rec.pop("entries"),
-        "extra key": lambda rec: rec.update(extra=1),
-        "entry not a triple": lambda rec: rec["entries"].append([7, "inert"]),
-        "kind that disagrees": entry(2, [5, "ramified", [1]]),
-        "composite p": entry(1, [9, "inert", [1]]),
-        "split with one exponent": entry(2, [5, "split", [1]]),
-        "negative exponent": lambda rec: rec["entries"][1].__setitem__(2, [-1]),
-        "zero exponent": entry(1, [3, "inert", [0]]),
-        "float exponent": lambda rec: rec["entries"][2].__setitem__(2, [1, 0.0]),
-        "boolean exponent": lambda rec: rec["entries"][1].__setitem__(2, [True]),
-        "split pair in ascending order": entry(2, [5, "split", [0, 1]]),
-        "repeated prime": lambda rec: (rec["entries"].insert(1, [3, "inert", [1]]), recomputed(rec)),
-        "primes out of order": lambda rec: (rec["entries"].reverse(), recomputed(rec)),
-        "norm that disagrees": lambda rec: rec.update(norm=91),
-        "value that disagrees": lambda rec: rec.update(value="5/2"),
-        "value not canonical": lambda rec: rec.update(value="4/2"),
-    }
-    verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
-    for name, corrupt in cases.items():
-        unit = json.loads(lines[line])
-        corrupt(unit["results"][0])
-        path.write_text("\n".join(lines[:line] + [json.dumps(unit)] + lines[line + 1:]) + "\n")
-        for argv in (args, verify):
-            code, out, err = run_cli(capsys, *argv)
-            assert (code, out) == (2, ""), (name, argv[0])
-            assert err.startswith(f"error: corrupt checkpoint record at {path}:{line + 1}: "), (name, argv[0])
+def test_corrupt_signature_record_exits_2(tmp_path, capsys):
+    # a signature search's one unit holds its hit rows, read as an elements
+    # unit is: the same corruptions are refused
+    path = tmp_path / "cp.jsonl"
+    args = (
+        "search", "--ring", "-1", "--power", "2", "--target", "2",
+        "--max-norm", "500", "--mode", "signatures", "--quiet", "--checkpoint", str(path),
+    )
+    assert run_cli(capsys, *args)[0] == 0
+    first = {"z": "3+9*w", "norm": 90, "istar": {"1": "2"}, "hit": True}
+    _refuses_each_corrupt_first_row(capsys, path, args, first)
 
 
 def test_irrational_signature_record_exits_2(tmp_path, capsys):
-    # [2, "ramified", [1]] at n = 1 has the index 1 + sqrt(2)/2, not 2
+    # 1+1*w at n = 1 has the index 1 + sqrt(2)/2, not 2: a hit row that says
+    # 2 is well formed, and the oracle refuses it
     path = tmp_path / "cp.jsonl"
     args = (
         "search", "--ring", "-1", "--power", "1", "--target", "2",
         "--max-norm", "2000", "--mode", "signatures", "--quiet", "--checkpoint", str(path),
     )
     assert run_cli(capsys, *args)[0] == 0
-    header, first = path.read_text().splitlines()[:2]
+    header, first = path.read_text().splitlines()
     unit = json.loads(first)
-    unit["results"] = [{"entries": [[2, "ramified", [1]]], "norm": 2, "value": "2"}]
-    path.write_text(header + "\n" + json.dumps(unit) + "\n")
+    assert unit["task"] == [2, 2000]
+    unit["results"] = [{"z": "1+1*w", "norm": 2, "istar": {"1": "2"}, "hit": True}]
+    path.write_text(header + "\n" + compact(unit) + "\n")
     verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
     for argv in (args, verify):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv[0]
-        assert err.startswith(f"error: corrupt checkpoint record at {path}:2: "), argv[0]
+        assert err.startswith(f"error: corrupt checkpoint record at {path}:2: hit 1+1*w failed oracle"), argv[0]
 
 
-def test_resumed_hit_that_fails_the_oracle_exits_2(tmp_path, capsys):
-    # resumed hits are verified; verify --hits trusts them and finds the odd norm
-    path = tmp_path / "cp.jsonl"
-    args = (
-        "search", "--ring", "-1", "--power", "2", "--target", "2",
-        "--max-norm", "1000", "--checkpoint", str(path),
-    )
-    assert run_cli(capsys, *args)[0] == 0
-    header, first = path.read_text().splitlines()
-    unit = json.loads(first)
-    unit["results"][0] = {"z": "3+4*w", "norm": 25, "istar": {"1": "2"}, "hit": True}
-    path.write_text(header + "\n" + compact(unit) + "\n")
-    code, out, err = run_cli(capsys, *args)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: corrupt checkpoint record at {path}:2: ")
-    code, out, _ = run_cli(capsys, "verify", "thm2.2", "--ring", "-1", "--hits", str(path))
-    assert code == 3
-    assert out.startswith("check thm2.2: FAIL")
+def test_resumed_hit_that_fails_the_oracle_exits_2(tmp_path, capsys, monkeypatch):
+    # a hit row read back goes through the oracle, in either search mode, for
+    # a resumed search and verify --hits alike; with the oracle made to pass
+    # it, verify finds the odd norm
+    for mode in ("elements", "signatures"):
+        path = tmp_path / f"{mode}.jsonl"
+        args = (
+            "search", "--ring", "-1", "--power", "2", "--target", "2",
+            "--max-norm", "1000", "--mode", mode, "--checkpoint", str(path),
+        )
+        assert run_cli(capsys, *args)[0] == 0
+        header, first = path.read_text().splitlines()
+        unit = json.loads(first)
+        unit["results"][0] = {"z": "3+4*w", "norm": 25, "istar": {"1": "2"}, "hit": True}
+        path.write_text(header + "\n" + compact(unit) + "\n")
+        verify = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
+        for argv in (args, verify):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (mode, argv[0])
+            assert err.startswith(f"error: corrupt checkpoint record at {path}:2: hit 3+4*w failed oracle"), (mode, argv[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_verify_hit", lambda z, n, value: None)
+            code, out, _ = run_cli(capsys, *verify)
+        assert code == 3, mode
+        assert out.startswith("check thm2.2: FAIL"), mode
 
 
 def test_resumed_records_must_agree_with_the_target(tmp_path, capsys):
@@ -338,8 +314,8 @@ def test_resumed_records_must_agree_with_the_target(tmp_path, capsys):
     cases = {
         "hit off target": ("elements", {"z": "3+9*w", "norm": 90, "istar": {"1": "3"}, "hit": True}),
         "unflagged hit": ("elements", {"z": "3+9*w", "norm": 90, "istar": {"1": "2"}, "hit": False}),
-        "signature off target": (
-            "signatures", {"entries": [[2, "ramified", [1]]], "norm": 2, "value": "3/2"}
+        "signature search's hit off target": (
+            "signatures", {"z": "3+9*w", "norm": 90, "istar": {"1": "3"}, "hit": True}
         ),
     }
     for name, (mode, record) in cases.items():
@@ -465,56 +441,39 @@ def test_elements_unit_must_be_the_writers_text(tmp_path, capsys):
 
 
 def test_signatures_checkpoint_units_must_be_the_searchs_tasks(tmp_path, capsys):
-    # a signatures unit is the search's one task, ["dfs"]; its rows come in
-    # the DFS's order (strictly increasing entries) and have norm <= max-norm
+    # a signatures unit is the search's one task, [2, max-norm], written once;
+    # its hit rows come in strictly increasing (norm, a, b) with norm <= max-norm
     def rekeyed(lines):
         unit = json.loads(lines[1])
-        assert unit["task"] == ["dfs"]
-        unit["task"] = [0, 3]  # a table-slot key, as the root split wrote it
-        return lines[:1] + [json.dumps(unit)], 2
+        assert unit["task"] == [2, 70_000]
+        unit["task"] = [2, 65_537]  # the first window of an elements search
+        return lines[:1] + [compact(unit)], 2
 
     def with_rows(change):
         def corrupt(lines):
             unit = json.loads(lines[1])
             change(unit["results"])
-            return lines[:1] + [json.dumps(unit)] + lines[2:], 2
+            return lines[:1] + [compact(unit)] + lines[2:], 2
         return corrupt
 
-    # 2^2 * 3^2 * 5 at d = -7, n = 1: 3/2 * 10/9 * 6/5 = 2, but its norm is 8100
-    far = {"entries": [[2, "split", [2, 0]], [3, "inert", [2]], [5, "inert", [1]]], "norm": 8100, "value": "2"}
-    # 3^(2 * 10^7) takes seconds to compute, so this exponent must be refused before any power is taken
-    vast = {"entries": [[3, "inert", [10**7]]], "norm": 9, "value": "2"}
+    def first_row_text(old, new):
+        return lambda lines: (lines[:1] + [lines[1].replace(old, new, 1)] + lines[2:], 2)
 
-    def huge_prime(lines):
-        return lines[:1] + [lines[1].replace('"entries":[[2,', '"entries":[[' + HUGE + ",", 1)] + lines[2:], 2
-
-    # a row of 50,000 odd primes under a 2^64 header: its norm passes max-norm
-    # at its 16th prime, and multiplying every entry's norm and index factor
-    # first costs seconds, growing with the square of the row's length
-    odd = small_primes(700_000)[1:50_001]
-    assert len(odd) == 50_000
-    long_row = {
-        "entries": [[p, prime_kind(-1, p), [1, 0] if prime_kind(-1, p) == "split" else [1]] for p in odd],
-        "norm": 1,
-        "value": "2",
-    }
-
-    def long_row_at_2_64(lines):
-        lines = with_rows(lambda rows: rows.insert(0, long_row))(lines)[0]
-        return [lines[0].replace('"max_norm":2000,', '"max_norm":%d,' % 2**64, 1)] + lines[1:], 2
+    # a hit at d = -7, n = 1, t = 2, but its norm is 8100
+    far = {"z": "45+45*w", "norm": 8100, "istar": {"1": "2"}, "hit": True}
 
     def power_of_10_7(lines):
-        # every row's value is below 1 + 1/2^(5 * 10^6) at n = 10^7: refused with no power p^(alpha * n) taken
+        # no element of norm <= 2000 reaches 2 at n = 10^7: the hit row is refused before the oracle runs
         return [lines[0].replace('"n":2,', '"n":10000000,', 1)] + lines[1:], 2
 
     cases = {
-        "unit re-keyed [0, 3]": (-1, 2, 2000, rekeyed),
+        "unit re-keyed as the window [2, 65537]": (-1, 2, 70_000, rekeyed),
+        "unit there twice": (-1, 2, 2000, lambda lines: (lines + lines[-1:], 3)),
         "copy of the unit's first row": (-1, 2, 2000, with_rows(lambda rows: rows.append(rows[0]))),
         "two rows swapped": (-1, 2, 2000, with_rows(lambda rows: rows.reverse())),
         "row of norm 8100 > 1000": (-7, 1, 1000, with_rows(lambda rows: rows.append(far))),
-        "inert exponent 10^7 at max-norm 100": (-1, 2, 100, with_rows(lambda rows: rows.insert(0, vast))),
-        "prime of 5,000 digits": (-1, 2, 2000, huge_prime),
-        "row of 50,000 primes under a 2^64 header": (-1, 2, 2000, long_row_at_2_64),
+        "element of 5,000 digits": (-1, 2, 2000, first_row_text('"z":"3+9*w"', '"z":"' + HUGE + '"')),
+        "norm of 5,000 digits": (-1, 2, 2000, first_row_text('"norm":90,', '"norm":' + HUGE + ",")),
         "header n of 10^7": (-1, 2, 2000, power_of_10_7),
     }
     for i, (name, (d, n, max_norm, corrupt)) in enumerate(cases.items()):
@@ -525,6 +484,7 @@ def test_signatures_checkpoint_units_must_be_the_searchs_tasks(tmp_path, capsys)
         )
         assert run_cli(capsys, *args)[0] == 0
         fresh = path.read_text().splitlines()
+        assert json.loads(fresh[1])["results"], name
         lines, line = corrupt(fresh)
         assert lines != fresh, name
         path.write_text("\n".join(lines) + "\n")
@@ -569,6 +529,54 @@ def test_checkpoint_header_must_be_a_search_config(tmp_path, capsys):
             code, out, err = timed_run_cli(capsys, *argv)
             assert (code, out) == (2, ""), (name, argv[0])
             assert err.startswith("error: ") and "Traceback" not in err, (name, argv[0])
+
+
+def test_a_power_that_puts_the_target_out_of_reach_is_answered_at_once(tmp_path, capsys):
+    # no element of norm <= 2000 has the index 2 at n = 10^7: each of its at
+    # most 11 prime powers adds a factor below 1 + 2^-5000000.  A search
+    # finds no hit with no power taken, and writes its units as before; a
+    # checkpoint whose header has that n refuses its hit rows before the oracle
+    for mode in ("elements", "signatures"):
+        args = ("search", "--ring", "-1", "--target", "2", "--max-norm", "2000", "--mode", mode)
+        assert timed_run_cli(capsys, *args, "--power", "10000000") == (0, "0 hits\n", ""), mode
+        path = tmp_path / f"{mode}.jsonl"
+        code, out, _ = timed_run_cli(capsys, *args, "--power", "10000000", "--checkpoint", str(path))
+        assert (code, out) == (0, "0 hits\n"), mode
+        assert path.read_text().splitlines()[1:] == ['{"task":[2,2000],"results":[]}'], mode
+        path.unlink()
+        assert run_cli(capsys, *args, "--power", "2", "--checkpoint", str(path))[0] == 0
+        header, unit = path.read_text().splitlines()
+        assert '"hit":true' in unit, mode
+        path.write_text(header.replace('"n":2,', '"n":10000000,', 1) + "\n" + unit + "\n")
+        for argv in (
+            (*args, "--power", "10000000", "--checkpoint", str(path)),
+            ("verify", "thm2.2", "--ring", "-1", "--hits", str(path)),
+        ):
+            code, out, err = timed_run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (mode, argv[0])
+            assert err.startswith(f"error: corrupt checkpoint record at {path}:2: no element of norm at most 2000"), (mode, argv[0])
+
+
+_PAST_THE_DIGIT_LIMIT = {
+    **{
+        f"{command} {fmt}": (command, "--ring", "-1", "--element", "2", "--power", "100000", "--format", fmt)
+        for command in ("istar", "delta")
+        for fmt in ("json", "csv", "text")
+    },
+    "sigma-star": ("sigma-star", "--integer", "2", "--power", "100000"),
+    "search --verbose": ("search", "--ring", "-1", "--power", "100000", "--target", "2", "--max-norm", "100", "--verbose"),
+    "factor of a 5,000-digit element": ("factor", "--ring", "-1", "--element", HUGE),
+    "istar of a 5,000-digit element": ("istar", "--ring", "-1", "--element", HUGE, "--power", "2"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_PAST_THE_DIGIT_LIMIT.values()), ids=list(_PAST_THE_DIGIT_LIMIT))
+def test_a_number_past_the_digit_limit_exits_2(capsys, argv):
+    # a result or an argument of more than the 4,300 digits Python converts
+    # between integer and text is refused like any other bad input
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
 
 
 def test_max_norm_above_the_factoring_ceiling_exits_2(capsys):
@@ -816,8 +824,9 @@ def test_verify_with_ring_and_bound(capsys):
     assert doc["passed"] is True
 
 
-def test_verify_fabricated_hits_fail(tmp_path, capsys):
-    # a checkpoint whose only hit has odd norm must make thm2.2 fail
+def test_verify_fabricated_hits_fail(tmp_path, capsys, monkeypatch):
+    # a checkpoint whose only hit has odd norm is refused by the oracle as it
+    # is read; with the oracle made to pass it, it must make thm2.2 fail
     path = str(tmp_path / "fake.jsonl")
     header = {
         "schema_version": 1,
@@ -833,6 +842,10 @@ def test_verify_fabricated_hits_fail(tmp_path, capsys):
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n" + compact(entry) + "\n")
+    code, out, err = run_cli(capsys, "verify", "thm2.2", "--ring", "-1", "--hits", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: corrupt checkpoint record at {path}:2: hit 3 failed oracle")
+    monkeypatch.setattr(search, "_verify_hit", lambda z, n, value: None)
     code, out, _ = run_cli(
         capsys, "verify", "thm2.2", "--ring", "-1", "--hits", path, "--format", "json"
     )

@@ -38,6 +38,7 @@ from quadunitary.search import (
     search_rows,
     search_signatures,
     signature_hits_multi,
+    witness_records,
 )
 from quadunitary.theorems import check_thm_2_4, load_hits
 from quadunitary.udf import _index_numerators, i_star
@@ -263,7 +264,7 @@ def test_checkpoint_unit_line_is_the_json_of_its_rows(tmp_path):
     units = [
         ([2, 3000], search._elements_task(SearchConfig(ring(-7), 1, Fraction(5, 2), 3000, verbose=True), [2, 3000])),
         ([3001, 4000], search._elements_task(SearchConfig(ring(-1), 2, Fraction(2), 4000), [3001, 4000])),  # no hits
-        (["dfs"], search._signatures_task(SearchConfig(ring(-1), 2, Fraction(2), 3000, mode="signatures"), (Fraction(2),), ["dfs"])),
+        ([2, 3000], search._signatures_task(SearchConfig(ring(-1), 2, Fraction(2), 3000, mode="signatures"), [2, 3000])),
     ]
     assert [bool(lines) for _, lines in units] == [True, False, True]
     for key, lines in units:
@@ -425,17 +426,16 @@ def test_read_checkpoint_returns_each_units_fresh_lines_and_hits(tmp_path, monke
     assert search._config_echo(saved) == search._config_echo(cfg)
     assert [search._dumps(task) for task, _, _ in units] == list(written)
     for task, lines, hits in units:
+        # in either mode a unit's hits are the elements of its norm range with index t
         assert lines == written[search._dumps(task)], task
-        if mode == "elements":
-            want = [z for _, z in iter_sector_elements(r, *task) if i_star(z, n) == t]
-            assert hits == want and all(type(z) is QInt for z in hits), task
-        else:
-            assert hits == [Signature.from_entries(-1, n, json.loads(line)["entries"]) for line in lines]
+        want = [z for _, z in iter_sector_elements(r, *task) if i_star(z, n) == t]
+        assert hits == want and all(type(z) is QInt for z in hits), task
     if mode == "elements":
         assert len(units) == 6 and sum(len(hits) > 0 for _, _, hits in units) > 1
     else:
-        sigs = [hit for _, _, hits in units for hit in hits]
-        assert sigs == search_signatures(SearchConfig(r, n, t, 3000, mode=mode)) != []
+        assert [task for task, _, _ in units] == [[2, 3000]]
+        witnesses = [rec.z for rec in witness_records(r, n, search_signatures(SearchConfig(r, n, t, 3000, mode=mode)))]
+        assert units[0][2] == witnesses != []
 
 
 def test_window_keys_are_read_by_arithmetic(tmp_path):
@@ -477,16 +477,20 @@ def test_window_keys_are_read_by_arithmetic(tmp_path):
 
 
 def test_reading_a_signatures_checkpoint_builds_no_prime_table(tmp_path):
-    # the one key ["dfs"] is checked as it is: at max-norm 10^16 a table of
-    # the primes to 10^8 would take hundreds of MB
+    # the one key [2, max-norm] is checked by arithmetic, and each hit row by
+    # the oracle on its element: at max-norm 10^16 a table of the primes to
+    # 10^8 would take hundreds of MB
     header = search._dumps({
         "schema_version": 1, "kind": "quadunitary-checkpoint",
         "config": {"d": -1, "n": 2, "t": "2", "max_norm": 10**16, "mode": "signatures",
                    "verbose": False, "interval_size": search._WINDOW},
     })
-    row = '{"entries":[[2,"ramified",[1]],[3,"inert",[1]],[5,"split",[1,0]]],"norm":90,"value":"2"}'
+    rows = [
+        '{"z":"3+9*w","norm":90,"istar":{"1":"2"},"hit":true}',
+        '{"z":"9+3*w","norm":90,"istar":{"1":"2"},"hit":true}',
+    ]
     path = tmp_path / "sig.jsonl"
-    path.write_text(header + '\n{"task":["dfs"],"results":[%s]}\n' % row)
+    path.write_text(header + '\n{"task":[2,%d],"results":[%s]}\n' % (10**16, ",".join(rows)))
     primes.small_primes.cache_clear()
     tracemalloc.start()
     try:
@@ -495,10 +499,10 @@ def test_reading_a_signatures_checkpoint_builds_no_prime_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
-    assert [(task, lines) for task, lines, _ in units] == [(["dfs"], [row])]
+    assert [(task, lines) for task, lines, _ in units] == [([2, 10**16], rows)]
     cfg, hits = load_hits(str(path), ring(-1))
     assert cfg.max_norm == 10**16
-    assert [(h.z.norm(), h.t) for h in hits] == [(90, 2), (90, 2)]  # a split (1, 0) has two witnesses
+    assert [(h.z.norm(), h.t) for h in hits] == [(90, 2), (90, 2)]
 
 
 def test_reading_a_verbose_checkpoint_holds_one_unit_at_a_time(tmp_path, monkeypatch):
@@ -934,7 +938,7 @@ def test_signatures_checkpoint_keeps_units_finished_before_a_crash(tmp_path, mon
     # a crash in the search's one unit leaves the header only
     path = str(tmp_path / "run.jsonl")
 
-    def crashing_task(config, targets, key):
+    def crashing_task(config, key):
         raise RuntimeError("simulated crash")
 
     monkeypatch.setattr(search, "_signatures_task", crashing_task)
@@ -947,7 +951,7 @@ def test_signatures_checkpoint_keeps_units_finished_before_a_crash(tmp_path, mon
     resumed = run_search(_signature_cfg(checkpoint_path=path))
     assert records_to_json_lines(resumed) == records_to_json_lines(run_search(_signature_cfg()))
     lines = open(path).read().splitlines()
-    assert [json.loads(ln)["task"] for ln in lines[1:]] == [["dfs"]]
+    assert [json.loads(ln)["task"] for ln in lines[1:]] == [[2, 2000]]
     again = run_search(_signature_cfg(checkpoint_path=path))
     assert records_to_json_lines(again) == records_to_json_lines(resumed)
 
@@ -1009,29 +1013,36 @@ def test_the_pool_has_one_worker_per_pending_unit_at_most(monkeypatch):
 
 
 def test_signatures_checkpoint_with_table_slot_units_is_refused(tmp_path, capsys):
-    # the units of a signature search split at the root into table slots, as
-    # written before the search became one unit: the [0, 3] unit alone, and
-    # with the ["above", 44] solve unit, are refused and left as they are
+    # the units of a signature search as written before its unit became the
+    # norm range [2, max-norm] of its hit rows: split at the root into table
+    # slots (the [0, 3] unit alone, and with the ["above", 44] solve unit),
+    # and the one ["dfs"] unit of signature records; each is refused and left
+    # as it is
     path = tmp_path / "run.jsonl"
     header = (
         '{"schema_version":1,"kind":"quadunitary-checkpoint","config":{"d":-1,"n":2,"t":"2",'
         '"max_norm":2000,"mode":"signatures","verbose":false,"interval_size":65536}}\n'
     )
-    unit = (
-        '{"task":[0,3],"results":[{"entries":[[2,"ramified",[1]],[3,"inert",[1]],'
+    records = (
+        '[{"entries":[[2,"ramified",[1]],[3,"inert",[1]],'
         '[5,"split",[1,0]]],"norm":90,"value":"2"},{"entries":[[2,"ramified",[2]],'
-        '[3,"inert",[1]],[5,"split",[1,1]]],"norm":900,"value":"2"}]}\n'
+        '[3,"inert",[1]],[5,"split",[1,1]]],"norm":900,"value":"2"}]'
     )
+    slots = '{"task":[0,3],"results":%s}\n' % records
     search_args = (
         "search", "--ring", "-1", "--power", "2", "--target", "2", "--max-norm", "2000",
         "--mode", "signatures", "--checkpoint", str(path),
     )
     verify_args = ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))
-    for text in (header + unit, header + unit + '{"task":["above",44],"results":[]}\n'):
+    for text in (
+        header + slots,
+        header + slots + '{"task":["above",44],"results":[]}\n',
+        header + '{"task":["dfs"],"results":%s}\n' % records,
+    ):
         path.write_text(text)
         for argv in (search_args, verify_args):
             assert main(list(argv)) == 2, argv[0]
             out, err = capsys.readouterr()
             assert out == "", argv[0]
-            assert err == f"error: corrupt checkpoint entry at {path}:2: [0,3] is repeated or not a task of this search\n"
+            assert err == f"error: corrupt checkpoint entry at {path}:2: the line is not a unit as the search writes it\n"
             assert path.read_text() == text, argv[0]
