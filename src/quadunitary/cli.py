@@ -154,10 +154,29 @@ def _cmd_factor(args) -> int:
     return 0
 
 
+def _refuse_past_digit_limit(norm: int, s: int) -> None:
+    """DomainError if delta_star(z, s), N(z) = norm, must print a number past the digit limit.
+
+    Decided from bit lengths before any power is taken: the value is a sum of
+    c_m * sqrt(m) > 0 over squarefree m | norm, from k < norm.bit_length()
+    prime powers of norm >= 2.  For s > 0 the c_m are at most norm integers,
+    weighted by sqrt(m) <= sqrt(norm), whose sum is at least norm^(s/2), so
+    one is at least norm^((s - 3) / 2).  For s < 0 the value exceeds 1 by at
+    most 2k * 2^(-|s|/2), so a coefficient in lowest terms has a denominator
+    of at least 2^(|s|/2) / 2k.  B bits exceed limit digits if 3B >= 10 * limit.
+    i_star(z, n) is delta_star(z, -n); sigma_star_k(m) is the value at norm m, s = 2k.
+    """
+    limit, size = sys.get_int_max_str_digits(), norm.bit_length()
+    bits = (size - 1) * (s - 3) // 2 if s > 0 else -s // 2 - (2 * size).bit_length()
+    if limit and norm > 1 and 3 * bits >= 10 * limit:
+        raise DomainError(f"Exceeds the limit ({limit} digits) for integer string conversion")
+
+
 def _cmd_value(fn, name: str, args) -> int:
     """delta and istar: fn(z, n), keyed by the subcommand in JSON and CSV, by name in text."""
     r = ring(args.ring)
     z = parse_element(r, args.element)
+    _refuse_past_digit_limit(z.norm(), args.power if args.command == "delta" else -args.power)
     value = fn(z, args.power)
     element = format_element(z)
     _emit(
@@ -294,6 +313,7 @@ def _cmd_gmap(args) -> int:
 
 
 def _cmd_sigma_star(args) -> int:
+    _refuse_past_digit_limit(args.integer, 2 * args.power)
     value = sigma_star_int(args.integer, args.power)
     _emit(
         args.format,

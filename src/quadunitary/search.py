@@ -72,9 +72,10 @@ from .factoring import CEILING_TEXT, NORM_CEILING, index_rows
 from .primes import is_prime, prime_above, prime_kind, small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, Ring, canonical_product, format_coords, format_element, in_sector, ring
-from .udf import _WINDOW, _index_numerators, _windows, delta_star_oracle, i_star
+from .udf import _index_numerators, delta_star_oracle, i_star
 
 CHECKPOINT_SCHEMA = 1
+_WINDOW = 1 << 16  # norms per elements-mode unit and per window of the sector walk
 
 # compact JSON text, as the checkpoint and the command line write it
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
@@ -205,6 +206,12 @@ class Signature:
 
 # ---------------------------------------------------------------------------
 # element enumeration
+
+def _windows(lo: int, hi: int, width: int):
+    """Yield the windows (start, end) of width integers from lo that cover [lo, hi]."""
+    for start in range(lo, hi + 1, width):
+        yield start, min(start + width - 1, hi)
+
 
 def _interval_ranges(r: Ring, lo: int, hi: int):
     """Yield (a_range, b, sb, k): the sector elements a + b*w with lo <= norm <= hi, norm a*(a + sb) + k.
@@ -396,12 +403,17 @@ def _configs(p: int, kind: str, n: int, budget: int):
 
 
 def _dfs_signatures(
-    d: int,
+    kind_of,
     n: int,
     targets: tuple[Fraction, ...],
     max_norm: int,
 ) -> list[tuple[tuple, ...]]:
     """Hit signatures for any of the targets, in DFS order.
+
+    kind_of(p) is the kind of the prime p: partial(prime_kind, d) in a ring.
+    theorems.check_thm_2_6 calls every p ramified at n = 2, so a shape p^e
+    costs p^e with the factor (p^e + 1) / p^e, and the walk runs over the
+    integers m <= max_norm valued sigma_star(m) / m, under the same envelope.
 
     The table holds the primes up to isqrt(max_norm).  At a node with budget
     B the loop walks the primes with p^2 <= B.  A larger prime costs at least
@@ -441,7 +453,7 @@ def _dfs_signatures(
             q, rem = divmod(a * td, gap)  # q = value / (t - value)
             p = None if rem else _exact_root(q, half)
             if p is not None and last < p <= budget < p * p and is_prime(p):
-                kind = prime_kind(d, p)
+                kind = kind_of(p)
                 if kind != "inert":
                     leaves.append((p, kind, (1, 0) if kind == "split" else (1,)))
         out.extend(entries + (leaf,) for leaf in sorted(leaves))
@@ -456,7 +468,7 @@ def _dfs_signatures(
                 break
             if _up(fv * _extension_bound(costs, env, j, budget)) < guard:
                 return  # the bound covers the primes the solve would find
-            kind = prime_kind(d, p)
+            kind = kind_of(p)
             for alphas, cost, num, den in _configs(p, kind, n, budget):
                 ca, cb = a * num, b * den
                 g = gcd(ca, cb)
@@ -838,7 +850,7 @@ def _task_results(cfg: SearchConfig, keys: list, task) -> list[list[str]]:
 def search_signatures(cfg: SearchConfig, targets: tuple[Fraction, ...] | None = None) -> list[Signature]:
     """Hit signatures for any of the targets (all > 1; cfg.t by default), in DFS order, walked in this process."""
     d, n = cfg.ring.d, cfg.n
-    return [Signature.from_entries(d, n, ents) for ents in _dfs_signatures(d, n, targets or (cfg.t,), cfg.max_norm)]
+    return [Signature.from_entries(d, n, e) for e in _dfs_signatures(partial(prime_kind, d), n, targets or (cfg.t,), cfg.max_norm)]
 
 
 def signature_hits_multi(

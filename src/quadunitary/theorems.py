@@ -21,10 +21,10 @@ Check ids (CLI surface):
 * thm2.6  injection of integer unitary-t-perfect numbers into every ring
 * zeta    the four zeta-ratio constants certified strictly below 2
 
-thm2.6 reads its members from udf.sigma_star_range, one multiplicative sieve
-of sigma_star over [1, bound] walked in windows of 2**16 integers: no integer
-is factored on its own, and memory stays bounded whatever the bound.  g_map
-and i_star still run for every member.
+thm2.6 finds its members with the signature search's certified DFS, walked
+over the integers up to the bound (every prime ramified at n = 2, so a
+shape's value is sigma_star(m) / m); sigma_star_int checks each member again,
+and g_map and i_star still run for every member.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .factoring import CEILING_TEXT, NORM_CEILING, FactorEntry, factor_element, factor_int
 from .primes import prime_above
@@ -39,12 +40,13 @@ from .rings import DomainError, K, QInt, Ring, canonical_product, format_coords,
 from .search import (
     CheckpointError,
     SearchConfig,
+    _dfs_signatures,
     _index_points,
     read_checkpoint,
     signature_hits_multi,
     witness_records,
 )
-from .udf import _ZETA_TERMS, i_star, sigma_star_range, zeta_bound_check
+from .udf import _ZETA_TERMS, i_star, sigma_star_int, zeta_bound_check
 
 REPORT_SCHEMA = 1
 
@@ -404,7 +406,10 @@ def check_thm_2_6(b: Fraction = Fraction(2), bound: int = 100_000) -> TheoremRep
         {"b": str(b), "bound": bound, "rings": sorted(K)},
     )
     num, den = b.numerator, b.denominator
-    members = [n for n, sigma in sigma_star_range(bound) if sigma * den == num * n]
+    members = sorted(prod(p**al[0] for p, _, al in ents) for ents in _dfs_signatures(lambda p: "ramified", 2, (b,), bound))
+    for m in members:
+        if sigma_star_int(m) * den != num * m:
+            raise AssertionError(f"{m} from the signature search does not have sigma_star({m}) = {b} * {m}")
     report.witnesses.append({"members": members})
     for d in sorted(K):
         r = ring(d)

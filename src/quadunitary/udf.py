@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import isqrt
 
 from .factoring import Factorization, factor_element, factor_int
-from .primes import small_primes
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, canonical_product
 
@@ -155,43 +154,6 @@ def sigma_star_int(n: int, k: int = 1) -> int | Fraction:
     for p, e in factor_int(n):
         result *= 1 + p ** (e * abs(k))
     return result if k >= 0 else Fraction(result, n ** -k)
-
-
-_WINDOW = 1 << 16  # integers per sieve window here, norms per unit in search
-
-
-def _windows(lo: int, hi: int, width: int):
-    """Yield the windows (start, end) of width integers from lo that cover [lo, hi]; each caller passes its _WINDOW."""
-    for start in range(lo, hi + 1, width):
-        yield start, min(start + width - 1, hi)
-
-
-def sigma_star_range(bound: int):
-    """Yield (n, sigma_star_int(n)) for n = 1 .. bound in increasing n, by sieving.
-
-    The range is walked in windows of _WINDOW integers, so memory stays
-    bounded whatever the bound.  In each window every prime p <= isqrt(hi)
-    strips the exact power p**e from its multiples, whose sums gain the factor
-    1 + p**e; a cofactor left above 1 is then a single prime q, giving 1 + q.
-    """
-    primes = small_primes(isqrt(bound)) if bound > 0 else ()
-    for lo, hi in _windows(1, bound, _WINDOW):
-        rem = list(range(lo, hi + 1))
-        sig = [1] * len(rem)
-        for p in primes:
-            if p * p > hi:
-                break
-            for i in range(-lo % p, len(rem), p):
-                m, q = rem[i] // p, p
-                while m % p == 0:
-                    m //= p
-                    q *= p
-                rem[i] = m
-                sig[i] *= 1 + q
-        for i, m in enumerate(rem):
-            if m > 1:
-                sig[i] *= 1 + m
-        yield from zip(range(lo, hi + 1), sig)
 
 
 # ---------------------------------------------------------------------------

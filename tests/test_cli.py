@@ -579,6 +579,24 @@ def test_a_number_past_the_digit_limit_exits_2(capsys, argv):
     assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
 
 
+@pytest.mark.parametrize("power", ["20000000", "-20000000"])
+def test_a_result_past_the_digit_limit_is_refused_before_any_power_is_taken(capsys, power):
+    # bit lengths alone show a printed number past 4,300 digits: refused at
+    # once, where p^(alpha * n) took seconds before the limit refused it
+    for argv in (
+        ("istar", "--ring", "-1", "--element", "2"),
+        ("delta", "--ring", "-7", "--element", "3+1*w"),
+        ("sigma-star", "--integer", "6"),
+    ):
+        code, out, err = timed_run_cli(capsys, *argv, "--power", power)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: Exceeds the limit (4300 digits) for integer string conversion\n", argv
+    # a unit's value is 1 at every power
+    assert timed_run_cli(capsys, "sigma-star", "--integer", "1", "--power", power)[:2] == (0, f"sigma_star_{power}(1) = 1\n")
+    code, out, _ = timed_run_cli(capsys, "istar", "--ring", "-1", "--element", "1+0*w", "--power", power, "--format", "csv")
+    assert (code, out.splitlines()[1]) == (0, f"1,{power},1,1.0")
+
+
 def test_max_norm_above_the_factoring_ceiling_exits_2(capsys):
     # refused before any table is built: at 10^26 the signatures table alone
     # would be a sieve to 10^13

@@ -10,7 +10,7 @@ import time
 import tracemalloc
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, inf, isqrt, nextafter
 
 import pytest
@@ -885,7 +885,7 @@ def test_dfs_hits_have_a_target_value(d):
     # hit's value, from the index kernel, is one of the targets
     found = 0
     for n in range(1, 5):
-        hits = search._dfs_signatures(d, n, _GRID_TARGETS, 10**5)
+        hits = search._dfs_signatures(partial(prime_kind, d), n, _GRID_TARGETS, 10**5)
         found += len(hits)
         for entries in hits:
             sig = Signature.from_entries(d, n, entries)
@@ -899,7 +899,7 @@ def test_dfs_reports_a_hit_at_the_largest_target():
     # largest target must pass the comparison that prunes values above it
     thirty = ((2, "ramified", (2,)), (3, "inert", (1,)), (5, "split", (1, 1)))
     for targets in ((Fraction(2),), (Fraction(3, 2), Fraction(2))):
-        assert thirty in search._dfs_signatures(-1, 2, targets, 900), targets
+        assert thirty in search._dfs_signatures(partial(prime_kind, -1), 2, targets, 900), targets
 
 
 def test_signatures_mode_sieves_only_to_the_root(monkeypatch):

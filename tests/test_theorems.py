@@ -2,11 +2,12 @@
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from quadunitary import search, theorems
-from quadunitary.factoring import factor_element
+from quadunitary.factoring import factor_element, factor_int
 from quadunitary.primes import prime_above
 from quadunitary.radicals import RadicalValue
 from quadunitary.rings import K, DomainError, ring
@@ -274,17 +275,45 @@ def test_thm_2_6_other_ratio():
         check_thm_2_6(Fraction(2), bound=0)
 
 
-@pytest.mark.parametrize("b", [Fraction(2), Fraction(3, 2), Fraction(3)])
+@lru_cache(maxsize=None)
+def _sigma_stars(bound: int) -> tuple[int, ...]:
+    """sigma_star_int(m) for m = 1 .. bound, one m at a time."""
+    return tuple(sigma_star_int(m) for m in range(1, bound + 1))
+
+
+@pytest.mark.parametrize("b", [Fraction(2), Fraction(3, 2), Fraction(3), Fraction(5, 2), Fraction(4), Fraction(7, 4)])
 def test_thm_2_6_sieve_report_matches_per_n_report(b, monkeypatch):
-    sieved = check_thm_2_6(b, bound=5_000).to_json_dict()
-    # the same check with its members taken from sigma_star_int, one n at a time
+    # the members the signature search finds are the m with sigma_star(m) = b*m,
+    # tested one m at a time, and the report is the one those members give
+    report = check_thm_2_6(b, bound=20_000).to_json_dict()
+    per_n = [m for m, sigma in enumerate(_sigma_stars(20_000), start=1) if sigma * b.denominator == b.numerator * m]
+    assert report["witnesses"][0]["members"] == per_n
+    # the same check with the per-n members as the DFS's shapes, each prime ramified
     monkeypatch.setattr(
-        theorems, "sigma_star_range",
-        lambda bound: ((n, sigma_star_int(n)) for n in range(1, bound + 1)),
+        theorems, "_dfs_signatures",
+        lambda *args: [tuple((p, "ramified", (e,)) for p, e in factor_int(m)) for m in per_n],
     )
-    assert sieved == check_thm_2_6(b, bound=5_000).to_json_dict()
+    assert report == check_thm_2_6(b, bound=20_000).to_json_dict()
     if b == 2:
-        assert sieved["witnesses"][0]["members"] == [6, 60, 90]
+        assert per_n == [6, 60, 90]
+
+
+def test_thm_2_6_at_its_cap_finds_the_unitary_perfect_numbers():
+    # 2^32 is the largest bound, which a sieve of every integer below it could not reach
+    report = check_thm_2_6(Fraction(2), bound=1 << 32)
+    assert report.passed and report.witnesses[0]["members"] == [6, 60, 90, 87360]
+    report = check_thm_2_6(Fraction(3, 2), bound=1 << 32)
+    assert report.passed and report.witnesses[0]["members"] == [
+        2, 20, 24, 360, 816, 1056, 12240, 15840, 29120, 181632, 2724480, 9192960,
+        13790400, 15288000, 93358848, 199180800, 1130734080, 1400382720,
+    ]
+
+
+def test_thm_2_6_refuses_a_shape_that_is_not_a_member(monkeypatch):
+    # sigma_star(10) = 18 is not 2 * 10: a member is checked again before it is reported
+    monkeypatch.setattr(theorems, "_dfs_signatures", lambda *args: [((2, "ramified", (1,)), (5, "ramified", (1,)))])
+    with pytest.raises(AssertionError, match="10 from the signature search"):
+        check_thm_2_6(Fraction(2), bound=1000)
 
 
 def test_zeta_check():

@@ -6,7 +6,6 @@ from math import gcd
 
 import pytest
 
-from quadunitary import udf
 from quadunitary.factoring import coprime, factor_element
 from quadunitary.primes import is_prime, prime_above, prime_kind
 from quadunitary.radicals import RadicalValue
@@ -16,7 +15,6 @@ from quadunitary.udf import (
     delta_star_oracle,
     i_star,
     sigma_star_int,
-    sigma_star_range,
     unitary_divisors,
     zeta_bound_check,
 )
@@ -239,30 +237,6 @@ def test_sigma_star_int_negative_power_is_exact():
                 if n % x == 0 and gcd(x, n // x) == 1
             )
             assert got == want, (n, k)
-
-
-def test_sigma_star_range_matches_per_n(monkeypatch):
-    bound = 20_000
-    want = [(n, sigma_star_int(n)) for n in range(1, bound + 1)]
-    # the window holds the whole range; windows of 97 and of 1 are narrower
-    # than the largest sieving prime 139, so some primes skip whole windows
-    # and every cofactor prime lies far past its window's edge
-    for window in (1 << 16, 97, 1):
-        monkeypatch.setattr(udf, "_WINDOW", window)
-        assert list(sigma_star_range(bound)) == want, window
-
-
-def test_sigma_star_range_edges(monkeypatch):
-    assert list(sigma_star_range(1)) == [(1, 1)]
-    assert list(sigma_star_range(0)) == []
-    for bound in (1 << 16, (1 << 16) + 1):  # the window's edge, and one past it
-        got = list(sigma_star_range(bound))
-        assert [n for n, _ in got] == list(range(1, bound + 1))
-        assert got[-100:] == [(n, sigma_star_int(n)) for n in range(bound - 99, bound + 1)]
-    monkeypatch.setattr(udf, "_WINDOW", 64)
-    for bound in (128, 129):  # on the edge of the second 64-wide window, and one past it
-        want = [(n, sigma_star_int(n)) for n in range(1, bound + 1)]
-        assert list(sigma_star_range(bound)) == want
 
 
 def test_zeta_bounds():
