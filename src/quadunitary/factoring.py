@@ -73,22 +73,35 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 
 @lru_cache(maxsize=1 << 15)
 def factor_int(n: int) -> tuple[tuple[int, int], ...]:
-    """Sorted prime factorization ((p, e), ...) of n >= 1, from a cache of recent n."""
+    """Sorted prime factorization ((p, e), ...) of n >= 1, from a cache of recent n.
+
+    Trial division meets the primes in increasing order, so each (p, e) is
+    appended as it is found.  What is left once a prime's square passes it
+    is 1 or a prime above all of those; what is left after the whole table
+    has only prime factors above the table, which Pollard rho finds in any
+    order, so only they are sorted.
+    """
     if n < 1:
         raise DomainError("factor_int needs n >= 1")
-    out: dict[int, int] = {}
+    out: list[tuple[int, int]] = []
     for p in small_primes():
         if p * p > n:
             # no prime up to sqrt(n) divides what is left, so it is 1 or prime
             if n > 1:
-                out[n] = 1
+                out.append((n, 1))
             break
-        while n % p == 0:
+        if n % p == 0:
             n //= p
-            out[p] = out.get(p, 0) + 1
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
     else:
-        _factor_into(n, out)
-    return tuple(sorted(out.items()))
+        rest: dict[int, int] = {}
+        _factor_into(n, rest)
+        out += sorted(rest.items())
+    return tuple(out)
 
 
 _factor_int = factor_int.__wrapped__  # the uncached core, for index_rows

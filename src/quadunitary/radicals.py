@@ -10,7 +10,7 @@ dictionary equality after dropping zero terms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, inf, isfinite, isqrt
 
 from .factoring import factor_int
 from .rings import DomainError
@@ -143,9 +143,23 @@ class RadicalValue:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def approx(self) -> float:
-        """Float approximation, for display only."""
-        return float(sum(float(c) * isqrt(m * 10**24) / 10**12 for m, c in self._terms.items()))
+    def approx(self) -> float | None:
+        """Float approximation, for display only; None when the value is past the float range.
+
+        Near the top of the range a float term can overflow before its
+        division by 10**12; then the sum is taken exactly and rounded once.
+        """
+        roots = [(isqrt(m * 10**24), c) for m, c in self._terms.items()]
+        try:
+            x = float(sum(float(c) * r / 10**12 for r, c in roots))
+        except OverflowError:
+            x = inf
+        if isfinite(x):
+            return x
+        try:
+            return float(sum(c * Fraction(r, 10**12) for r, c in roots))
+        except OverflowError:
+            return None
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Certified rational bounds lo <= value <= hi via integer square roots, to 2**-64."""

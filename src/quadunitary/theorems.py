@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .factoring import CEILING_TEXT, NORM_CEILING, FactorEntry, factor_element, factor_int
 from .primes import prime_above
@@ -249,7 +249,13 @@ def check_thm_2_3(
 
 
 def check_thm_2_4(max_norm: int = 10_000) -> TheoremReport:
-    """Sweep d=-3: reduced numerators of I*_2 are never divisible by 3."""
+    """Sweep d=-3: reduced numerators of I*_2 are never divisible by 3.
+
+    The kernel gives i_star(z, 2) as an integer pair (numerator, den) once per
+    (norm, content); the value is rational exactly when its only radicand is
+    1, and the check reads num // gcd(num, den) % 3 from the integers.  A
+    Fraction, and its text, is built only for a witness or a violation.
+    """
     r = ring(-3)
     report = TheoremReport(
         "thm2.4",
@@ -263,24 +269,27 @@ def check_thm_2_4(max_norm: int = 10_000) -> TheoremReport:
         raise DomainError(f"max_norm must be at most {CEILING_TEXT}")
     sample_every = max(1, max_norm // 4)
 
-    def value(terms: dict[int, int], den: int) -> Fraction | None:
+    def value(terms: dict[int, int], den: int) -> tuple[int, int] | None:
         # i_star(z, 2) = sum(terms[m] * sqrt(m)) / den, rational iff only m = 1
-        return Fraction(terms[1], den) if len(terms) == 1 else None
+        return (terms[1], den) if len(terms) == 1 else None
 
-    for norm, a, b, fr in _index_points(r, 1, max_norm, 2, value):
+    for norm, a, b, pair in _index_points(r, 1, max_norm, 2, value):
         report.checked += 1
-        if fr is None:
+        if pair is None:
             report.violations.append(
                 {"z": format_coords(a, b), "norm": norm, "reason": "value not rational"}
             )
             continue
-        if fr.numerator % 3 == 0:
+        num, den = pair
+        if num // gcd(num, den) % 3 == 0:
             report.violations.append(
-                {"z": format_coords(a, b), "norm": norm, "value": str(fr),
+                {"z": format_coords(a, b), "norm": norm, "value": str(Fraction(num, den)),
                  "reason": "numerator divisible by 3"}
             )
         elif norm % sample_every == 0 and len(report.witnesses) < 6:
-            report.witnesses.append({"z": format_coords(a, b), "norm": norm, "value": str(fr)})
+            report.witnesses.append(
+                {"z": format_coords(a, b), "norm": norm, "value": str(Fraction(num, den))}
+            )
     report.notes.append("every value in the sweep was rational, as the yes/no check above enforces")
     return report
 

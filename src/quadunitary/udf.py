@@ -166,16 +166,34 @@ _ZETA_TERMS = 4000  # terms in each partial sum
 def _zeta_scaled(s2: int) -> tuple[int, int]:
     """Scaled-integer bracket for zeta(s2/2): returns (lo, hi) at _SCALE.
 
-    Partial sum of _ZETA_TERMS terms with per-term integer-sqrt brackets plus
-    integral tail bounds M**(1-s)/(s-1) on both sides.  Requires s2 > 2.
+    Partial sum of _ZETA_TERMS terms plus integral tail bounds
+    M**(1-s)/(s-1) on both sides.  Requires s2 > 2.  Term k is
+    k**(-s2/2) = S**2 / R with S = _SCALE and R = sqrt(k**s2 * S**2), and
+    with r = isqrt(k**s2 * S**2) it is bracketed by S**2 // (r + 1) below
+    and S**2 // r + 1 above.
+
+    For odd s2 the root r is an integer square root.  For even s2 = 2h it
+    is exact, r = k**h * S, and with q, rem = divmod(S, k**h) the bracket
+    is q - (rem == 0) below and q + 1 above, the same integers: the upper
+    one is S**2 // (k**h * S) + 1 = q + 1, and since
+    S**2 = (k**h * S + 1) * q + (rem * S - q), where
+    0 <= rem * S - q <= (k**h - 1) * S < k**h * S + 1 when rem >= 1, the
+    lower one is q; when rem = 0 that remainder is -q, with 1 <= q <= S,
+    so the quotient is q - 1 with remainder k**h * S + 1 - q.
     """
     lo = hi = 0
     scale_sq = _SCALE * _SCALE
-    for k in range(1, _ZETA_TERMS + 1):
-        # k**(-s2/2) = _SCALE**2 / sqrt(k**s2 * _SCALE**2), root at full scale
-        r = isqrt(k**s2 * scale_sq)
-        lo += scale_sq // (r + 1)
-        hi += scale_sq // r + 1
+    if s2 % 2 == 0:
+        h = s2 // 2
+        for k in range(1, _ZETA_TERMS + 1):
+            q, rem = divmod(_SCALE, k**h)
+            lo += q - (rem == 0)
+            hi += q + 1
+    else:
+        for k in range(1, _ZETA_TERMS + 1):
+            r = isqrt(k**s2 * scale_sq)
+            lo += scale_sq // (r + 1)
+            hi += scale_sq // r + 1
     # tail between integral bounds from _ZETA_TERMS + 1 and _ZETA_TERMS
     s2m2 = s2 - 2
     r_hi = isqrt(_ZETA_TERMS**s2m2 * scale_sq)

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
@@ -597,6 +598,26 @@ def test_a_result_past_the_digit_limit_is_refused_before_any_power_is_taken(caps
     assert (code, out.splitlines()[1]) == (0, f"1,{power},1,1.0")
 
 
+@pytest.mark.parametrize("command, power", [("istar", "-2000"), ("delta", "2000")])
+def test_a_value_past_the_float_range_prints_no_approx(capsys, command, power):
+    # 1 + 2^2000 has 603 digits: printed exactly, with no float beside it
+    argv = (command, "--ring", "-1", "--element", "2", "--power", power)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc[command], doc["approx"]) == (0, {"1": str(2**2000 + 1)}, None)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, list(csv.reader(io.StringIO(out)))[1]) == (0, ["2", power, str(2**2000 + 1), ""])
+    name = "i_star" if command == "istar" else "delta_star"
+    assert run_cli(capsys, *argv) == (0, f"{name}(2, {power}) = {2**2000 + 1}\n", "")
+
+
+def test_a_value_near_the_top_of_the_float_range_prints_a_finite_approx(capsys):
+    # 1 + 2^1000 * sqrt(2) is a float, though 2^1000 * 10^12 * sqrt(2) is not
+    code, out, _ = run_cli(capsys, "delta", "--ring", "-1", "--element", "1+1*w", "--power", "2001", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["approx"] == pytest.approx(2**1000 * 2**0.5, rel=1e-12)
+
+
 def test_max_norm_above_the_factoring_ceiling_exits_2(capsys):
     # refused before any table is built: at 10^26 the signatures table alone
     # would be a sieve to 10^13
@@ -828,6 +849,22 @@ def test_verify_zeta(capsys):
     code, out, _ = run_cli(capsys, "verify", "zeta")
     assert code == 0
     assert out.startswith("check zeta: PASS")
+
+
+_REPORT_SHA256 = {
+    "verify zeta --format json": "1cc98d60fb32239b3437c902c1e8f8e7f59e9a46da1233b06a267c78eaebaf2f",
+    "verify thm2.4 --max-norm 20000 --format json": "3c57cf27672da64917bb94d3d93d47f234f4627b30b922af9e451275a7d38f69",
+    "verify thm2.4 --format json": "f094f3aea9ed8ec44ec15c391b2599dfe14839cec9d9d39253f92fb3c4230af3",
+    "verify zeta": "3107adf25887db05e5a2e0de5216b86fad14c614f4fb2e94637dc7ee5e6de151",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORT_SHA256))
+def test_verify_report_bytes_are_pinned(capsys, command):
+    # the zeta brackets and the thm2.4 sweep print exactly these reports
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _REPORT_SHA256[command]
 
 
 def test_verify_with_ring_and_bound(capsys):

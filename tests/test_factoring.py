@@ -1,12 +1,14 @@
 """Integer and element factorization against brute-force oracles."""
 
 import random
-from math import gcd, isqrt
+from collections import Counter
+from math import gcd, isqrt, prod
 
 import pytest
 
 from quadunitary.factoring import (
     NORM_CEILING,
+    _factor_int,
     coprime,
     factor_element,
     factor_int,
@@ -14,7 +16,7 @@ from quadunitary.factoring import (
     is_ring_prime,
     rho,
 )
-from quadunitary.primes import prime_above, primes_up_to
+from quadunitary.primes import prime_above, primes_up_to, small_primes
 from quadunitary.rings import K, DomainError, in_sector, is_associate, ring
 from quadunitary.search import iter_sector_elements
 from quadunitary.udf import _index_numerators
@@ -61,6 +63,44 @@ def test_factor_int_semiprime_uses_rho_path():
     p, q = 1_000_003, 1_000_033
     assert factor_int(p * q) == ((p, 1), (q, 1))
     assert factor_int(p * p) == ((p, 2),)
+
+
+def dict_and_sort(n):
+    """Trial division into a dict, then sorted: a reference for n below the table's square."""
+    out = {}
+    for p in small_primes():
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        if p * p > n:
+            break
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return tuple(sorted(out.items()))
+
+
+def test_factor_int_appends_what_a_dict_and_sort_gives():
+    for n in range(1, 200_000):
+        fac = _factor_int(n)
+        assert fac == dict_and_sort(n), n
+        assert list(fac) == sorted(fac), n
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [
+        [10007, 10009],
+        [10007, 10007, 10009],
+        [2, 2, 2, 10007, 1000003],
+        [10007, 10009, 10037],
+        [2**61 - 1],
+    ],
+)
+def test_factor_int_sorts_the_primes_pollard_finds(primes):
+    # every odd prime here is above the 10,000 trial-division table, so Pollard rho finds it
+    fac = factor_int(prod(primes))
+    assert fac == tuple(sorted(Counter(primes).items()))
+    assert fac == _factor_int(prod(primes))
 
 
 def test_factor_int_rejects_nonpositive():

@@ -99,6 +99,14 @@ def test_bounds_certify_value():
         assert abs(v.approx() - true) < 1e-9
 
 
+def test_approx_is_none_past_the_float_range():
+    # a coefficient too large for a float, and one that fits whose product with sqrt(2) does not
+    assert RadicalValue.from_rational(Fraction(2**2000 + 1)).approx() is None
+    assert RadicalValue.from_sqrt(2, Fraction(3 * 2**1022)).approx() is None
+    assert RadicalValue.from_sqrt(2, Fraction(2**1022)).approx() == pytest.approx(2**1022 * math.sqrt(2))
+    assert RadicalValue.from_rational(Fraction(1, 2**2000)).approx() == 0.0
+
+
 def test_string_forms():
     assert str(RadicalValue()) == "0"
     assert str(RadicalValue.from_rational(Fraction(3, 2))) == "3/2"

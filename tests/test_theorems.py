@@ -10,7 +10,7 @@ from quadunitary import search, theorems
 from quadunitary.factoring import factor_element, factor_int
 from quadunitary.primes import prime_above
 from quadunitary.radicals import RadicalValue
-from quadunitary.rings import K, DomainError, ring
+from quadunitary.rings import K, DomainError, format_element, ring
 from quadunitary.search import (
     CheckpointError,
     SearchConfig,
@@ -187,6 +187,43 @@ def test_thm_2_4_flags_fabricated_values(monkeypatch):
         {"z": "2", "norm": 4, "value": "3/4", "reason": "numerator divisible by 3"},
         {"z": "1+2*w", "norm": 7, "reason": "value not rational"},
         {"z": "2+1*w", "norm": 7, "reason": "value not rational"},
+    ]
+
+
+@pytest.mark.parametrize("max_norm", [2000, 2100])
+def test_thm_2_4_matches_i_star_of_each_factored_element(max_norm):
+    # the sweep reads the kernel's integer pair once per (norm, content);
+    # the reference factors every element and takes its i_star
+    sample_every = max_norm // 4
+    checked, witnesses = 0, []
+    for norm, z in iter_sector_elements(ring(-3), 1, max_norm):
+        checked += 1
+        value = i_star(z, 2, factor_element(z))
+        assert value.is_rational, z
+        fr = value.as_fraction()
+        assert fr.numerator % 3, z
+        if norm % sample_every == 0 and len(witnesses) < 6:
+            witnesses.append({"z": format_element(z), "norm": norm, "value": str(fr)})
+    report = check_thm_2_4(max_norm)
+    assert (report.checked, report.witnesses, report.passed) == (checked, witnesses, True)
+    assert report.violations == []
+
+
+def test_thm_2_4_reads_the_numerator_in_lowest_terms(monkeypatch):
+    # 3/3 is 1, whose numerator is prime to 3; 6/4 is 3/2, whose numerator is not
+    real = search._index_numerators
+
+    def fabricated(rows, k):
+        if rows == [(3, "ramified", 1)]:
+            return {1: 3}, 3
+        if rows == [(2, "inert", 1)]:
+            return {1: 6}, 4
+        return real(rows, k)
+
+    monkeypatch.setattr(search, "_index_numerators", fabricated)
+    report = check_thm_2_4(max_norm=4)
+    assert report.violations == [
+        {"z": "2", "norm": 4, "value": "3/2", "reason": "numerator divisible by 3"},
     ]
 
 

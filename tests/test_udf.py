@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -11,6 +11,9 @@ from quadunitary.primes import is_prime, prime_above, prime_kind
 from quadunitary.radicals import RadicalValue
 from quadunitary.rings import K, DomainError, exact_div, in_sector, ring
 from quadunitary.udf import (
+    _SCALE,
+    _ZETA_TERMS,
+    _zeta_scaled,
     delta_star,
     delta_star_oracle,
     i_star,
@@ -203,7 +206,7 @@ def naive_sigma_star(n, k=1):
     total = 0
     for x in range(1, n + 1):
         if n % x == 0:
-            from math import gcd
+            from math import gcd, isqrt
 
             if gcd(x, n // x) == 1:
                 total += x**k
@@ -255,3 +258,40 @@ def test_zeta_bounds():
     assert abs(approx["(zeta(3)/zeta(6))^2"] - 1.396096) < 1e-4
     doc = checks[0].to_json_dict()
     assert set(doc) == {"label", "lo", "hi", "approx", "width", "limit", "passed"}
+
+
+def reference_zeta_scaled(s2):
+    """The bracket with an integer square root per term, whatever the parity of s2."""
+    lo = hi = 0
+    scale_sq = _SCALE * _SCALE
+    for k in range(1, _ZETA_TERMS + 1):
+        r = isqrt(k**s2 * scale_sq)
+        lo += scale_sq // (r + 1)
+        hi += scale_sq // r + 1
+    s2m2 = s2 - 2
+    r_hi = isqrt(_ZETA_TERMS**s2m2 * scale_sq)
+    r_lo = isqrt((_ZETA_TERMS + 1) ** s2m2 * scale_sq)
+    hi += 2 * scale_sq // (s2m2 * r_hi) + 1
+    lo += 2 * scale_sq // (s2m2 * (r_lo + 1))
+    return lo, hi
+
+
+@pytest.mark.parametrize("s2", [3, 4, 5, 6, 8, 10, 12])
+def test_zeta_scaled_matches_the_integer_sqrt_bracket(s2):
+    assert _zeta_scaled(s2) == reference_zeta_scaled(s2)
+
+
+def test_even_exponent_terms_are_exact_roots():
+    # for s2 = 2h the root of k**s2 * S**2 is k**h * S, and the bracket
+    # S**2 // (r + 1), S**2 // r + 1 is q - (rem == 0), q + 1 from divmod(S, k**h)
+    scale_sq = _SCALE * _SCALE
+    exact = 0
+    for h in range(2, 7):
+        for k in range(1, _ZETA_TERMS + 1):
+            r = isqrt(k ** (2 * h) * scale_sq)
+            assert r == k**h * _SCALE, (k, h)
+            q, rem = divmod(_SCALE, k**h)
+            assert scale_sq // r + 1 == q + 1, (k, h)
+            assert scale_sq // (r + 1) == q - (rem == 0), (k, h)
+            exact += rem == 0
+    assert exact > 0  # both sides of the rem == 0 case are met
