@@ -10,7 +10,7 @@ dictionary equality after dropping zero terms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, isfinite, isqrt
+from math import gcd, isfinite, isqrt
 
 from .factoring import factor_int
 from .rings import DomainError
@@ -152,12 +152,7 @@ class RadicalValue:
         roots = [(isqrt(m * 10**24), c) for m, c in self._terms.items()]
         try:
             x = float(sum(float(c) * r / 10**12 for r, c in roots))
-        except OverflowError:
-            x = inf
-        if isfinite(x):
-            return x
-        try:
-            return float(sum(c * Fraction(r, 10**12) for r, c in roots))
+            return x if isfinite(x) else float(sum(c * Fraction(r, 10**12) for r, c in roots))
         except OverflowError:
             return None
 
