@@ -270,7 +270,6 @@ def _cmd_verify(args) -> int:
         max_norm=args.max_norm,
         hits_path=args.hits,
         target=args.target,
-        jobs=args.jobs,
     )
     _emit(
         args.format,
@@ -403,7 +402,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-norm", type=int, default=None, help="population bound (per-check default; not with --hits)")
     p.add_argument("--hits", help="search checkpoint whose hits thm2.2, thm2.3 or thm2.5 check instead of searching")
     p.add_argument("--target", type=_fraction_type, default=None, help="perfectness ratio b for thm2.6")
-    p.add_argument("--jobs", type=int, default=None, help="read by thm2.2, thm2.3 and thm2.5, whose one signature search runs in one process at any --jobs")
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("gmap", help="lift a positive integer into the sector, preserving absolute value")

@@ -29,8 +29,9 @@ A work unit is its checkpoint key, a range [lo, hi] of norms, and its rows
 are the search's row lines for the elements of norm in that range.  In
 elements mode a unit is a window of _WINDOW norms, which a process pool can
 share; a signature search is the one unit [2, max_norm], walked in one
-process from the first table prime to the root's solve, whose rows are the
-hits of witness_records.  Its task reads everything else from the
+process from the first table prime to the root's solve, whose rows are
+the (element, value) pairs of witness_hits, written by _row_line as
+elements mode writes its rows.  Its task reads everything else from the
 SearchConfig.  Each unit's results are held in memory and the units are
 merged in key order, so records come out in (norm, coordinates) order and
 are byte-identical for any job count.  Each unit is appended to a JSON-lines
@@ -51,7 +52,7 @@ A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
 through the literal divisor-sum oracle, where it enters the program: an
 elements-mode hit in the worker that finds it, a signature's witnesses in
-witness_records, which the theorem checks share, and a hit row of either
+witness_hits, which the theorem checks share, and a hit row of either
 mode as read_checkpoint reads it back.  No hit is sought, and a checkpoint's
 hit row is refused, where _cannot_reach shows the target out of reach.
 """
@@ -130,14 +131,6 @@ class SearchRecord:
     norm: int
     value: RadicalValue
     is_hit: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "z": format_element(self.z),
-            "norm": self.norm,
-            "istar": self.value.to_json_terms(),
-            "hit": self.is_hit,
-        }
 
 
 @dataclass(frozen=True)
@@ -539,7 +532,10 @@ def _elements_task(cfg: SearchConfig, key) -> list[str]:
 
 def _signatures_task(cfg: SearchConfig, key) -> list[str]:
     """The row lines of the search's one unit, key = [2, max_norm]: the witnesses of its hit signatures."""
-    return records_to_json_lines(witness_records(cfg.ring, cfg.n, search_signatures(cfg)))
+    return [
+        _row_line(format_element(z), z.norm(), _terms_json([(1, value)]), True)
+        for z, value in witness_hits(cfg.ring, cfg.n, search_signatures(cfg))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +854,6 @@ def signature_hits_multi(
     n: int,
     targets: tuple[Fraction, ...],
     max_norm: int,
-    jobs: int = 1,
 ) -> list[Signature]:
     """All hit signatures for any target in `targets`, in deterministic DFS order.
 
@@ -868,27 +863,26 @@ def signature_hits_multi(
     targets = tuple(sorted(set(Fraction(t) for t in targets)))
     if not targets or min(targets) <= 1:
         raise DomainError("targets must all exceed 1")
-    cfg = SearchConfig(r, n, targets[0], max_norm, mode="signatures", jobs=jobs)
+    cfg = SearchConfig(r, n, targets[0], max_norm, mode="signatures")
     return search_signatures(cfg, targets)
 
 
-def witness_records(r: Ring, n: int, sigs) -> list[SearchRecord]:
-    """Every witness element of the signatures as a hit record, sorted by (norm, a, b).
+def witness_hits(r: Ring, n: int, sigs) -> list[tuple[QInt, Fraction]]:
+    """Every witness element of the signatures with its signature's value, sorted by (norm, a, b).
 
     Each witness is checked twice: its factor-based index i_star must be its
     signature's value, and so must the literal divisor-sum oracle's.
     """
-    records = []
+    hits = []
     for sig in sigs:
         value = sig.value()
         for z in sig.witnesses(r):
-            rv = i_star(z, n)
-            if rv != value:
+            if i_star(z, n) != value:
                 raise AssertionError(f"witness {format_element(z)} disagrees with signature value")
             _verify_hit(z, n, value)
-            records.append(SearchRecord(z, z.norm(), rv, True))
-    records.sort(key=lambda rec: (rec.norm, rec.z.a, rec.z.b))
-    return records
+            hits.append((z, value))
+    hits.sort(key=lambda hit: (hit[0].norm(), hit[0].a, hit[0].b))
+    return hits
 
 
 def run_search(cfg: SearchConfig) -> list[SearchRecord]:
@@ -900,10 +894,11 @@ def run_search(cfg: SearchConfig) -> list[SearchRecord]:
 def search_rows(cfg: SearchConfig) -> tuple[list[str], int]:
     """The search's rows as their JSON lines, ordered by (norm, a, b), and how many are hits.
 
-    The lines are the ones the tasks made (an elements-mode window's rows,
-    or a signature search's hit rows of witness_records), or for a resumed
-    unit the checkpoint's rows, checked and kept as read (not recomputed);
-    each hit among them was verified where it entered the program.
+    The lines are the ones the tasks made with _row_line (an elements-mode
+    window's rows, or a signature search's hit row for each pair of
+    witness_hits), or for a resumed unit the checkpoint's rows, checked and
+    kept as read (not recomputed); each hit among them was verified where
+    it entered the program.
     """
     if cfg.mode == "elements":
         keys, task = list(_windows(2, cfg.max_norm, _WINDOW)), _elements_task
@@ -930,11 +925,3 @@ def read_rows(lines):
         if istar not in memo:
             memo[istar] = RadicalValue.from_json_terms(json.loads(istar))
         yield z, int(norm), memo[istar], hit == "true"
-
-
-def records_to_json_lines(records: list[SearchRecord]) -> list[str]:
-    """Records as their JSON lines, by the formatter elements-mode workers use."""
-    return [
-        _row_line(format_element(rec.z), rec.norm, _terms_json(rec.value.to_json_terms().items()), rec.is_hit)
-        for rec in records
-    ]

@@ -44,7 +44,7 @@ from .search import (
     _index_points,
     read_checkpoint,
     signature_hits_multi,
-    witness_records,
+    witness_hits,
 )
 from .udf import _ZETA_TERMS, i_star, sigma_star_int, zeta_bound_check
 
@@ -122,13 +122,12 @@ def discover_hits(
     n_values,
     targets,
     max_norm: int,
-    jobs: int = 1,
 ) -> list[Hit]:
     """Find all hits via the signature search, each re-verified; deterministic order."""
     hits: list[Hit] = []
     for n in sorted(n_values):
-        sigs = signature_hits_multi(r, n, tuple(Fraction(t) for t in targets), max_norm, jobs=jobs)
-        hits += [Hit(n, rec.value.as_fraction(), rec.z) for rec in witness_records(r, n, sigs)]
+        sigs = signature_hits_multi(r, n, tuple(Fraction(t) for t in targets), max_norm)
+        hits += [Hit(n, value, z) for z, value in witness_hits(r, n, sigs)]
     hits.sort(key=lambda h: (h.n, h.z.norm(), h.z.a, h.z.b))
     return hits
 
@@ -165,7 +164,6 @@ def check_thm_2_2(
     r: Ring,
     max_norm: int = 10_000,
     hits: list[Hit] | None = None,
-    jobs: int = 1,
 ) -> TheoremReport:
     """Every hit with n in {1,2} and integer t >= 2 must have even norm."""
     report = TheoremReport(
@@ -175,7 +173,7 @@ def check_thm_2_2(
         {"max_norm": max_norm, "n": [1, 2], "t": list(_TARGETS)},
     )
     if hits is None:
-        hits = discover_hits(r, (1, 2), _TARGETS, max_norm, jobs=jobs)
+        hits = discover_hits(r, (1, 2), _TARGETS, max_norm)
         report.notes.append("population discovered by signature search")
     skipped = 0
     for h in hits:
@@ -197,7 +195,6 @@ def check_thm_2_2(
 def check_thm_2_3(
     max_norm: int = 10_000,
     hits: list[Hit] | None = None,
-    jobs: int = 1,
 ) -> TheoremReport:
     """Gaussian hits with n = 2: the odd part has gamma + v2(t) distinct primes.
 
@@ -217,7 +214,7 @@ def check_thm_2_3(
         "when gamma is even, and both normalizations appear in each witness"
     )
     if hits is None:
-        hits = discover_hits(r, (2,), _TARGETS, max_norm, jobs=jobs)
+        hits = discover_hits(r, (2,), _TARGETS, max_norm)
         report.notes.append("population discovered by signature search")
     skipped = 0
     for h in hits:
@@ -312,7 +309,6 @@ def check_thm_2_5(
     r: Ring,
     max_norm: int = 10_000,
     hits: list[Hit] | None = None,
-    jobs: int = 1,
 ) -> TheoremReport:
     """Mod-6 structure of 2-powerfully unitarily 2-perfect hits coprime to 3.
 
@@ -334,7 +330,7 @@ def check_thm_2_5(
         "with unitary divisors throughout"
     )
     if hits is None:
-        hits = discover_hits(r, (2,), (Fraction(2),), max_norm, jobs=jobs)
+        hits = discover_hits(r, (2,), (Fraction(2),), max_norm)
         report.notes.append("population discovered by signature search")
     skipped = 0
     for h in hits:
@@ -387,10 +383,14 @@ def g_map(n: int, r: Ring) -> QInt:
 
     Non-split primes map to themselves; a split prime p maps to the canonical
     associate of pi^2 for the oriented prime pi above p.  The absolute value
-    of the image equals n, so i_star(g(n), 1) = sigma_star(n) / n.
+    of the image equals n, so i_star(g(n), 1) = sigma_star(n) / n.  An n
+    above 2^32 is refused before it is factored: its image's norm n^2 is
+    above factoring.NORM_CEILING.
     """
     if n < 1:
         raise DomainError("g_map needs a positive integer")
+    if n > 1 << 32:
+        raise DomainError(f"norm {n * n} is above {CEILING_TEXT}")
     parts = []
     for p, e in factor_int(n):
         pc = prime_above(p, r)
@@ -474,10 +474,10 @@ def check_zeta() -> TheoremReport:
 
 # the options each check reads; run_check refuses any other that is given
 _READS = {
-    "thm2.2": ("ring", "max-norm", "hits", "jobs"),
-    "thm2.3": ("ring", "max-norm", "hits", "jobs"),
+    "thm2.2": ("ring", "max-norm", "hits"),
+    "thm2.3": ("ring", "max-norm", "hits"),
     "thm2.4": ("ring", "max-norm"),
-    "thm2.5": ("ring", "max-norm", "hits", "jobs"),
+    "thm2.5": ("ring", "max-norm", "hits"),
     "thm2.6": ("max-norm", "target"),
     "zeta": (),
 }
@@ -492,13 +492,12 @@ def run_check(
     max_norm: int | None = None,
     hits_path: str | None = None,
     target: Fraction | None = None,
-    jobs: int | None = None,
 ) -> TheoremReport:
     """Dispatch one named check with per-check defaults filled in.
 
     An option given to a check that does not read it (_READS) is a
-    DomainError.  With hits_path nothing is discovered, so max_norm and jobs
-    are not read, and the report's population is the checkpoint's search.
+    DomainError.  With hits_path nothing is discovered, so max_norm is not
+    read, and the report's population is the checkpoint's search.
     """
     if check_id not in _READS:
         raise DomainError(f"unknown check {check_id!r}; choose from {', '.join(CHECK_IDS)}")
@@ -506,7 +505,7 @@ def run_check(
     context = check_id
     if hits_path is not None and "hits" in reads:
         reads, context = ("ring", "hits"), f"{check_id} with --hits"
-    given = {"ring": ring_d, "max-norm": max_norm, "hits": hits_path, "target": target, "jobs": jobs}
+    given = {"ring": ring_d, "max-norm": max_norm, "hits": hits_path, "target": target}
     for option, value in given.items():
         if value is not None and option not in reads:
             raise DomainError(f"{context} does not read --{option}")
@@ -523,13 +522,12 @@ def run_check(
         return check_thm_2_4(bound)
     r = ring(fixed or ring_d or -1)
     cfg, hits = load_hits(hits_path, r) if hits_path is not None else (None, None)
-    jobs = 1 if jobs is None else jobs
     if check_id == "thm2.2":
-        report = check_thm_2_2(r, bound, hits=hits, jobs=jobs)
+        report = check_thm_2_2(r, bound, hits=hits)
     elif check_id == "thm2.3":
-        report = check_thm_2_3(bound, hits=hits, jobs=jobs)
+        report = check_thm_2_3(bound, hits=hits)
     else:
-        report = check_thm_2_5(r, bound, hits=hits, jobs=jobs)
+        report = check_thm_2_5(r, bound, hits=hits)
     if cfg is not None:
         t = cfg.t.numerator if cfg.t.denominator == 1 else str(cfg.t)
         report.population = {"max_norm": cfg.max_norm, "n": [cfg.n], "t": [t]}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .factoring import Factorization, factor_element, factor_int
+from .factoring import CEILING_TEXT, NORM_CEILING, Factorization, factor_element, factor_int
 from .radicals import RadicalValue
 from .rings import DomainError, QInt, canonical_product
 
@@ -147,9 +147,12 @@ def sigma_star_int(n: int, k: int = 1) -> int | Fraction:
 
     An int for k >= 0 and an exact Fraction for k < 0, where each factor
     1 + p**(e*k) is (p**(e*|k|) + 1) / p**(e*|k|): sigma_star_|k|(n) / n**|k|.
+    An n above factoring.NORM_CEILING is refused before it is factored.
     """
     if n < 1:
         raise DomainError("sigma_star_int needs n >= 1")
+    if n > NORM_CEILING:
+        raise DomainError(f"{n} is above {CEILING_TEXT}")
     result = 1
     for p, e in factor_int(n):
         result *= 1 + p ** (e * abs(k))

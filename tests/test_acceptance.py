@@ -20,8 +20,7 @@ from quadunitary.rings import K, ring
 from quadunitary.search import (
     SearchConfig,
     iter_sector_elements,
-    records_to_json_lines,
-    run_search,
+    search_rows,
     signature_hits_multi,
 )
 from quadunitary.theorems import check_thm_2_2, check_thm_2_4, check_thm_2_6
@@ -162,9 +161,9 @@ def test_criterion_09_cross_mode_consistency():
     cases = ((-1, 2, Fraction(2)), (-3, 1, Fraction(2)))
     for d, n, t in cases:
         r = ring(d)
-        el = run_search(SearchConfig(r, n, t, 10**4, mode="elements"))
-        sg = run_search(SearchConfig(r, n, t, 10**4, mode="signatures"))
-        assert records_to_json_lines(el) == records_to_json_lines(sg), (d, n)
+        el = search_rows(SearchConfig(r, n, t, 10**4, mode="elements"))[0]
+        sg = search_rows(SearchConfig(r, n, t, 10**4, mode="signatures"))[0]
+        assert el == sg, (d, n)
         assert el, (d, n)  # both populations are known to be nonempty
     print("criterion 9: PASS (hit sets agree exactly for d=-1 n=2 and d=-3 n=1)")
 
@@ -174,7 +173,7 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
 
     def lines_for(jobs, checkpoint=None):
         cfg = SearchConfig(ring(-1), 2, Fraction(2), 10**4, jobs=jobs, checkpoint_path=checkpoint)
-        return records_to_json_lines(run_search(cfg))
+        return search_rows(cfg)[0]
 
     base = lines_for(1)
     for jobs in (4, 8):

@@ -659,6 +659,22 @@ def test_a_norm_above_the_factoring_ceiling_is_refused_in_the_commands_terms(cap
         assert err == f"error: norm {norm} is above 2^64 = {2**64}, the largest norm that can be factored\n", argv[0]
 
 
+def test_gmap_and_sigma_star_refuse_an_integer_above_the_ceiling_before_factoring(capsys):
+    # 2^128 + 1 has two prime factors of 17 and 22 digits, which factor_int
+    # does not split in any reasonable time
+    m = 2**128 + 1
+    for argv, text in (
+        (("gmap", "--ring", "-1"), f"norm {m * m} is above"),
+        (("sigma-star",), f"{m} is above"),
+    ):
+        code, out, err = timed_run_cli(capsys, *argv, "--integer", str(m))
+        assert (code, out) == (2, ""), argv[0]
+        assert err == f"error: {text} 2^64 = {2**64}, the largest norm that can be factored\n", argv[0]
+    # an image of norm exactly 2^64 is still computed
+    code, out, _ = run_cli(capsys, "gmap", "--ring", "-1", "--integer", str(2**32))
+    assert (code, out) == (0, f"g({2**32}) = {2**32}  (norm {2**64}, i_star_1 = {2**32 + 1}/{2**32})\n")
+
+
 def test_closed_stdout_exits_without_traceback():
     # stdout block-buffered, as in a shell without PYTHONUNBUFFERED
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -1035,10 +1051,10 @@ def hits_checkpoint(tmp_path_factory):
 
 # the options verify reads per check; every other pair must be refused
 _VERIFY_READS = {
-    "thm2.2": {"--ring", "--max-norm", "--hits", "--jobs"},
-    "thm2.3": {"--ring", "--max-norm", "--hits", "--jobs"},
+    "thm2.2": {"--ring", "--max-norm", "--hits"},
+    "thm2.3": {"--ring", "--max-norm", "--hits"},
     "thm2.4": {"--ring", "--max-norm"},
-    "thm2.5": {"--ring", "--max-norm", "--hits", "--jobs"},
+    "thm2.5": {"--ring", "--max-norm", "--hits"},
     "thm2.6": {"--max-norm", "--target"},
     "zeta": set(),
 }
@@ -1054,6 +1070,14 @@ def test_verify_refuses_the_options_a_check_does_not_read(capsys, hits_checkpoin
         "--target": "3",
         "--jobs": "1",
     }[option]
+    if option == "--jobs":
+        # verify has no --jobs, a usage error: a check's one signature search runs in one process
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", check, option, value, "--format", "json"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --jobs 1" in err
+        return
     code, out, err = run_cli(capsys, "verify", check, option, value, "--format", "json")
     if option in _VERIFY_READS[check]:
         assert (code, err) == (0, ""), err
@@ -1071,11 +1095,10 @@ def test_verify_hits_reports_the_checkpoint_population(capsys, hits_checkpoint, 
     doc = json.loads(out)
     assert doc["population"] == want
     assert "population discovered by signature search" not in doc["notes"]
-    # with --hits nothing is discovered, so a bound or a job count is refused
-    for option, value in (("--max-norm", "5"), ("--jobs", "7")):
-        code, out, err = run_cli(capsys, "verify", check, "--ring", "-1", "--hits", hits_checkpoint, option, value)
-        assert (code, out) == (2, "")
-        assert err == f"error: {check} with --hits does not read {option}\n"
+    # with --hits nothing is discovered, so a bound is refused
+    code, out, err = run_cli(capsys, "verify", check, "--ring", "-1", "--hits", hits_checkpoint, "--max-norm", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: {check} with --hits does not read --max-norm\n"
 
 
 def test_verify_hits_population_with_a_fractional_target(tmp_path, capsys):

@@ -23,7 +23,6 @@ from quadunitary.rings import K, DomainError, QInt, format_element, in_sector, r
 from quadunitary.search import (
     CheckpointError,
     SearchConfig,
-    SearchRecord,
     SigEntry,
     Signature,
     _envelope_cached,
@@ -33,12 +32,11 @@ from quadunitary.search import (
     _interval_points,
     iter_sector_elements,
     read_rows,
-    records_to_json_lines,
     run_search,
     search_rows,
     search_signatures,
     signature_hits_multi,
-    witness_records,
+    witness_hits,
 )
 from quadunitary.theorems import check_thm_2_4, load_hits
 from quadunitary.udf import _index_numerators, i_star
@@ -159,9 +157,9 @@ def test_signatures_mode_matches_elements_mode():
     cases += [(d, n, t, 3000) for d in K for n in (1, 2, 3, 4) for t in targets]
     for d, n, t, bound in cases:
         r = ring(d)
-        el = run_search(SearchConfig(r, n, t, bound, mode="elements"))
-        sg = run_search(SearchConfig(r, n, t, bound, mode="signatures"))
-        assert records_to_json_lines(el) == records_to_json_lines(sg), (d, n, t)
+        el = search_rows(SearchConfig(r, n, t, bound, mode="elements"))[0]
+        sg = search_rows(SearchConfig(r, n, t, bound, mode="signatures"))[0]
+        assert el == sg, (d, n, t)
 
 
 def test_elements_mode_factors_only_its_hits(monkeypatch):
@@ -212,23 +210,21 @@ def test_verbose_elements_covers_range():
 )
 def test_elements_hits_equal_verbose_hits(d, n, t, bound):
     r = ring(d)
-    plain = run_search(SearchConfig(r, n, t, bound))
-    verbose = run_search(SearchConfig(r, n, t, bound, verbose=True))
-    assert records_to_json_lines(plain) == records_to_json_lines(
-        [rec for rec in verbose if rec.is_hit]
-    )
+    plain = search_rows(SearchConfig(r, n, t, bound))[0]
+    verbose = search_rows(SearchConfig(r, n, t, bound, verbose=True))[0]
+    assert plain == [line for line in verbose if line.endswith(',"hit":true}')]
     assert len(verbose) == len(_interval_points(r, 2, bound))
-    for rec in verbose[::7]:
-        assert rec.value == i_star(rec.z, n)
-        assert rec.is_hit == (rec.value == t)
+    for z, _, value, hit in list(read_rows(verbose))[::7]:
+        assert value == i_star(r.parse(z), n)
+        assert hit == (value == t)
 
 
 def test_worker_lines_are_the_json_of_their_records():
     # every sector element to norm 3000 in every ring at n = 1..4: a worker's
-    # line, and records_to_json_lines's line for the record, is the compact
-    # JSON of the record, irrational multi-radicand istar, a = 0, b = 0,
-    # negative a and hits included; read_rows decodes each line back into
-    # the record's element text, norm, exact value and hit
+    # line is the compact JSON of the element's {z, norm, istar, hit},
+    # irrational multi-radicand istar, a = 0, b = 0, negative a and hits
+    # included; read_rows decodes each line back into the element text,
+    # norm, exact value and hit
     t = Fraction(2)
     seen = set()
     for d in K:
@@ -237,25 +233,23 @@ def test_worker_lines_are_the_json_of_their_records():
         for n in range(1, 5):
             lines = search._elements_task(SearchConfig(r, n, t, 3000, verbose=True), [1, 3000])
             assert len(lines) == len(points), (d, n)
-            records = []
+            rows = []
             for line, (norm, z) in zip(lines, points):
                 value = i_star(z, n)
-                record = SearchRecord(z, norm, value, value == t)
-                records.append(record)
-                assert line == json.dumps(record.to_json_dict(), separators=(",", ":")), (d, n, line)
+                hit = value == t
+                rows.append((format_element(z), norm, value, hit))
+                record = {"z": format_element(z), "norm": norm, "istar": value.to_json_terms(), "hit": hit}
+                assert line == json.dumps(record, separators=(",", ":")), (d, n, line)
                 seen.update(
                     name for name, present in (
                         ("multi-radicand", len(value.terms) > 2),
                         ("a = 0", z.a == 0),
                         ("b = 0", z.b == 0),
                         ("negative a", z.a < 0),
-                        ("hit", record.is_hit),
+                        ("hit", hit),
                     ) if present
                 )
-            assert records_to_json_lines(records) == lines, (d, n)
-            assert list(read_rows(lines)) == [
-                (format_element(rec.z), rec.norm, rec.value, rec.is_hit) for rec in records
-            ], (d, n)
+            assert list(read_rows(lines)) == rows, (d, n)
     assert seen == {"multi-radicand", "a = 0", "b = 0", "negative a", "hit"}
 
 
@@ -434,7 +428,7 @@ def test_read_checkpoint_returns_each_units_fresh_lines_and_hits(tmp_path, monke
         assert len(units) == 6 and sum(len(hits) > 0 for _, _, hits in units) > 1
     else:
         assert [task for task, _, _ in units] == [[2, 3000]]
-        witnesses = [rec.z for rec in witness_records(r, n, search_signatures(SearchConfig(r, n, t, 3000, mode=mode)))]
+        witnesses = [z for z, _ in witness_hits(r, n, search_signatures(SearchConfig(r, n, t, 3000, mode=mode)))]
         assert units[0][2] == witnesses != []
 
 
@@ -527,9 +521,9 @@ def test_reading_a_verbose_checkpoint_holds_one_unit_at_a_time(tmp_path, monkeyp
 def test_jobs_do_not_change_output(monkeypatch):
     r = ring(-1)
     monkeypatch.setattr(search, "_WINDOW", 512)
-    base = run_search(SearchConfig(r, 2, Fraction(2), 4000))
-    multi = run_search(SearchConfig(r, 2, Fraction(2), 4000, jobs=3))
-    assert records_to_json_lines(base) == records_to_json_lines(multi)
+    base = search_rows(SearchConfig(r, 2, Fraction(2), 4000))[0]
+    multi = search_rows(SearchConfig(r, 2, Fraction(2), 4000, jobs=3))[0]
+    assert base == multi
 
 
 def test_checkpoint_written_and_resumed(tmp_path, monkeypatch):
@@ -540,7 +534,7 @@ def test_checkpoint_written_and_resumed(tmp_path, monkeypatch):
     def cfg():
         return SearchConfig(r, 2, Fraction(2), 4000, checkpoint_path=path)
 
-    first = run_search(cfg())
+    first = search_rows(cfg())[0]
     lines = open(path).read().splitlines()
     header = json.loads(lines[0])
     assert header["kind"] == "quadunitary-checkpoint"
@@ -552,13 +546,13 @@ def test_checkpoint_written_and_resumed(tmp_path, monkeypatch):
     # drop the last two task lines and resume: same records, file made whole
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:3]) + "\n")
-    second = run_search(cfg())
-    assert records_to_json_lines(second) == records_to_json_lines(first)
+    second = search_rows(cfg())[0]
+    assert second == first
     assert len(open(path).read().splitlines()) == 5
 
     # a completed checkpoint replays without recomputation
-    third = run_search(cfg())
-    assert records_to_json_lines(third) == records_to_json_lines(first)
+    third = search_rows(cfg())[0]
+    assert third == first
 
 
 def test_checkpoint_rejects_other_config(tmp_path, monkeypatch):
@@ -627,12 +621,12 @@ def test_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch, c
     assert json.loads(lines[0])["kind"] == "quadunitary-checkpoint"
     assert [json.loads(ln)["task"] for ln in lines[1:]] == [[2, 513]][: crash_at - 1]
 
-    resumed = run_search(cfg(checkpoint_path=path))
-    assert records_to_json_lines(resumed) == records_to_json_lines(run_search(cfg()))
+    resumed = search_rows(cfg(checkpoint_path=path))[0]
+    assert resumed == search_rows(cfg())[0]
     lines = open(path).read().splitlines()
     assert len(lines) == 1 + 4  # one header, four units of 512 norms
-    again = run_search(cfg(checkpoint_path=path))
-    assert records_to_json_lines(again) == records_to_json_lines(resumed)
+    again = search_rows(cfg(checkpoint_path=path))[0]
+    assert again == resumed
 
 
 @pytest.mark.parametrize("cut", ["last-unit", "header"])
@@ -644,7 +638,7 @@ def test_checkpoint_resumes_past_a_torn_last_line(tmp_path, monkeypatch, cut):
     def cfg(**kwargs):
         return SearchConfig(r, 2, Fraction(2), 2000, verbose=True, **kwargs)
 
-    whole = run_search(cfg(checkpoint_path=str(path)))
+    whole = search_rows(cfg(checkpoint_path=str(path)))[0]
     good = path.read_bytes()
     lines = good.splitlines(keepends=True)
     if cut == "last-unit":
@@ -652,8 +646,8 @@ def test_checkpoint_resumes_past_a_torn_last_line(tmp_path, monkeypatch, cut):
     else:
         torn = lines[0][: len(lines[0]) // 2]
     path.write_bytes(torn)
-    resumed = run_search(cfg(checkpoint_path=str(path)))
-    assert records_to_json_lines(resumed) == records_to_json_lines(whole)
+    resumed = search_rows(cfg(checkpoint_path=str(path)))[0]
+    assert resumed == whole
     assert path.read_bytes() == good
 
 
@@ -709,9 +703,9 @@ def test_checkpoint_resumes_after_the_process_is_killed(tmp_path, monkeypatch):
     # killed before the last unit was written
     assert path.read_bytes().count(b"\n") < 1 + len(range(2, 20_001, 512))
 
-    resumed = run_search(cfg(checkpoint_path=str(path)))
-    whole = run_search(cfg(checkpoint_path=str(whole_path)))
-    assert records_to_json_lines(resumed) == records_to_json_lines(whole)
+    resumed = search_rows(cfg(checkpoint_path=str(path)))[0]
+    whole = search_rows(cfg(checkpoint_path=str(whole_path)))[0]
+    assert resumed == whole
     assert path.read_bytes() == whole_path.read_bytes()
 
 
@@ -719,16 +713,16 @@ def test_checkpoint_resume_with_jobs(tmp_path, monkeypatch):
     r = ring(-3)
     path = str(tmp_path / "run.jsonl")
     monkeypatch.setattr(search, "_WINDOW", 1024)
-    base = run_search(SearchConfig(r, 1, Fraction(2), 9000))
+    base = search_rows(SearchConfig(r, 1, Fraction(2), 9000))[0]
     partial = SearchConfig(r, 1, Fraction(2), 9000, checkpoint_path=path)
     run_search(partial)
     lines = open(path).read().splitlines()
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:4]) + "\n")
-    resumed = run_search(
+    resumed = search_rows(
         SearchConfig(r, 1, Fraction(2), 9000, checkpoint_path=path, jobs=2)
-    )
-    assert records_to_json_lines(resumed) == records_to_json_lines(base)
+    )[0]
+    assert resumed == base
 
 
 def test_signature_search_rejects_bad_targets():
@@ -857,7 +851,7 @@ def test_last_prime_solve_at_the_root():
     cfg = lambda mode: SearchConfig(r, 2, Fraction(14, 13), 100, mode=mode)
     sg = run_search(cfg("signatures"))
     assert sorted((rec.z.a, rec.z.b, rec.norm) for rec in sg) == [(2, 3, 13), (3, 2, 13)]
-    assert records_to_json_lines(sg) == records_to_json_lines(run_search(cfg("elements")))
+    assert search_rows(cfg("signatures"))[0] == search_rows(cfg("elements"))[0]
     hits = search_signatures(cfg("signatures"))
     assert [s.to_json_dict()["entries"] for s in hits] == [[[13, "split", [1, 0]]]]
 
@@ -870,9 +864,9 @@ def test_last_prime_solve_ramified():
     hits = search_signatures(cfg("signatures"))
     entries = [s.to_json_dict()["entries"] for s in hits]
     assert entries == [[[3, "split", [1, 0]], [11, "ramified", [1]]]]
-    sg = run_search(cfg("signatures"))
+    sg = search_rows(cfg("signatures"))[0]
     assert len(sg) == 2
-    assert records_to_json_lines(sg) == records_to_json_lines(run_search(cfg("elements")))
+    assert sg == search_rows(cfg("elements"))[0]
 
 
 # the targets of the signature grid that hit lists are compared on
@@ -948,12 +942,12 @@ def test_signatures_checkpoint_keeps_units_finished_before_a_crash(tmp_path, mon
     lines = open(path).read().splitlines()
     assert len(lines) == 1
 
-    resumed = run_search(_signature_cfg(checkpoint_path=path))
-    assert records_to_json_lines(resumed) == records_to_json_lines(run_search(_signature_cfg()))
+    resumed = search_rows(_signature_cfg(checkpoint_path=path))[0]
+    assert resumed == search_rows(_signature_cfg())[0]
     lines = open(path).read().splitlines()
     assert [json.loads(ln)["task"] for ln in lines[1:]] == [[2, 2000]]
-    again = run_search(_signature_cfg(checkpoint_path=path))
-    assert records_to_json_lines(again) == records_to_json_lines(resumed)
+    again = search_rows(_signature_cfg(checkpoint_path=path))[0]
+    assert again == resumed
 
 
 def test_signatures_checkpoint_resume_with_jobs(tmp_path):
@@ -962,7 +956,7 @@ def test_signatures_checkpoint_resume_with_jobs(tmp_path):
     def cfg(**kwargs):
         return SearchConfig(ring(-1), 2, Fraction(14, 13), 100, mode="signatures", **kwargs)
 
-    base = run_search(cfg())
+    base = search_rows(cfg())[0]
     assert len(base) == 2
     run_search(cfg(checkpoint_path=path))
     lines = open(path).read().splitlines()
@@ -970,8 +964,8 @@ def test_signatures_checkpoint_resume_with_jobs(tmp_path):
     for keep in (lines[:1], lines):  # the header only, and the whole file
         with open(path, "w") as fh:
             fh.write("\n".join(keep) + "\n")
-        resumed = run_search(cfg(checkpoint_path=path, jobs=2))
-        assert records_to_json_lines(resumed) == records_to_json_lines(base)
+        resumed = search_rows(cfg(checkpoint_path=path, jobs=2))[0]
+        assert resumed == base
         assert open(path).read().splitlines() == lines
 
 
@@ -980,14 +974,14 @@ def test_no_pool_for_work_that_cannot_be_split(monkeypatch):
     def cfg(**kwargs):
         return SearchConfig(ring(-1), 2, Fraction(2), 10**6, mode="signatures", **kwargs)
 
-    base = run_search(cfg())
+    base = search_rows(cfg())[0]
     assert len(base) > 2
 
     def no_fork(jobs):
         raise AssertionError("forked a pool")
 
     monkeypatch.setattr(search, "_fork_pool", no_fork)
-    assert records_to_json_lines(run_search(cfg(jobs=2))) == records_to_json_lines(base)
+    assert search_rows(cfg(jobs=2))[0] == base
     # two element units still go to a pool
     monkeypatch.setattr(search, "_WINDOW", 500)
     with pytest.raises(AssertionError, match="forked a pool"):
