@@ -6,108 +6,56 @@ sector primes, which makes unitary divisors (divisors coprime to their
 cofactor) and the divisor sums delta_star / i_star well defined.  Everything
 is exact: integers, rationals, and sums of rational multiples of square
 roots.  No floating point touches a reported result.
+
+The package loads a layer on the first use of one of its names, so
+``import quadunitary`` alone imports none of its submodules.
 """
 
-from .factoring import FactorEntry, Factorization, coprime, factor_element, factor_int, rho
-from .primes import PrimeClass, classify, prime_above, xi
-from .radicals import RadicalValue
-from .rings import (
-    DomainError,
-    K,
-    QInt,
-    Ring,
-    arg_less,
-    canonical_associate,
-    exact_div,
-    format_element,
-    in_sector,
-    is_associate,
-    parse_element,
-    pretty_element,
-    ring,
-)
-from .search import (
-    CheckpointError,
-    SearchConfig,
-    SearchRecord,
-    SigEntry,
-    Signature,
-    iter_sector_elements,
-    run_search,
-    search_signatures,
-    signature_hits_multi,
-)
-from .theorems import (
-    TheoremReport,
-    check_thm_2_2,
-    check_thm_2_3,
-    check_thm_2_4,
-    check_thm_2_5,
-    check_thm_2_6,
-    check_zeta,
-    g_map,
-    run_check,
-)
-from .udf import (
-    ZetaCheck,
-    delta_star,
-    delta_star_oracle,
-    i_star,
-    sigma_star_int,
-    unitary_divisors,
-    zeta_bound_check,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckpointError",
-    "DomainError",
-    "FactorEntry",
-    "Factorization",
-    "K",
-    "PrimeClass",
-    "QInt",
-    "RadicalValue",
-    "Ring",
-    "SearchConfig",
-    "SearchRecord",
-    "SigEntry",
-    "Signature",
-    "TheoremReport",
-    "ZetaCheck",
-    "arg_less",
-    "canonical_associate",
-    "check_thm_2_2",
-    "check_thm_2_3",
-    "check_thm_2_4",
-    "check_thm_2_5",
-    "check_thm_2_6",
-    "check_zeta",
-    "classify",
-    "coprime",
-    "delta_star",
-    "delta_star_oracle",
-    "exact_div",
-    "factor_element",
-    "factor_int",
-    "format_element",
-    "g_map",
-    "i_star",
-    "in_sector",
-    "is_associate",
-    "iter_sector_elements",
-    "parse_element",
-    "pretty_element",
-    "prime_above",
-    "rho",
-    "ring",
-    "run_check",
-    "run_search",
-    "search_signatures",
-    "sigma_star_int",
-    "signature_hits_multi",
-    "unitary_divisors",
-    "xi",
-    "zeta_bound_check",
-]
+# every exported name under the module that defines it; the keys are the
+# submodules the package exposes by name
+_EXPORTS = {
+    "factoring": ("FactorEntry", "Factorization", "coprime", "factor_element", "factor_int", "rho"),
+    "primes": ("PrimeClass", "classify", "prime_above", "xi"),
+    "radicals": ("RadicalValue",),
+    "rings": (
+        "DomainError", "K", "QInt", "Ring", "arg_less", "canonical_associate", "exact_div",
+        "format_element", "in_sector", "is_associate", "parse_element", "pretty_element", "ring",
+    ),
+    "search": (
+        "CheckpointError", "SearchConfig", "SearchRecord", "SigEntry", "Signature",
+        "iter_sector_elements", "run_search", "search_signatures", "signature_hits_multi",
+    ),
+    "theorems": (
+        "TheoremReport", "check_thm_2_2", "check_thm_2_3", "check_thm_2_4", "check_thm_2_5",
+        "check_thm_2_6", "check_zeta", "g_map", "run_check",
+    ),
+    "udf": (
+        "ZetaCheck", "delta_star", "delta_star_oracle", "i_star", "sigma_star_int",
+        "unitary_divisors", "zeta_bound_check",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # PEP 562: runs only for a name not yet bound here.  The value is read
+    # from its home module at first use, so a function replaced there before
+    # (a tracer's wrapper, say) is the one the package hands out.
+    if name in _HOME:
+        value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _EXPORTS:
+        value = _import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_EXPORTS})

@@ -336,7 +336,9 @@ def pretty_element(z: QInt) -> str:
     return f"{x}{sep}{ytext}"
 
 
-_TERM_RE = re.compile(
+# one term of user input; matched through re's own cache, since parse_element
+# reads user input on a cold path
+_TERM = (
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/0*[1-9]\d*)?)?"  # a denominator is not zero
     r"(?:\*?(?P<sym>w|i|sqrt\(-?\d+\)))?$"
 )
@@ -375,7 +377,7 @@ def parse_element(r: Ring, text: str) -> QInt:
     y = Fraction(0)  # coefficient of sqrt(d)
     wc = Fraction(0)  # coefficient of the basis element w
     for term in _split_terms(s):
-        m = _TERM_RE.match(term)
+        m = re.match(_TERM, term)
         if not m or (m.group("coef") is None and m.group("sym") is None):
             raise DomainError(f"cannot parse element term {term!r}")
         coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
