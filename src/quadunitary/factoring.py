@@ -17,7 +17,6 @@ factors through the uncached core and leaves that cache to the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd, isqrt
 
@@ -107,23 +106,27 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
 _factor_int = factor_int.__wrapped__  # the uncached core, for index_rows
 
 
-@dataclass(frozen=True)
 class FactorEntry:
     """One canonical prime power pi**exponent, with its rational prime context."""
 
-    prime: QInt
-    exponent: int
-    p: int
-    kind: str
+    __slots__ = ("prime", "exponent", "p", "kind")
+
+    def __init__(self, prime: QInt, exponent: int, p: int, kind: str) -> None:
+        self.prime = prime
+        self.exponent = exponent
+        self.p = p
+        self.kind = kind
 
 
-@dataclass(frozen=True)
 class Factorization:
     """z = unit * product(prime**exponent) over nonassociated canonical primes."""
 
-    ring: Ring
-    unit_index: int
-    entries: tuple[FactorEntry, ...]
+    __slots__ = ("ring", "unit_index", "entries")
+
+    def __init__(self, ring: Ring, unit_index: int, entries: tuple[FactorEntry, ...]) -> None:
+        self.ring = ring
+        self.unit_index = unit_index
+        self.entries = entries
 
     @property
     def factors(self) -> tuple[tuple[QInt, int], ...]:

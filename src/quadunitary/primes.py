@@ -10,7 +10,6 @@ sector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
@@ -113,7 +112,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
-@dataclass(frozen=True)
 class PrimeClass:
     """How a rational prime p sits in a ring, with canonical witnesses.
 
@@ -123,11 +121,14 @@ class PrimeClass:
     smaller argument, decided exactly.
     """
 
-    p: int
-    d: int
-    kind: str
-    pi: QInt
-    pi_bar: QInt | None = None
+    __slots__ = ("p", "d", "kind", "pi", "pi_bar")
+
+    def __init__(self, p: int, d: int, kind: str, pi: QInt, pi_bar: QInt | None = None) -> None:
+        self.p = p
+        self.d = d
+        self.kind = kind
+        self.pi = pi
+        self.pi_bar = pi_bar
 
 
 _KINDS = {0: "ramified", 1: "split", -1: "inert"}

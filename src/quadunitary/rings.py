@@ -10,9 +10,8 @@ angular comparisons that define the canonical sector.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 
 K = (-163, -67, -43, -19, -11, -7, -3, -2, -1)
@@ -22,20 +21,36 @@ class DomainError(ValueError):
     """An argument lies outside the operation's domain."""
 
 
-@dataclass(frozen=True)
 class Ring:
-    """One of the nine rings, identified by its squarefree d < 0."""
+    """One of the nine rings, identified by its squarefree d < 0.
 
-    d: int
+    half_integral is True when the basis element is (1 + sqrt(d))/2 rather
+    than sqrt(d).  disc is the field discriminant D: d when d = 1 (mod 4),
+    else 4d.  It gives the one norm form of every ring: with s = 1 for
+    half-integral rings and 0 otherwise, 4 * N(a + b*w) = (2a + s*b)^2 +
+    |D| * b^2, and w^2 = s*w + (D - s)/4.  Element arithmetic, prime kinds,
+    prime witnesses and the sector walk are all read off it.
+    """
 
-    def __post_init__(self) -> None:
-        if self.d not in K:
-            raise DomainError(f"ring must be one of {list(K)}, got {self.d}")
+    __slots__ = ("d", "half_integral", "disc")
 
-    @cached_property
-    def half_integral(self) -> bool:
-        """True when the basis element is (1 + sqrt(d))/2 rather than sqrt(d)."""
-        return self.d % 4 == 1
+    def __init__(self, d: int) -> None:
+        if d not in K:
+            raise DomainError(f"ring must be one of {list(K)}, got {d}")
+        self.d = d
+        self.half_integral = d % 4 == 1
+        self.disc = d if self.half_integral else 4 * d
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Ring:
+            return NotImplemented
+        return self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.d,))
+
+    def __repr__(self) -> str:
+        return f"Ring(d={self.d!r})"
 
     @property
     def unit_count(self) -> int:
@@ -44,17 +59,6 @@ class Ring:
         if self.d == -3:
             return 6
         return 2
-
-    @cached_property
-    def disc(self) -> int:
-        """The field discriminant D: d when d = 1 (mod 4), else 4d.
-
-        The one norm form of every ring: with s = 1 for half-integral rings
-        and 0 otherwise, 4 * N(a + b*w) = (2a + s*b)^2 + |D| * b^2, and
-        w^2 = s*w + (D - s)/4.  Element arithmetic, prime kinds, prime
-        witnesses and the sector walk are all read off it.
-        """
-        return self.d if self.half_integral else 4 * self.d
 
     def element(self, a: int, b: int = 0) -> "QInt":
         return QInt(self, a, b)
@@ -89,13 +93,23 @@ def ring(d: int) -> Ring:
     return Ring(d)
 
 
-@dataclass(frozen=True)
 class QInt:
     """An element a + b*w of one of the nine rings, in integral coordinates."""
 
-    ring: Ring
-    a: int
-    b: int
+    __slots__ = ("ring", "a", "b")
+
+    def __init__(self, ring: Ring, a: int, b: int) -> None:
+        self.ring = ring
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QInt:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.ring == other.ring
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.a, self.b))
 
     def _coerce(self, other) -> "QInt":
         if isinstance(other, QInt):

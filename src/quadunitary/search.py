@@ -63,7 +63,6 @@ import json
 import os
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -86,7 +85,6 @@ class CheckpointError(RuntimeError):
     """Checkpoint file is corrupt or belongs to a different search."""
 
 
-@dataclass
 class SearchConfig:
     """Parameters of one search run.
 
@@ -98,42 +96,54 @@ class SearchConfig:
     emits non-hits (elements mode only).
     """
 
-    ring: Ring
-    n: int
-    t: Fraction
-    max_norm: int
-    mode: str = "elements"
-    jobs: int = 1
-    checkpoint_path: str | None = None
-    verbose: bool = False
+    __slots__ = ("ring", "n", "t", "max_norm", "mode", "jobs", "checkpoint_path", "verbose")
 
-    def __post_init__(self) -> None:
-        self.t = Fraction(self.t)
-        if self.mode not in ("elements", "signatures"):
-            raise DomainError(f"unknown search mode {self.mode!r}")
-        if self.n < 1:
+    def __init__(
+        self,
+        ring: Ring,
+        n: int,
+        t: Fraction,
+        max_norm: int,
+        mode: str = "elements",
+        jobs: int = 1,
+        checkpoint_path: str | None = None,
+        verbose: bool = False,
+    ) -> None:
+        t = Fraction(t)
+        if mode not in ("elements", "signatures"):
+            raise DomainError(f"unknown search mode {mode!r}")
+        if n < 1:
             raise DomainError("power n must be a positive integer")
-        if self.t <= 1:
+        if t <= 1:
             raise DomainError("target t must exceed 1")
-        if self.max_norm < 2:
+        if max_norm < 2:
             raise DomainError("max_norm must be at least 2")
-        if self.max_norm > NORM_CEILING:
+        if max_norm > NORM_CEILING:
             raise DomainError(f"max_norm must be at most {CEILING_TEXT}")
-        if self.jobs < 1:
+        if jobs < 1:
             raise DomainError("jobs must be at least 1")
-        if self.verbose and self.mode == "signatures":
+        if verbose and mode == "signatures":
             raise DomainError("verbose output lists non-hits, which only elements mode visits")
+        self.ring = ring
+        self.n = n
+        self.t = t
+        self.max_norm = max_norm
+        self.mode = mode
+        self.jobs = jobs
+        self.checkpoint_path = checkpoint_path
+        self.verbose = verbose
 
 
-@dataclass(frozen=True)
 class SearchRecord:
-    z: QInt
-    norm: int
-    value: RadicalValue
-    is_hit: bool
+    __slots__ = ("z", "norm", "value", "is_hit")
+
+    def __init__(self, z: QInt, norm: int, value: RadicalValue, is_hit: bool) -> None:
+        self.z = z
+        self.norm = norm
+        self.value = value
+        self.is_hit = is_hit
 
 
-@dataclass(frozen=True)
 class SigEntry:
     """One rational prime's shape: exponents on the primes above it.
 
@@ -142,16 +152,21 @@ class SigEntry:
     data, so an asymmetric pair materializes to two witness elements.
     """
 
-    p: int
-    kind: str
-    alphas: tuple[int, ...]
+    __slots__ = ("p", "kind", "alphas")
+
+    def __init__(self, p: int, kind: str, alphas: tuple[int, ...]) -> None:
+        self.p = p
+        self.kind = kind
+        self.alphas = alphas
 
 
-@dataclass(frozen=True)
 class Signature:
-    ring_d: int
-    n: int
-    entries: tuple[SigEntry, ...]
+    __slots__ = ("ring_d", "n", "entries")
+
+    def __init__(self, ring_d: int, n: int, entries: tuple[SigEntry, ...]) -> None:
+        self.ring_d = ring_d
+        self.n = n
+        self.entries = entries
 
     @classmethod
     def from_entries(cls, d: int, n: int, entries) -> Signature:

@@ -30,7 +30,6 @@ and g_map and i_star still run for every member.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
@@ -53,18 +52,20 @@ REPORT_SCHEMA = 1
 _TARGETS = (2, 3, 4, 5, 6)  # the integer t of the discovered thm2.2 and thm2.3 populations
 
 
-@dataclass
 class TheoremReport:
     """Outcome of one check over one concrete population."""
 
-    check_id: str
-    statement: str
-    ring_d: int | None
-    population: dict
-    checked: int = 0
-    violations: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ("check_id", "statement", "ring_d", "population", "checked", "violations", "witnesses", "notes")
+
+    def __init__(self, check_id: str, statement: str, ring_d: int | None, population: dict) -> None:
+        self.check_id = check_id
+        self.statement = statement
+        self.ring_d = ring_d
+        self.population = population
+        self.checked = 0
+        self.violations = []
+        self.witnesses = []
+        self.notes = []
 
     @property
     def passed(self) -> bool:
@@ -108,13 +109,15 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
 class Hit:
     """One perfect element: i_star(z, n) = t."""
 
-    n: int
-    t: Fraction
-    z: QInt
+    __slots__ = ("n", "t", "z")
+
+    def __init__(self, n: int, t: Fraction, z: QInt) -> None:
+        self.n = n
+        self.t = t
+        self.z = z
 
 
 def discover_hits(

@@ -12,7 +12,6 @@ routes can be checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -211,12 +210,14 @@ def _interval(s2: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, _SCALE), Fraction(hi, _SCALE)
 
 
-@dataclass(frozen=True)
 class ZetaCheck:
-    label: str
-    lo: Fraction
-    hi: Fraction
-    limit: Fraction
+    __slots__ = ("label", "lo", "hi", "limit")
+
+    def __init__(self, label: str, lo: Fraction, hi: Fraction, limit: Fraction) -> None:
+        self.label = label
+        self.lo = lo
+        self.hi = hi
+        self.limit = limit
 
     @property
     def passed(self) -> bool:

@@ -56,6 +56,20 @@ def test_an_elements_search_loads_neither_theorems_nor_cli():
     assert "quadunitary.theorems" not in loaded and "quadunitary.cli" not in loaded
 
 
+def test_the_cli_and_an_elements_search_import_neither_dataclasses_nor_inspect():
+    # compared with the modules present at start, so a site hook that loads them does not count
+    out = run_fresh("""
+        import sys
+        before = set(sys.modules)
+        import quadunitary.cli
+        from fractions import Fraction
+        from quadunitary import SearchConfig, ring, run_search
+        assert run_search(SearchConfig(ring(-1), 2, Fraction(2), 2000, mode="elements"))
+        print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+    """)
+    assert out == "[]\n"
+
+
 def test_all_is_the_exported_list():
     assert quadunitary.__all__ == EXPORTED
 

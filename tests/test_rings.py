@@ -8,6 +8,7 @@ from quadunitary.rings import (
     DomainError,
     K,
     QInt,
+    Ring,
     arg_less,
     canonical_associate,
     exact_div,
@@ -287,3 +288,24 @@ def test_doubled_parts_reconstruct():
             big_x, big_y = z.doubled_parts()
             # z = (X + Y*sqrt(d)) / 2, so norm = (X^2 - d*Y^2) / 4
             assert big_x * big_x - d * big_y * big_y == 4 * z.norm()
+
+
+def test_elements_and_rings_compare_and_hash_by_value():
+    r = ring(-7)
+    z, w = QInt(r, 3, -2), Ring(-7).element(3, -2)
+    assert z == w and hash(z) == hash(w) and len({z, w, r.element(3, 2)}) == 2
+    # hashed as the tuple of their fields: the order of a set of elements depends on it
+    assert hash(z) == hash((r, 3, -2)) and hash(r) == hash((-7,))
+    assert Ring(d=-7) == r and Ring(-7) is not r
+    assert z != (r, 3, -2) and z != QInt(ring(-11), 3, -2)
+    with pytest.raises(DomainError, match="got 5"):
+        Ring(5)
+
+
+def test_repr_text_of_elements_and_rings():
+    z = ring(-7).element(3, -2)
+    assert repr(z) == "QInt(-7, 3, -2)"
+    assert repr(z.ring) == "Ring(d=-7)"
+    with pytest.raises(DomainError) as err:
+        index_of_unit(z)
+    assert str(err.value) == "QInt(-7, 3, -2) is not a unit"

@@ -1,6 +1,7 @@
 """Element enumeration, signature DFS, checkpointing, determinism."""
 
 import json
+import pickle
 import random
 import re
 import signal
@@ -136,6 +137,14 @@ def test_search_config_validation():
             SearchConfig(r, 2, Fraction(2), NORM_CEILING + 1, mode=mode)
     cfg = SearchConfig(r, 1, 2, 100)
     assert cfg.t == Fraction(2)
+
+
+def test_search_config_survives_a_pickle_round_trip():
+    # the process pool ships the config to its workers
+    cfg = SearchConfig(ring(-163), 2, 3, 70000, jobs=2, checkpoint_path="cp.jsonl")
+    back = pickle.loads(pickle.dumps(cfg))
+    fields = ("ring", "n", "t", "max_norm", "mode", "jobs", "checkpoint_path", "verbose")
+    assert [getattr(back, f) for f in fields] == [ring(-163), 2, Fraction(3), 70000, "elements", 2, "cp.jsonl", False]
 
 
 def test_elements_search_finds_known_hits():
