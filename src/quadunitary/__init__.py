@@ -26,7 +26,7 @@ _EXPORTS = {
         "format_element", "in_sector", "is_associate", "parse_element", "pretty_element", "ring",
     ),
     "search": (
-        "CheckpointError", "SearchConfig", "SearchRecord", "SigEntry", "Signature",
+        "CheckpointError", "SearchConfig", "SearchRecord", "Signature",
         "iter_sector_elements", "run_search", "search_signatures", "signature_hits_multi",
     ),
     "theorems": (

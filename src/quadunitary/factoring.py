@@ -29,9 +29,8 @@ CEILING_TEXT = f"2^64 = {NORM_CEILING}, the largest norm that can be factored"
 
 
 def _pollard_brent(n: int) -> int:
-    # Deterministic parameter schedule; n is odd, composite, not a prime power.
-    if n % 2 == 0:
-        return 2
+    # Deterministic parameter schedule; n is odd and composite (a prime power
+    # too), as trial division by the table leaves it; returns g, 1 < g < n.
     for c in range(1, 100):
         y, m = 2, 128
         g = r = q = 1
@@ -61,7 +60,7 @@ def _pollard_brent(n: int) -> int:
 
 def _factor_into(n: int, out: dict[int, int]) -> None:
     if n == 1:
-        return
+        return  # trial division can end on the table's last prime with nothing left: 9973**2
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return

@@ -23,7 +23,8 @@ Two complete strategies over the same hit set:
   and the envelope therefore stop at isqrt(max_norm).  The bound is
   certified: its float products are rounded up and the target guard down,
   and exact integer pairs (numerator, denominator) in lowest terms decide
-  every hit.
+  every hit.  A hit shape is the walk's tuple of (p, kind, alphas) triples,
+  held as it is, with the power n, by a Signature.
 
 A work unit is its checkpoint key, a range [lo, hi] of norms, and its rows
 are the search's row lines for the elements of norm in that range.  In
@@ -52,9 +53,10 @@ A signature's value comes from udf._index_numerators, the kernel elements
 mode uses, and an irrational shape is refused.  Every hit is verified once
 through the literal divisor-sum oracle, where it enters the program: an
 elements-mode hit in the worker that finds it, a signature's witnesses in
-witness_hits, which the theorem checks share, and a hit row of either
-mode as read_checkpoint reads it back.  No hit is sought, and a checkpoint's
-hit row is refused, where _cannot_reach shows the target out of reach.
+witness_hits at the signature's own n, which the theorem checks share, and
+a hit row of either mode as read_checkpoint reads it back.  No hit is
+sought, and a checkpoint's hit row is refused, where _cannot_reach shows
+the target out of reach.
 """
 
 from __future__ import annotations
@@ -144,38 +146,23 @@ class SearchRecord:
         self.is_hit = is_hit
 
 
-class SigEntry:
-    """One rational prime's shape: exponents on the primes above it.
+class Signature:
+    """A hit shape at power n: entries are the (p, kind, alphas) triples of _dfs_signatures.
 
     alphas is (alpha,) for inert and ramified primes and (a1, a2) with
     a1 >= a2 >= 0, a1 >= 1 for split primes; (a1, a2) is unordered shape
     data, so an asymmetric pair materializes to two witness elements.
     """
 
-    __slots__ = ("p", "kind", "alphas")
+    __slots__ = ("n", "entries")
 
-    def __init__(self, p: int, kind: str, alphas: tuple[int, ...]) -> None:
-        self.p = p
-        self.kind = kind
-        self.alphas = alphas
-
-
-class Signature:
-    __slots__ = ("ring_d", "n", "entries")
-
-    def __init__(self, ring_d: int, n: int, entries: tuple[SigEntry, ...]) -> None:
-        self.ring_d = ring_d
+    def __init__(self, n: int, entries: tuple[tuple[int, str, tuple[int, ...]], ...]) -> None:
         self.n = n
         self.entries = entries
 
-    @classmethod
-    def from_entries(cls, d: int, n: int, entries) -> Signature:
-        """Build from (p, kind, alphas) triples, as the DFS and the JSON form hold them."""
-        return cls(d, n, tuple(SigEntry(p, kind, tuple(al)) for p, kind, al in entries))
-
     def rows(self) -> list[tuple[int, str, int]]:
         """(p, kind, exponent) per prime power, as index_rows and Factorization.rows give them."""
-        return [(e.p, e.kind, alpha) for e in self.entries for alpha in e.alphas if alpha]
+        return [(p, kind, alpha) for p, kind, alphas in self.entries for alpha in alphas if alpha]
 
     def norm(self) -> int:
         return prod(p ** (2 * alpha if kind == "inert" else alpha) for p, kind, alpha in self.rows())
@@ -190,12 +177,12 @@ class Signature:
     def witnesses(self, r: Ring) -> list[QInt]:
         """All canonical elements with this shape, sorted by coordinates."""
         options: list[list[QInt]] = []
-        for e in self.entries:
-            pc = prime_above(e.p, r)
-            if e.kind != "split":
-                options.append([pc.pi ** e.alphas[0]])  # an inert pi is p itself
+        for p, kind, alphas in self.entries:
+            pc = prime_above(p, r)
+            if kind != "split":
+                options.append([pc.pi ** alphas[0]])  # an inert pi is p itself
             else:
-                a1, a2 = e.alphas
+                a1, a2 = alphas
                 assert pc.pi_bar is not None
                 opts = [pc.pi**a1 * pc.pi_bar**a2]
                 if a1 != a2:
@@ -206,7 +193,7 @@ class Signature:
 
     def to_json_dict(self) -> dict:
         return {
-            "entries": [[e.p, e.kind, list(e.alphas)] for e in self.entries],
+            "entries": [[p, kind, list(alphas)] for p, kind, alphas in self.entries],
             "norm": self.norm(),
             "value": str(self.value()),
         }
@@ -549,7 +536,7 @@ def _signatures_task(cfg: SearchConfig, key) -> list[str]:
     """The row lines of the search's one unit, key = [2, max_norm]: the witnesses of its hit signatures."""
     return [
         _row_line(format_element(z), z.norm(), _terms_json([(1, value)]), True)
-        for z, value in witness_hits(cfg.ring, cfg.n, search_signatures(cfg))
+        for z, value in witness_hits(cfg.ring, search_signatures(cfg))
     ]
 
 
@@ -860,8 +847,8 @@ def _task_results(cfg: SearchConfig, keys: list, task) -> list[list[str]]:
 
 def search_signatures(cfg: SearchConfig, targets: tuple[Fraction, ...] | None = None) -> list[Signature]:
     """Hit signatures for any of the targets (all > 1; cfg.t by default), in DFS order, walked in this process."""
-    d, n = cfg.ring.d, cfg.n
-    return [Signature.from_entries(d, n, e) for e in _dfs_signatures(partial(prime_kind, d), n, targets or (cfg.t,), cfg.max_norm)]
+    n = cfg.n
+    return [Signature(n, e) for e in _dfs_signatures(partial(prime_kind, cfg.ring.d), n, targets or (cfg.t,), cfg.max_norm)]
 
 
 def signature_hits_multi(
@@ -882,7 +869,7 @@ def signature_hits_multi(
     return search_signatures(cfg, targets)
 
 
-def witness_hits(r: Ring, n: int, sigs) -> list[tuple[QInt, Fraction]]:
+def witness_hits(r: Ring, sigs) -> list[tuple[QInt, Fraction]]:
     """Every witness element of the signatures with its signature's value, sorted by (norm, a, b).
 
     Each witness is checked twice: its factor-based index i_star must be its
@@ -892,9 +879,9 @@ def witness_hits(r: Ring, n: int, sigs) -> list[tuple[QInt, Fraction]]:
     for sig in sigs:
         value = sig.value()
         for z in sig.witnesses(r):
-            if i_star(z, n) != value:
+            if i_star(z, sig.n) != value:
                 raise AssertionError(f"witness {format_element(z)} disagrees with signature value")
-            _verify_hit(z, n, value)
+            _verify_hit(z, sig.n, value)
             hits.append((z, value))
     hits.sort(key=lambda hit: (hit[0].norm(), hit[0].a, hit[0].b))
     return hits

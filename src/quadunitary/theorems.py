@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .factoring import CEILING_TEXT, NORM_CEILING, FactorEntry, factor_element, factor_int
 from .primes import prime_above
@@ -39,6 +39,7 @@ from .rings import DomainError, K, QInt, Ring, canonical_product, format_coords,
 from .search import (
     CheckpointError,
     SearchConfig,
+    Signature,
     _dfs_signatures,
     _index_points,
     read_checkpoint,
@@ -130,7 +131,7 @@ def discover_hits(
     hits: list[Hit] = []
     for n in sorted(n_values):
         sigs = signature_hits_multi(r, n, tuple(Fraction(t) for t in targets), max_norm)
-        hits += [Hit(n, value, z) for z, value in witness_hits(r, n, sigs)]
+        hits += [Hit(n, value, z) for z, value in witness_hits(r, sigs)]
     hits.sort(key=lambda h: (h.n, h.z.norm(), h.z.a, h.z.b))
     return hits
 
@@ -418,7 +419,7 @@ def check_thm_2_6(b: Fraction = Fraction(2), bound: int = 100_000) -> TheoremRep
         {"b": str(b), "bound": bound, "rings": sorted(K)},
     )
     num, den = b.numerator, b.denominator
-    members = sorted(prod(p**al[0] for p, _, al in ents) for ents in _dfs_signatures(lambda p: "ramified", 2, (b,), bound))
+    members = sorted(Signature(2, ents).norm() for ents in _dfs_signatures(lambda p: "ramified", 2, (b,), bound))
     for m in members:
         if sigma_star_int(m) * den != num * m:
             raise AssertionError(f"{m} from the signature search does not have sigma_star({m}) = {b} * {m}")

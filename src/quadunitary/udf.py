@@ -131,7 +131,7 @@ def delta_star_oracle(z: QInt, n: int, factorization: Factorization | None = Non
         key = 1
         for p, e in exps.items():
             en = e * n
-            coeff *= Fraction(p) ** (en // 2) if en % 2 == 0 else Fraction(p) ** ((en - 1) // 2)
+            coeff *= Fraction(p) ** (en // 2)
             if en % 2:
                 key *= p
         total[key] = total.get(key, Fraction(0)) + coeff

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from quadunitary import search
 from quadunitary.factoring import coprime, factor_element
@@ -182,7 +183,7 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     # checkpoint cycle: full run, truncate, resume, replay
     path = str(tmp_path / "cycle.jsonl")
     assert lines_for(1, path) == base
-    content = open(path).read().splitlines()
+    content = Path(path).read_text().splitlines()
     with open(path, "w") as fh:
         fh.write("\n".join(content[: len(content) // 2]) + "\n")
     assert lines_for(4, path) == base

@@ -990,6 +990,37 @@ def test_usage_errors_exit_1(capsys):
         capsys.readouterr()
 
 
+def test_a_ring_that_is_not_an_integer_is_a_usage_error_naming_the_rings(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--ring", "abc", "--prime", "2"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown ring 'abc'; legal values: -163, -67, -43, -19, -11, -7, -3, -2, -1" in err
+
+
+def test_classify_ramified_text(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--ring", "-1", "--prime", "2")
+    assert code == 0
+    assert out == "2 ramifies in d=-1: 2 ~ (1+i)^2\n"
+
+
+def test_a_checkpoint_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # one byte of the unit line is not UTF-8: a resume and verify --hits both refuse the file
+    path = tmp_path / "cp.jsonl"
+    args = ("search", "--ring", "-1", "--power", "2", "--target", "2", "--max-norm", "500",
+            "--quiet", "--checkpoint", str(path))
+    assert run_cli(capsys, *args)[0] == 0
+    data = path.read_bytes()
+    cut = data.index(b'"results"')
+    path.write_bytes(data[:cut] + b"\xff" + data[cut + 1 :])
+    for argv in (args, ("verify", "thm2.2", "--ring", "-1", "--hits", str(path))):
+        code, out, err = timed_run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"{path} is not a UTF-8 checkpoint" in err, argv
+    assert path.read_bytes()[cut] == 0xFF  # refused, not truncated
+
+
 def test_zero_denominator_in_an_element_exits_2(capsys):
     for element in ("3/0", "0/0", "3/0*w", "1/0+sqrt(-1)", "5/0i"):
         for command in (("istar", "--power", "2"), ("delta", "--power", "2"), ("factor",), ("divisors",)):

@@ -65,6 +65,13 @@ def test_factor_int_semiprime_uses_rho_path():
     assert factor_int(p * p) == ((p, 2),)
 
 
+def test_factor_int_when_trial_division_ends_on_the_tables_last_prime():
+    # 9973, the table's last prime, divides out with nothing left for Pollard
+    assert small_primes()[-1] == 9973
+    assert factor_int(9973**2) == ((9973, 2),)
+    assert _factor_int(2 * 9973**3) == ((2, 1), (9973, 3))
+
+
 def dict_and_sort(n):
     """Trial division into a dict, then sorted: a reference for n below the table's square."""
     out = {}

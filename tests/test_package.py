@@ -10,10 +10,10 @@ import pytest
 
 import quadunitary
 
-# the names the package exported when it imported every layer eagerly
+# the names the package exports
 EXPORTED = [
     "CheckpointError", "DomainError", "FactorEntry", "Factorization", "K", "PrimeClass", "QInt",
-    "RadicalValue", "Ring", "SearchConfig", "SearchRecord", "SigEntry", "Signature",
+    "RadicalValue", "Ring", "SearchConfig", "SearchRecord", "Signature",
     "TheoremReport", "ZetaCheck", "arg_less", "canonical_associate", "check_thm_2_2",
     "check_thm_2_3", "check_thm_2_4", "check_thm_2_5", "check_thm_2_6", "check_zeta",
     "classify", "coprime", "delta_star", "delta_star_oracle", "exact_div", "factor_element",

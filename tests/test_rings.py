@@ -181,6 +181,29 @@ def test_mixed_ring_arithmetic_rejected():
         ring(-3).element(1, 1) * ring(-7).element(1, 1)
 
 
+def test_addition_and_subtraction_add_the_rational_parts():
+    rng = random.Random(30)
+    for d in K:
+        r = ring(d)
+        for _ in range(50):
+            x, y = (r.element(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(2))
+            k = rng.randint(-50, 50)
+            (xa, xb), (ya, yb) = x.rational_parts(), y.rational_parts()
+            assert (x + y).rational_parts() == (xa + ya, xb + yb)
+            assert (x - y).rational_parts() == (xa - ya, xb - yb)
+            assert (x + k).rational_parts() == (k + x).rational_parts() == (xa + k, xb)
+            assert (x - k).rational_parts() == (xa - k, xb)
+            assert (k - x).rational_parts() == (k - xa, -xb)
+            assert x - y + y == x and k - x == -(x - k)
+    one, other = ring(-1).element(1), ring(-2).element(1)
+    for refused in (lambda: one - other, lambda: other - one, lambda: one + other):
+        with pytest.raises(DomainError, match="mixed-ring operands"):
+            refused()
+    for refused in (lambda: one + 0.5, lambda: 0.5 - one):
+        with pytest.raises(TypeError):
+            refused()
+
+
 def test_powers():
     r = ring(-1)
     z = r.element(2, 1)

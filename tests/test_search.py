@@ -13,6 +13,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, inf, isqrt, nextafter
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,6 @@ from quadunitary.rings import K, DomainError, QInt, format_element, in_sector, r
 from quadunitary.search import (
     CheckpointError,
     SearchConfig,
-    SigEntry,
     Signature,
     _envelope_cached,
     _exact_root,
@@ -325,12 +325,11 @@ def test_resumed_rows_are_made_into_the_fresh_lines(tmp_path, monkeypatch, mode,
 def test_signature_shape_arithmetic():
     # the shape of 30 in d = -1: ramified 2^2, inert 3, split pair 5
     sig = Signature(
-        -1,
         2,
         (
-            SigEntry(2, "ramified", (2,)),
-            SigEntry(3, "inert", (1,)),
-            SigEntry(5, "split", (1, 1)),
+            (2, "ramified", (2,)),
+            (3, "inert", (1,)),
+            (5, "split", (1, 1)),
         ),
     )
     assert sig.norm() == 900
@@ -342,7 +341,7 @@ def test_signature_shape_arithmetic():
 def test_irrational_signature_value_is_refused():
     # |1+i| = sqrt(2) at n = 1: the index 1 + sqrt(2)/2 is not a Fraction
     with pytest.raises(DomainError):
-        Signature(-1, 1, (SigEntry(2, "ramified", (1,)),)).value()
+        Signature(1, ((2, "ramified", (1,)),)).value()
 
 
 @pytest.mark.parametrize("d", [-1, -7, -163])
@@ -374,20 +373,18 @@ def test_configs_are_the_parity_admissible_shapes(d):
 
 def test_signature_witnesses_split_asymmetry():
     r = ring(-1)
-    sig = Signature(-1, 2, (SigEntry(5, "split", (2, 0)),))
+    sig = Signature(2, ((5, "split", (2, 0)),))
     wit = sig.witnesses(r)
     assert [(z.a, z.b) for z in wit] == [(3, 4), (4, 3)]
-    sym = Signature(-1, 2, (SigEntry(5, "split", (1, 1)),))
+    sym = Signature(2, ((5, "split", (1, 1)),))
     assert [(z.a, z.b) for z in sym.witnesses(r)] == [(5, 0)]
     # two asymmetric split primes: four witnesses
-    two = Signature(
-        -1, 2, (SigEntry(5, "split", (2, 0)), SigEntry(13, "split", (1, 0)))
-    )
+    two = Signature(2, ((5, "split", (2, 0)), (13, "split", (1, 0))))
     assert len(two.witnesses(r)) == 4
 
 
 def test_signature_json_round_trip():
-    sig = Signature(-1, 1, (SigEntry(2, "ramified", (2,)), SigEntry(5, "split", (2, 0))))
+    sig = Signature(1, ((2, "ramified", (2,)), (5, "split", (2, 0))))
     doc = sig.to_json_dict()
     assert doc["norm"] == sig.norm()
     assert Fraction(doc["value"]) == sig.value()
@@ -437,8 +434,25 @@ def test_read_checkpoint_returns_each_units_fresh_lines_and_hits(tmp_path, monke
         assert len(units) == 6 and sum(len(hits) > 0 for _, _, hits in units) > 1
     else:
         assert [task for task, _, _ in units] == [[2, 3000]]
-        witnesses = [z for z, _ in witness_hits(r, n, search_signatures(SearchConfig(r, n, t, 3000, mode=mode)))]
+        witnesses = [z for z, _ in witness_hits(r, search_signatures(SearchConfig(r, n, t, 3000, mode=mode)))]
         assert units[0][2] == witnesses != []
+
+
+def test_witness_hits_refuses_a_witness_whose_index_is_not_its_signatures_value(monkeypatch):
+    r = ring(-1)
+    sigs = search_signatures(SearchConfig(r, 2, Fraction(2), 1000, mode="signatures"))
+    assert witness_hits(r, sigs) != []
+    monkeypatch.setattr(search, "i_star", lambda z, n: Fraction(3))
+    with pytest.raises(AssertionError, match="witness 3\\+9\\*w disagrees with signature value"):
+        witness_hits(r, sigs)
+
+
+def test_read_checkpoint_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = str(tmp_path / "cp.jsonl")
+    search_rows(SearchConfig(ring(-1), 2, Fraction(2), 500, checkpoint_path=path))
+    Path(path).write_bytes(b"\xff" + Path(path).read_bytes()[1:])
+    with pytest.raises(CheckpointError, match="is not a UTF-8 checkpoint"):
+        search.read_checkpoint(path)
 
 
 def test_window_keys_are_read_by_arithmetic(tmp_path):
@@ -544,7 +558,7 @@ def test_checkpoint_written_and_resumed(tmp_path, monkeypatch):
         return SearchConfig(r, 2, Fraction(2), 4000, checkpoint_path=path)
 
     first = search_rows(cfg())[0]
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     header = json.loads(lines[0])
     assert header["kind"] == "quadunitary-checkpoint"
     assert header["schema_version"] == 1
@@ -557,7 +571,7 @@ def test_checkpoint_written_and_resumed(tmp_path, monkeypatch):
         fh.write("\n".join(lines[:3]) + "\n")
     second = search_rows(cfg())[0]
     assert second == first
-    assert len(open(path).read().splitlines()) == 5
+    assert len(Path(path).read_text().splitlines()) == 5
 
     # a completed checkpoint replays without recomputation
     third = search_rows(cfg())[0]
@@ -584,7 +598,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
     r = ring(-1)
     path = str(tmp_path / "run.jsonl")
     run_search(SearchConfig(r, 2, Fraction(2), 2000, checkpoint_path=path))
-    good = open(path).read()
+    good = Path(path).read_text()
 
     with open(path, "w") as fh:
         fh.write(good + "{broken\n")
@@ -625,14 +639,14 @@ def test_checkpoint_keeps_units_finished_before_a_crash(tmp_path, monkeypatch, c
     with pytest.raises(RuntimeError, match="simulated crash"):
         run_search(cfg(checkpoint_path=path))
     monkeypatch.setattr(search, "_elements_task", real_task)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert len(lines) == crash_at  # the header plus every unit finished before the crash
     assert json.loads(lines[0])["kind"] == "quadunitary-checkpoint"
     assert [json.loads(ln)["task"] for ln in lines[1:]] == [[2, 513]][: crash_at - 1]
 
     resumed = search_rows(cfg(checkpoint_path=path))[0]
     assert resumed == search_rows(cfg())[0]
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert len(lines) == 1 + 4  # one header, four units of 512 norms
     again = search_rows(cfg(checkpoint_path=path))[0]
     assert again == resumed
@@ -725,7 +739,7 @@ def test_checkpoint_resume_with_jobs(tmp_path, monkeypatch):
     base = search_rows(SearchConfig(r, 1, Fraction(2), 9000))[0]
     partial = SearchConfig(r, 1, Fraction(2), 9000, checkpoint_path=path)
     run_search(partial)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:4]) + "\n")
     resumed = search_rows(
@@ -891,7 +905,7 @@ def test_dfs_hits_have_a_target_value(d):
         hits = search._dfs_signatures(partial(prime_kind, d), n, _GRID_TARGETS, 10**5)
         found += len(hits)
         for entries in hits:
-            sig = Signature.from_entries(d, n, entries)
+            sig = Signature(n, entries)
             assert sig.value() in _GRID_TARGETS and sig.norm() <= 10**5, (d, n, entries)
     assert found, d
 
@@ -948,12 +962,12 @@ def test_signatures_checkpoint_keeps_units_finished_before_a_crash(tmp_path, mon
     with pytest.raises(RuntimeError, match="simulated crash"):
         run_search(_signature_cfg(checkpoint_path=path))
     monkeypatch.undo()
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert len(lines) == 1
 
     resumed = search_rows(_signature_cfg(checkpoint_path=path))[0]
     assert resumed == search_rows(_signature_cfg())[0]
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert [json.loads(ln)["task"] for ln in lines[1:]] == [[2, 2000]]
     again = search_rows(_signature_cfg(checkpoint_path=path))[0]
     assert again == resumed
@@ -968,14 +982,14 @@ def test_signatures_checkpoint_resume_with_jobs(tmp_path):
     base = search_rows(cfg())[0]
     assert len(base) == 2
     run_search(cfg(checkpoint_path=path))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert len(lines) == 2
     for keep in (lines[:1], lines):  # the header only, and the whole file
         with open(path, "w") as fh:
             fh.write("\n".join(keep) + "\n")
         resumed = search_rows(cfg(checkpoint_path=path, jobs=2))[0]
         assert resumed == base
-        assert open(path).read().splitlines() == lines
+        assert Path(path).read_text().splitlines() == lines
 
 
 def test_no_pool_for_work_that_cannot_be_split(monkeypatch):

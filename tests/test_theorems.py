@@ -31,7 +31,7 @@ from quadunitary.theorems import (
     load_hits,
     run_check,
 )
-from quadunitary.udf import i_star, sigma_star_int
+from quadunitary.udf import ZetaCheck, i_star, sigma_star_int
 
 
 def test_g_map_frozen_values():
@@ -351,6 +351,64 @@ def test_thm_2_6_refuses_a_shape_that_is_not_a_member(monkeypatch):
     monkeypatch.setattr(theorems, "_dfs_signatures", lambda *args: [((2, "ramified", (1,)), (5, "ramified", (1,)))])
     with pytest.raises(AssertionError, match="10 from the signature search"):
         check_thm_2_6(Fraction(2), bound=1000)
+
+
+def test_thm_2_6_flags_an_image_whose_absolute_value_is_not_n(monkeypatch):
+    # g(n) = n + 1 has norm (n + 1)^2, not n^2; the images stay distinct
+    monkeypatch.setattr(theorems, "g_map", lambda n, r: r.element(n + 1))
+    report = check_thm_2_6(Fraction(2), bound=1000)
+    assert report.passed is False
+    assert len(report.violations) == 3 * len(K)
+    assert {v["reason"] for v in report.violations} == {"absolute value not preserved"}
+    assert report.violations[0] == {"ring": -163, "n": 6, "image": "7", "reason": "absolute value not preserved"}
+
+
+def test_thm_2_6_flags_an_image_whose_index_is_not_b(monkeypatch):
+    monkeypatch.setattr(theorems, "i_star", lambda z, n: RadicalValue.from_rational(Fraction(3)))
+    report = check_thm_2_6(Fraction(2), bound=1000)
+    assert report.passed is False
+    assert len(report.violations) == 3 * len(K)
+    assert {(v["reason"], v["value"]) for v in report.violations} == {("index ratio mismatch", "3")}
+
+
+def test_thm_2_6_flags_images_that_coincide(monkeypatch):
+    # the DFS reporting the shape of 6 twice gives two members with one image
+    six = ((2, "ramified", (1,)), (3, "ramified", (1,)))
+    monkeypatch.setattr(theorems, "_dfs_signatures", lambda *args: [six, six])
+    report = check_thm_2_6(Fraction(2), bound=1000)
+    assert report.passed is False
+    assert report.witnesses[0] == {"members": [6, 6]}
+    assert report.violations == [{"ring": d, "reason": "images not pairwise distinct"} for d in sorted(K)]
+
+
+def test_zeta_flags_a_bound_that_reaches_2_and_an_interval_too_wide(monkeypatch):
+    two = Fraction(2)
+    checks = [
+        ZetaCheck("reaches 2", Fraction(199, 100), two, two),
+        ZetaCheck("too wide", Fraction(1), Fraction(3, 2), two),
+        ZetaCheck("certified", Fraction(3, 2), Fraction(3, 2) + Fraction(1, 10_000), two),
+    ]
+    monkeypatch.setattr(theorems, "zeta_bound_check", lambda: checks)
+    report = check_zeta()
+    assert report.passed is False
+    assert report.checked == 3
+    assert [(v["label"], v["reason"]) for v in report.violations] == [
+        ("reaches 2", "upper bound reaches 2"),
+        ("too wide", "interval too wide to certify"),
+    ]
+    assert [w["label"] for w in report.witnesses] == ["certified"]
+
+
+def test_thm_2_5_flags_an_odd_part_norm_power_that_is_not_1_mod_6():
+    # d = -1: (1+i)^2 * pi5 * pi13 has gamma = 1, a prime of norm 5 and an
+    # even odd-part count, but the norm power 5^1 is 5 mod 6
+    r1 = ring(-1)
+    pi5 = prime_above(5, r1).pi
+    z = r1.element(1, 1) ** 2 * pi5 * prime_above(13, r1).pi
+    assert z.norm() == 260
+    report = check_thm_2_5(r1, hits=[Hit(2, Fraction(2), z)])
+    assert report.passed is False
+    assert report.violations[0]["reasons"] == [f"norm power of {format_element(pi5)} is not 1 mod 6"]
 
 
 def test_zeta_check():
