@@ -191,13 +191,6 @@ class Signature:
         outs = {canonical_product(r, combo) for combo in product(*options)}
         return sorted(outs, key=lambda z: (z.norm(), z.a, z.b))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [[p, kind, list(alphas)] for p, kind, alphas in self.entries],
-            "norm": self.norm(),
-            "value": str(self.value()),
-        }
-
 
 # ---------------------------------------------------------------------------
 # element enumeration
@@ -419,6 +412,12 @@ def _dfs_signatures(
     is where the walk over every prime would have found it.  The root's solve
     finds the one-prime signatures above the table.
 
+    A node tests the envelope bound at each table slot of its own loop, so a
+    child is tested once, at its first slot, and the early return skips its
+    solve too, whose primes the bound covers.  A child whose first table
+    prime has p^2 > B is not tested: its solve is exact, and adds no hit the
+    bound excludes.
+
     A node's value is the integer pair (a, b) in lowest terms, value = a / b:
     a child's pair is reduced by one gcd, compared with the largest target
     by cross-multiplication and looked up among the targets' pairs.  Its
@@ -476,9 +475,7 @@ def _dfs_signatures(
                     out.append(ents)
                 child_budget = budget // cost
                 if child_budget > p:
-                    bound = _extension_bound(costs, env, j + 1, child_budget)
-                    if _up(_up(ca / cb) * bound) >= guard:
-                        walk(j + 1, child_budget, ca, cb, ents, p)
+                    walk(j + 1, child_budget, ca, cb, ents, p)
             j += 1
         if half:
             solve(a, b, budget, last, entries)
@@ -571,8 +568,7 @@ _term_match = None  # re.compile(_TERM).fullmatch, once bound
 
 def _truncate(path: str, size: int) -> None:
     try:
-        with open(path, "r+b") as fh:
-            fh.truncate(size)
+        os.truncate(path, size)
     except OSError as exc:
         raise CheckpointError(f"cannot drop the torn last line of {path}: {exc}") from exc
 

@@ -68,6 +68,14 @@ class TheoremReport:
         self.witnesses = []
         self.notes = []
 
+    def case(self, record: dict, failure: dict | None = None) -> None:
+        """Count one case: {**record, **failure} is a violation if failure is given, else record a witness while under six."""
+        self.checked += 1
+        if failure is not None:
+            self.violations.append({**record, **failure})
+        elif len(self.witnesses) < 6:
+            self.witnesses.append(record)
+
     @property
     def passed(self) -> bool:
         return not self.violations
@@ -153,10 +161,6 @@ def load_hits(path: str, r: Ring) -> tuple[SearchConfig, list[Hit]]:
     return cfg, [Hit(cfg.n, cfg.t, z) for z in hits]
 
 
-def _entry_norm(e: FactorEntry) -> int:
-    return e.p * e.p if e.kind == "inert" else e.p
-
-
 def _hit_json(h: Hit) -> dict:
     return {"z": format_element(h.z), "norm": h.z.norm(), "n": h.n, "t": str(h.t)}
 
@@ -184,11 +188,7 @@ def check_thm_2_2(
         if h.n not in (1, 2) or h.t.denominator != 1:
             skipped += 1
             continue
-        report.checked += 1
-        if h.z.norm() % 2:
-            report.violations.append({**_hit_json(h), "reason": "odd norm"})
-        elif len(report.witnesses) < 6:
-            report.witnesses.append(_hit_json(h))
+        report.case(_hit_json(h), {"reason": "odd norm"} if h.z.norm() % 2 else None)
     if skipped:
         report.notes.append(f"skipped {skipped} hits outside the n in {{1, 2}}, integer-t population")
     if report.vacuous:
@@ -230,7 +230,6 @@ def check_thm_2_3(
         odd_part = [e for e in fac.entries if e.p != 2]
         t_int = int(h.t)
         v2 = (t_int & -t_int).bit_length() - 1
-        report.checked += 1
         record = {
             **_hit_json(h),
             "gamma": gamma,
@@ -238,10 +237,7 @@ def check_thm_2_3(
             "v2_of_t": v2,
             "odd_part_primes": len(odd_part),
         }
-        if len(odd_part) != gamma + v2:
-            report.violations.append({**record, "reason": "prime count mismatch"})
-        elif len(report.witnesses) < 6:
-            report.witnesses.append(record)
+        report.case(record, {"reason": "prime count mismatch"} if len(odd_part) != gamma + v2 else None)
     if skipped:
         report.notes.append(f"skipped {skipped} hits outside the n=2, integer-t population")
     if report.vacuous:
@@ -298,9 +294,9 @@ def check_thm_2_4(max_norm: int = 10_000) -> TheoremReport:
 def _mod6_conditions(odd_part: list[FactorEntry], expect_even_count: bool) -> list[str]:
     reasons = []
     for e in odd_part:
-        if pow(_entry_norm(e), e.exponent, 6) != 1:
+        if pow(e.prime.norm(), e.exponent, 6) != 1:
             reasons.append(f"norm power of {format_element(e.prime)} is not 1 mod 6")
-    if not any(_entry_norm(e) % 6 == 5 for e in odd_part):
+    if not any(e.prime.norm() % 6 == 5 for e in odd_part):
         reasons.append("no prime divisor with norm 5 mod 6")
     count_even = len(odd_part) % 2 == 0
     if count_even != expect_even_count:
@@ -344,7 +340,6 @@ def check_thm_2_5(
         fac = factor_element(h.z)
         even_part = [e for e in fac.entries if e.p == 2]
         odd_part = [e for e in fac.entries if e.p != 2]
-        report.checked += 1
         reasons: list[str] = []
         record = _hit_json(h)
         if not even_part:
@@ -371,10 +366,7 @@ def check_thm_2_5(
             reasons.extend(_mod6_conditions(odd_part, expect_even_count=True))
         if gamma and (pow(2, 2 * gamma, 6) + 1) % 6 != 5:
             reasons.append("2^(2*gamma) + 1 is not 5 mod 6")
-        if reasons:
-            report.violations.append({**record, "reasons": reasons})
-        elif len(report.witnesses) < 6:
-            report.witnesses.append(record)
+        report.case(record, {"reasons": reasons} if reasons else None)
     if skipped:
         report.notes.append(f"skipped {skipped} hits outside the t = 2, norm-coprime-to-3 population")
     if report.vacuous:
@@ -443,7 +435,7 @@ def check_thm_2_6(b: Fraction = Fraction(2), bound: int = 100_000) -> TheoremRep
                 )
         if len(set(images)) != len(members):
             report.violations.append({"ring": d, "reason": "images not pairwise distinct"})
-        if members and not any(w.get("ring") == d for w in report.witnesses):
+        if members:
             report.witnesses.append(
                 {"ring": d, "n": members[0], "image": format_element(images[0])}
             )
@@ -462,14 +454,10 @@ def check_zeta() -> TheoremReport:
         {"terms": _ZETA_TERMS, "width_limit": "1/1000"},
     )
     for check in zeta_bound_check():
-        report.checked += 1
-        data = check.to_json_dict()
-        if not check.passed:
-            report.violations.append({**data, "reason": "upper bound reaches 2"})
-        elif check.width >= Fraction(1, 1000):
-            report.violations.append({**data, "reason": "interval too wide to certify"})
-        else:
-            report.witnesses.append(data)
+        failure = None if check.passed else {"reason": "upper bound reaches 2"}
+        if check.passed and check.width >= Fraction(1, 1000):
+            failure = {"reason": "interval too wide to certify"}
+        report.case(check.to_json_dict(), failure)
     return report
 
 

@@ -383,12 +383,13 @@ def test_signature_witnesses_split_asymmetry():
     assert len(two.witnesses(r)) == 4
 
 
-def test_signature_json_round_trip():
-    sig = Signature(1, ((2, "ramified", (2,)), (5, "split", (2, 0))))
-    doc = sig.to_json_dict()
-    assert doc["norm"] == sig.norm()
-    assert Fraction(doc["value"]) == sig.value()
-    assert doc["entries"] == [[2, "ramified", [2]], [5, "split", [2, 0]]]
+def test_signature_holds_its_triples():
+    entries = ((2, "ramified", (2,)), (5, "split", (2, 0)))
+    sig = Signature(1, entries)
+    assert sig.entries == entries
+    assert sig.norm() == 100
+    assert sig.value() == Fraction(9, 5)
+    assert [format_element(z) for z in sig.witnesses(ring(-1))] == ["6+8*w", "8+6*w"]
 
 
 def test_multi_target_equals_single_target_union():
@@ -400,8 +401,7 @@ def test_multi_target_equals_single_target_union():
         singles.extend(
             search_signatures(SearchConfig(r, 1, t, 20_000, mode="signatures"))
         )
-    key = lambda s: json.dumps(s.to_json_dict(), sort_keys=True)
-    assert sorted(map(key, multi)) == sorted(map(key, singles))
+    assert sorted(s.entries for s in multi) == sorted(s.entries for s in singles)
     values = {s.value() for s in multi}
     assert values <= set(targets)
 
@@ -876,7 +876,7 @@ def test_last_prime_solve_at_the_root():
     assert sorted((rec.z.a, rec.z.b, rec.norm) for rec in sg) == [(2, 3, 13), (3, 2, 13)]
     assert search_rows(cfg("signatures"))[0] == search_rows(cfg("elements"))[0]
     hits = search_signatures(cfg("signatures"))
-    assert [s.to_json_dict()["entries"] for s in hits] == [[[13, "split", [1, 0]]]]
+    assert [s.entries for s in hits] == [((13, "split", (1, 0)),)]
 
 
 def test_last_prime_solve_ramified():
@@ -885,8 +885,7 @@ def test_last_prime_solve_ramified():
     r = ring(-11)
     cfg = lambda mode: SearchConfig(r, 2, Fraction(16, 11), 300, mode=mode)
     hits = search_signatures(cfg("signatures"))
-    entries = [s.to_json_dict()["entries"] for s in hits]
-    assert entries == [[[3, "split", [1, 0]], [11, "ramified", [1]]]]
+    assert [s.entries for s in hits] == [((3, "split", (1, 0)), (11, "ramified", (1,)))]
     sg = search_rows(cfg("signatures"))[0]
     assert len(sg) == 2
     assert sg == search_rows(cfg("elements"))[0]
@@ -897,7 +896,7 @@ _GRID_TARGETS = tuple(Fraction(t) for t in "2 3 4 5 6 5/2 7/2 14/13 6/5 3/2 4/3 
 
 
 @pytest.mark.parametrize("d", sorted(K))
-def test_dfs_hits_have_a_target_value(d):
+def test_dfs_hits_have_a_target_value(d, monkeypatch):
     # the whole tree (first primes from slot 0, the root solve included): each
     # hit's value, from the index kernel, is one of the targets
     found = 0
@@ -908,6 +907,20 @@ def test_dfs_hits_have_a_target_value(d):
             sig = Signature(n, entries)
             assert sig.value() in _GRID_TARGETS and sig.norm() <= 10**5, (d, n, entries)
     assert found, d
+    # the pruned walk of each target alone lists what the walk that prunes
+    # nothing lists, in its order; with all twelve targets the guard is the
+    # smallest, 14/13, which prunes too little to show a fault in the bound
+    def walks():
+        return [
+            search._dfs_signatures(partial(prime_kind, d), n, (t,), max_norm)
+            for max_norm in (10**3, 10**4, 10**5)
+            for n in range(1, 5)
+            for t in _GRID_TARGETS
+        ]
+
+    pruned = walks()
+    monkeypatch.setattr(search, "_extension_bound", lambda *args: inf)
+    assert walks() == pruned
 
 
 def test_dfs_reports_a_hit_at_the_largest_target():
